@@ -1,114 +1,4 @@
 """Finite free algebras of many-sorted varieties, built by congruence
 closure saturation, with rank-bounded invariant-basis-number certificates."""
 
-from .signature import (
-    ActionSplit,
-    DuplicateName,
-    NotActionSeparable,
-    Op,
-    Signature,
-    SignatureError,
-    Sort,
-    UnknownSort,
-    classify_action_signature,
-    restrict_to_part,
-    validate_signature,
-)
-from .terms import (
-    GeneratorProfile,
-    Identity,
-    SortedVar,
-    SortError,
-    Term,
-    TermError,
-    UnboundVariable,
-    arena_of,
-    enumerate_terms,
-    extend_assignment,
-    is_sort1_pure,
-    parse_term,
-    substitute,
-    term_length,
-    term_profile_iso,
-)
-from .finalg import (
-    AlgebraError,
-    CongruenceTable,
-    Counterexample,
-    EmptyCarrier,
-    Evaluator,
-    FiniteAlgebra,
-    MissingSort,
-    MorphismTable,
-    NotACongruence,
-    SortViolation,
-    assemble_trivial_action,
-    eval_term,
-    find_isomorphism,
-    one_element_algebra,
-    quotient,
-    satisfies_all,
-    satisfies_identity,
-)
-from .egraph import (
-    Budget,
-    BudgetExceeded,
-    DEGENERATE,
-    FreeAlgebraResult,
-    NONDEGENERATE,
-    NondegeneracyReport,
-    SaturationState,
-    UNKNOWN,
-    VarietyDef,
-    build_free_algebra,
-    extract_representatives,
-    is_consequence,
-    nondegeneracy_check,
-)
-from .dfunctor import (
-    DFunctor,
-    FunctorialityReport,
-    NaturalEpi,
-    SaturationBudgetError,
-    SubvarietyPair,
-    check_functoriality,
-    enumerate_homs,
-    hom_from_gen_images,
-    induced_morphism,
-    natural_epimorphism,
-)
-from .certify import (
-    ActionSplitCert,
-    CertReport,
-    CertificateError,
-    EmptyTheoryCert,
-    FujiwaraCert,
-    PerSortCert,
-    PerSortWitness,
-    certify_action_split,
-    certify_empty_theory,
-    certify_fujiwara,
-    certify_per_sort,
-    run_certificate,
-)
-from .corpus import (
-    ENTRIES,
-    CorpusReport,
-    entry_models,
-    entry_names,
-    load_entry,
-    load_entry_variety,
-    run_corpus,
-    setcoup_swap_demo,
-)
-from .files import (
-    load_algebra_json,
-    load_certificate,
-    load_variety,
-    parse_certificate_document,
-    parse_profile_spec,
-    parse_variety_document,
-    serialize_variety,
-)
-
 __version__ = "0.1.0"

@@ -54,16 +54,20 @@ _INPUT_ERRORS = (
 
 
 def _budget(args) -> Budget:
-    classes = args.budget_classes
-    if classes is None:
-        classes = int(os.environ.get("VF_BUDGET_CLASSES", 0)) or None
-    rounds = args.budget_rounds
-    if rounds is None:
-        rounds = int(os.environ.get("VF_BUDGET_ROUNDS", 0)) or None
+    """Each limit from its flag, else its environment variable, else the
+    default; an explicit 0 is passed on, and rejected, like any other value."""
     default = Budget()
+
+    def limit(flag, env, fallback):
+        if flag is not None:
+            return flag
+        if env in os.environ:
+            return int(os.environ[env])
+        return fallback
+
     return Budget(
-        max_classes=classes or default.max_classes,
-        max_rounds=rounds or default.max_rounds,
+        max_classes=limit(args.budget_classes, "VF_BUDGET_CLASSES", default.max_classes),
+        max_rounds=limit(args.budget_rounds, "VF_BUDGET_ROUNDS", default.max_rounds),
     )
 
 
@@ -78,6 +82,8 @@ def _emit(report: dict, timings: dict, json_path: str | None):
 
 def cmd_free(args) -> int:
     budget = _budget(args)
+    if args.max_reps is not None and args.max_reps < 0:
+        raise ValueError("--max-reps must not be negative")
     v = load_variety(args.variety)
     profile = parse_profile_spec(args.profile, v.sig)
     t0 = time.perf_counter()

@@ -92,24 +92,17 @@ class NaturalEpi:
 
 
 def natural_epimorphism(
-    pair: SubvarietyPair,
-    profile: GeneratorProfile,
-    budget: Budget | None = None,
-    rep_variant: str = "canonical",
+    pair: SubvarietyPair, profile: GeneratorProfile, budget: Budget | None = None
 ) -> NaturalEpi:
     """Projection of the free theta-algebra onto the free delta-algebra.
 
-    Sends each class to the delta-class of a member term; rep_variant 'alt'
-    evaluates an alternative member to exercise representative independence.
+    Sends each class to the delta-class of its representative term, i.e. the
+    homomorphism extending the delta generator images.
     """
     budget = budget or Budget()
     ftheta = build_or_raise(pair.theta, profile, budget)
     fdelta = build_or_raise(pair.delta, profile, budget)
-    ev = extend_assignment(profile, fdelta.gen_images, fdelta.algebra)
-    reps = ftheta.reps if rep_variant == "canonical" else ftheta.alt_reps
-    maps = tuple(tuple(ev(rep) for rep in reps[s.id]) for s in pair.theta.sig.sorts)
-    table = MorphismTable(ftheta.algebra, fdelta.algebra, maps)
-    assert table.is_homomorphism(), "projection is not a homomorphism"
+    table = hom_from_gen_images(ftheta, fdelta, fdelta.gen_images)
     assert table.is_surjective(), "projection is not onto"
     for v, e in ftheta.gen_images.items():
         assert table(v.sort, e) == fdelta.gen_images[v]

@@ -3,11 +3,14 @@
 The engine maintains e-classes of terms over a generator profile.  Each
 round first applies every operation to every tuple of existing classes
 (GROW), then repeatedly matches axiom patterns against the classes and
-merges the paired instances until quiet (MATCH), restoring congruence
-closure after every batch (CLOSE).  A round that creates no nodes and
-merges nothing witnesses saturation: the quotient is closed under all
+merges the paired instances until quiet (MATCH).  Before each axiom is
+matched, ``rebuild`` restores congruence closure and the match indexes in
+one scan of the hash-cons table (CLOSE).  A round that creates no nodes
+and merges nothing witnesses saturation: the quotient is closed under all
 operations, satisfies all axioms, and is exactly the congruence generated
-by the axiom instances, i.e. the free algebra on the profile.
+by the axiom instances, i.e. the free algebra on the profile.  Nodes are
+only ever created by ``_node``, and representatives are extracted once,
+when the saturated state is frozen.
 
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.
@@ -112,14 +115,7 @@ class FreeAlgebraResult:
     algebra: FiniteAlgebra
     gen_images: dict[SortedVar, int]
     reps: tuple[tuple[Term, ...], ...]
-    alt_reps: tuple[tuple[Term, ...], ...]
     stats: BuildStats
-
-    def gen_assignment(self) -> dict[SortedVar, int]:
-        return dict(self.gen_images)
-
-    def size_of(self, sort: int) -> int:
-        return self.algebra.sizes[sort]
 
     def sizes(self) -> tuple[int, ...]:
         return self.algebra.sizes
@@ -135,9 +131,8 @@ class FreeAlgebraResult:
 
 
 class _WatchMerged:
-    def __init__(self, round: int, stats: BuildStats):
+    def __init__(self, round: int):
         self.round = round
-        self.stats = stats
 
 
 class _Tripped(Exception):
@@ -159,7 +154,8 @@ class SaturationState:
         self.n_live = 0
         self.nodes_created = 0
         self.merges_done = 0
-        self._dirty = False
+        self._dirty = False  # a merge was made since the last scan
+        self._indexed_nodes = -1  # nodes_created when the indexes were built
         self.class_nodes: dict[int, list[tuple]] = {}
         self._sort_classes: dict[int, list[int]] = {}
         self.round = 0
@@ -216,78 +212,70 @@ class SaturationState:
         self.nodes_created += 1
         return cls
 
-    def term_class(self, t: Term) -> int:
-        """Class of a term over the profile's generators, creating nodes."""
-        if t.is_var():
-            return self.find(self.gen_class[t.var])
-        children = tuple(self.term_class(c) for c in t.children)
-        return self._node(t.op.id, children, t.op.result_sort)
-
     # congruence closure ----------------------------------------------------
 
     def rebuild(self):
-        """Re-canonicalize node keys until no forced merges remain."""
-        while self._dirty:
+        """Restore congruence closure and the match indexes.
+
+        Each pass re-canonicalizes every node key, merges the classes of
+        keys that become equal, and builds ``class_nodes`` and the sorted
+        per-sort root lists on the way.  Passes repeat until one forces no
+        merge; that pass's indexes are kept.  With no merge and no new node
+        since the last scan, nothing can have changed and the scan is
+        skipped.
+        """
+        if not self._dirty and self._indexed_nodes == self.nodes_created:
+            return
+        find = self.find
+        while True:
             self._dirty = False
             fresh: dict[tuple, int] = {}
+            nodes: dict[int, list[tuple]] = {}
+            by_sort: dict[int, list[int]] = {s.id: [] for s in self.sig.sorts}
+            seen: set[int] = set()
             for key, cls in self.key2class.items():
                 if key[0] == GEN:
                     canon = key
                 else:
-                    canon = (key[0],) + tuple(self.find(c) for c in key[1:])
-                root = self.find(cls)
+                    canon = (key[0],) + tuple(find(c) for c in key[1:])
+                root = find(cls)
                 prev = fresh.get(canon)
                 if prev is None:
                     fresh[canon] = root
-                elif self.find(prev) != root:
+                    if root not in seen:
+                        seen.add(root)
+                        by_sort[self.class_sort[root]].append(root)
+                    if key[0] != GEN:
+                        nodes.setdefault(root, []).append(canon)
+                elif find(prev) != root:
                     self._union(prev, root)
-                    fresh[canon] = self.find(prev)
+                    fresh[canon] = find(prev)
             self.key2class = fresh
-        self._refresh_indexes()
-
-    def _refresh_indexes(self):
-        by_sort: dict[int, list[int]] = {s.id: [] for s in self.sig.sorts}
-        seen: set[int] = set()
-        nodes: dict[int, list[tuple]] = {}
-        for key, cls in self.key2class.items():
-            root = self.find(cls)
-            if root not in seen:
-                seen.add(root)
-                by_sort[self.class_sort[root]].append(root)
-            if key[0] != GEN:
-                nodes.setdefault(root, []).append(key)
+            if not self._dirty:
+                break
         for col in by_sort.values():
             col.sort()
         self._sort_classes = by_sort
         self.class_nodes = nodes
+        self._indexed_nodes = self.nodes_created
 
     def classes_of_sort(self, sort: int) -> list[int]:
         return self._sort_classes.get(sort, [])
-
-    def n_classes(self) -> int:
-        return self.n_live
 
     # round steps -----------------------------------------------------------
 
     def grow(self, budget: Budget) -> int:
         """Apply every op to every argument-class tuple from the round start."""
         self.rebuild()
-        snapshot = {s.id: list(self._sort_classes[s.id]) for s in self.sig.sorts}
-        created = 0
+        created0 = self.nodes_created
         for op in self.sig.ops:
-            pools = [snapshot[s] for s in op.arg_sorts]
+            # the indexes stay as they were until the next rebuild
+            pools = [self.classes_of_sort(s) for s in op.arg_sorts]
             for tup in itertools.product(*pools):
-                key = (op.id,) + tup
-                if key not in self.key2class:
-                    cls = self._new_class(op.result_sort)
-                    self.key2class[key] = cls
-                    self.nodes_created += 1
-                    created += 1
-                    if self.n_live > budget.max_classes:
-                        raise _Tripped("classes")
-        if created:
-            self._refresh_indexes()
-        return created
+                self._node(op.id, tup, op.result_sort)
+                if self.n_live > budget.max_classes:
+                    raise _Tripped("classes")
+        return self.nodes_created - created0
 
     def _match_pattern(self, pat: Term, cls: int, binding: dict):
         if pat.is_var():
@@ -357,13 +345,16 @@ def _run(
     stats = BuildStats()
     pair = None
     if watch is not None:
-        pair = (state.term_class(watch[0]), state.term_class(watch[1]))
+        pair = (
+            state._instantiate(watch[0], state.gen_class),
+            state._instantiate(watch[1], state.gen_class),
+        )
 
     def watching() -> bool:
         return pair is not None and state.find(pair[0]) == state.find(pair[1])
 
     if watching():
-        return _WatchMerged(0, stats), state, stats
+        return _WatchMerged(0), state, stats
     rnd = 0
     while True:
         rnd += 1
@@ -379,12 +370,12 @@ def _run(
                 merges += m
                 created += c
                 if watching():
-                    return _WatchMerged(rnd, stats), state, stats
+                    return _WatchMerged(rnd), state, stats
                 if m == 0:
                     break
         except _Tripped as trip:
             if watching():
-                return _WatchMerged(rnd, stats), state, stats
+                return _WatchMerged(rnd), state, stats
             return BudgetExceeded(state.n_live, rnd, trip.limit, stats), state, stats
         stats.rounds.append(
             RoundStats(rnd, created, merges, after_grow, state.n_live)
@@ -393,22 +384,16 @@ def _run(
             return None, state, stats  # saturated
 
 
-def _better(a: Term, b: Term, reverse: bool) -> bool:
-    if a.length != b.length:
-        return a.length < b.length
-    ka, kb = term_key(a), term_key(b)
-    return ka > kb if reverse else ka < kb
-
-
-def extract_representatives(state: SaturationState, reverse_ties: bool = False) -> dict[int, Term]:
-    """Minimal member term per class under (length, canonical key) order."""
+def extract_representatives(state: SaturationState) -> dict[int, Term]:
+    """Minimal member term per class under the canonical key order, which
+    compares length first."""
     state.rebuild()
     arena = arena_of(state.sig)
     best: dict[int, Term] = {}
 
     def offer(root: int, t: Term) -> bool:
         cur = best.get(root)
-        if cur is None or _better(t, cur, reverse_ties):
+        if cur is None or term_key(t) < term_key(cur):
             best[root] = t
             return True
         return False
@@ -435,10 +420,8 @@ def extract_representatives(state: SaturationState, reverse_ties: bool = False) 
 def freeze(state: SaturationState, stats: BuildStats) -> FreeAlgebraResult:
     sig = state.sig
     reps_by_class = extract_representatives(state)
-    alt_by_class = extract_representatives(state, reverse_ties=True)
     index: dict[int, int] = {}
     reps: list[tuple[Term, ...]] = []
-    alt_reps: list[tuple[Term, ...]] = []
     order: list[list[int]] = []
     for s in sig.sorts:
         roots = sorted(state.classes_of_sort(s.id), key=lambda r: term_key(reps_by_class[r]))
@@ -446,7 +429,6 @@ def freeze(state: SaturationState, stats: BuildStats) -> FreeAlgebraResult:
             index[r] = i
         order.append(roots)
         reps.append(tuple(reps_by_class[r] for r in roots))
-        alt_reps.append(tuple(alt_by_class[r] for r in roots))
     sizes = tuple(len(col) for col in order)
     tables: dict[int, dict[tuple, int]] = {}
     for op in sig.ops:
@@ -466,7 +448,6 @@ def freeze(state: SaturationState, stats: BuildStats) -> FreeAlgebraResult:
         algebra=algebra,
         gen_images=gen_images,
         reps=tuple(reps),
-        alt_reps=tuple(alt_reps),
         stats=stats,
     )
 

@@ -348,9 +348,6 @@ class CongruenceTable:
             blocks.append(tuple(col))
         return cls(phi.source, tuple(blocks))
 
-    def related(self, sort: int, a: int, b: int) -> bool:
-        return self.blocks[sort][a] == self.blocks[sort][b]
-
     def violation(self):
         """None if compatible with every op, else (op, arg tuple pair)."""
         for op in self.alg.sig.ops:

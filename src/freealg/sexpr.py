@@ -46,9 +46,6 @@ class SList:
         return iter(self.items)
 
 
-_DELIM = "()stub"
-
-
 def _tokens(text: str):
     line, col = 1, 0
     i, n = 0, len(text)

@@ -173,9 +173,6 @@ class GeneratorProfile:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.by_sort[s.id]) for s in self.sig.sorts)
 
-    def count_of(self, sort: int) -> int:
-        return len(self.by_sort[sort])
-
     def describe(self) -> str:
         return ",".join(
             f"{s.name}={len(self.by_sort[s.id])}" for s in self.sig.sorts

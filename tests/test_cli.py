@@ -203,6 +203,31 @@ def test_flag_overrides_env(monkeypatch, capsys):
     assert "rounds: 9" in capsys.readouterr().out
 
 
+def test_zero_budget_flag_is_rejected(capsys):
+    code = main(
+        ["free", corpus_path("automata.var"), "in=1,state=1,out=1", "--budget-rounds", "0"]
+    )
+    assert code == 1
+    assert "budget limits must be positive" in capsys.readouterr().err
+
+
+def test_zero_budget_env_is_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("VF_BUDGET_CLASSES", "0")
+    code = main(["free", corpus_path("automata.var"), "in=1,state=1,out=1"])
+    assert code == 1
+    assert "budget limits must be positive" in capsys.readouterr().err
+
+
+def test_max_reps_must_not_be_negative(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    args = ["free", corpus_path("boolean-groups.var"), "elem=2", "--json", str(out)]
+    assert main(args + ["--max-reps", "-1"]) == 1
+    assert "--max-reps" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--max-reps", "0"]) == 0
+    assert validate_report(out)["representatives"] == {"elem": []}
+
+
 def test_reports_are_bit_stable(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

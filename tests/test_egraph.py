@@ -7,11 +7,13 @@ from bruteforce import agrees_with_engine, bruteforce_free_algebra
 from conftest import GROUP_AXIOMS, GROUP_OPS, make_axioms, make_variety
 from freealg.corpus import ENTRIES, INFINITE, entry_models, load_entry_variety
 from freealg.egraph import (
+    GEN,
     Budget,
     BudgetExceeded,
     DEGENERATE,
     NONDEGENERATE,
     UNKNOWN,
+    SaturationState,
     build_free_algebra,
     is_consequence,
     nondegeneracy_check,
@@ -115,6 +117,44 @@ def test_determinism(comm_idem):
     ]
     assert a.gen_images == b.gen_images
     assert a.stats.to_json_dict() == b.stats.to_json_dict()
+
+
+INDEX_CASES = [
+    ("elem-abelian-3", (2,), Budget()),
+    ("semigroup-actions-trivial", (1, 1), ENTRIES["semigroup-actions-trivial"].infinite_budget),
+]
+
+
+@pytest.mark.parametrize(
+    "name,counts,budget",
+    INDEX_CASES,
+    ids=[f"{n}-{','.join(map(str, c))}" for n, c, _ in INDEX_CASES],
+)
+def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts, budget):
+    # rebuild skips its scan when nothing changed since the last one, so
+    # after every call its indexes must still equal a scan of key2class
+    rebuild = SaturationState.rebuild
+    checked = []
+
+    def rebuild_and_check(state):
+        rebuild(state)
+        nodes: dict[int, list[tuple]] = {}
+        by_sort: dict[int, set[int]] = {s.id: set() for s in state.sig.sorts}
+        for key, cls in state.key2class.items():
+            root = state.find(cls)
+            if key[0] != GEN:
+                assert key == (key[0],) + tuple(state.find(c) for c in key[1:])
+                nodes.setdefault(root, []).append(key)
+            by_sort[state.class_sort[root]].add(root)
+        assert state.class_nodes == nodes
+        for sort, roots in by_sort.items():
+            assert state.classes_of_sort(sort) == sorted(roots)
+        checked.append(state.round)
+
+    monkeypatch.setattr(SaturationState, "rebuild", rebuild_and_check)
+    v = load_entry_variety(name)
+    build_free_algebra(v, profile_of(v, counts), budget)
+    assert len(set(checked)) > 1
 
 
 def test_close_never_increases_classes(boolean_groups):
