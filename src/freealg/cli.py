@@ -219,10 +219,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_json_flag(p):
+        p.add_argument("--json", default=None, help="write a JSON report to this path")
+
     def add_budget_flags(p):
         p.add_argument("--budget-classes", type=int, default=None)
         p.add_argument("--budget-rounds", type=int, default=None)
-        p.add_argument("--json", default=None, help="write a JSON report to this path")
+        add_json_flag(p)
 
     p_free = sub.add_parser("free", help="build the free algebra on a profile")
     p_free.add_argument("variety")
@@ -241,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="test a finite algebra against a variety")
     p_check.add_argument("variety")
     p_check.add_argument("algebra")
-    add_budget_flags(p_check)
+    add_json_flag(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_corpus = sub.add_parser("corpus", help="run the bundled example corpus")

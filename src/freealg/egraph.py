@@ -12,6 +12,20 @@ by the axiom instances, i.e. the free algebra on the profile.  Nodes are
 only ever created by ``_node``, and representatives are extracted once,
 when the saturated state is frozen.
 
+MATCH is relational and semi-naive (Zhang et al., "Relational E-Matching",
+POPL 2022).  The hash-cons table is the relation: each canonical key
+``(op, children...)`` with its class is one tuple of that op's table.
+Each axiom's matched side is compiled once into a conjunctive query, one
+atom per operation node over integer slots, and its other side into a
+slot-indexed build plan.  ``rebuild`` stamps every key with the generation
+at which its canonical form or its class's root last changed, so a query
+joins only from the keys stamped after its own last pass: the first new
+atom is the seed, the atoms before it must be old, and the join extends up
+through the use lists and down through ``class_nodes``.  A match made of
+old keys alone existed at the last pass and was instantiated then.
+Queries whose other side has a variable the matched side lacks, and
+bare-variable patterns, join in full on every pass.
+
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.
 """
@@ -72,6 +86,7 @@ class RoundStats:
     round: int
     nodes_created: int
     merges: int
+    instances: int  # axiom instances instantiated
     classes_after_grow: int
     classes_end: int
 
@@ -87,6 +102,7 @@ class BuildStats:
                     "round": r.round,
                     "nodes_created": r.nodes_created,
                     "merges": r.merges,
+                    "instances": r.instances,
                     "classes_after_grow": r.classes_after_grow,
                     "classes_end": r.classes_end,
                 }
@@ -140,8 +156,120 @@ class _Tripped(Exception):
         self.limit = limit
 
 
+_NEW, _OLD, _ANY = 1, -1, 0  # how a join step filters atoms by stamp
+_SEED, _DOWN, _UP = 0, 1, 2  # where a join step takes its candidate keys
+
+
+def _plan(t: Term, slot_of: dict[SortedVar, int], base: int, steps: list) -> int:
+    """Compile a term into the steps that build its class from slot values.
+
+    Variables read the slots ``slot_of`` gives them; each operation node,
+    in post-order, appends one step ``(op, argument slots, result sort,
+    slot)`` that writes a new slot, numbered ``base + len(steps)``.  Returns
+    the slot that ends up holding the term's class.
+    """
+    if t.is_var():
+        return slot_of[t.var]
+    args = tuple(_plan(c, slot_of, base, steps) for c in t.children)
+    steps.append((t.op.id, args, t.op.result_sort, base + len(steps)))
+    return steps[-1][3]
+
+
+class _Query:
+    """One axiom, compiled for semi-naive matching.
+
+    The matched side is a conjunctive query over the per-op tables: one
+    atom ``(op, out, args)`` per operation node, over integer slots that
+    hold classes, one slot per operation node and one per variable.  For
+    each atom as the delta (seed) atom, ``plans`` holds a join order that
+    reaches every other atom from it: down from a bound out slot through
+    ``class_nodes``, or up from a bound argument slot through the use
+    lists.  Each step is ``(op, source, from slot, age, out, fields)``,
+    where a field ``(key position, slot, check)`` either checks a bound
+    slot against the key or binds it.  The other side is a build plan
+    (see ``_plan``) over the same slots, plus one slot per variable the
+    matched side lacks, which ``missing`` fills from every class of its
+    sort.  ``seen`` is the rebuild generation the query last matched at.
+    """
+
+    def __init__(self, pat: Term, other: Term, declared):
+        slot_of: dict[SortedVar, int] = {}
+        atoms: list = []
+        slots = itertools.count()
+        self.sort = pat.sort
+        self.root = self._atoms(pat, slot_of, atoms, slots)
+        width = next(slots)
+        self.missing = []
+        for v in declared:
+            if v not in slot_of:
+                slot_of[v] = width
+                self.missing.append((width, v.sort))
+                width += 1
+        build: list = []
+        self.other = _plan(other, slot_of, width, build)
+        self.build = tuple(build)
+        self.width = width + len(build)
+        self.plans = [self._join_order(atoms, i) for i in range(len(atoms))]
+        # a bare-variable pattern has no atom to take a delta from, and a
+        # missing variable ranges over classes that no stamp tracks
+        self.full = not atoms or bool(self.missing)
+        self.seen = -1
+
+    @staticmethod
+    def _atoms(t: Term, slot_of: dict, atoms: list, slots) -> int:
+        """Append the atoms of ``t`` in pre-order; returns the slot of its class."""
+        if t.is_var():
+            if t.var not in slot_of:
+                slot_of[t.var] = next(slots)
+            return slot_of[t.var]
+        out = next(slots)
+        i = len(atoms)
+        atoms.append(None)
+        args = tuple(_Query._atoms(c, slot_of, atoms, slots) for c in t.children)
+        atoms[i] = (t.op.id, out, args)
+        return out
+
+    @staticmethod
+    def _join_order(atoms, seed: int) -> tuple:
+        """Steps that bind every atom, breadth first from the seed atom;
+        atoms before the seed must be old, so no match is found twice."""
+        parent_of = {
+            j: p
+            for p, (_, _, args) in enumerate(atoms)
+            for j, (_, out, _) in enumerate(atoms)
+            if out in args
+        }
+        bound: set[int] = set()
+
+        def step(j: int, source: int, src: int | None) -> tuple:
+            op, out, args = atoms[j]
+            age = _NEW if j == seed else _OLD if j < seed else _ANY
+            fields = []
+            bound.add(out)
+            for pos, slot in enumerate(args, 1):
+                fields.append((pos, slot, slot in bound))
+                bound.add(slot)
+            return (op, source, src, age, out, tuple(fields))
+
+        steps = [step(seed, _SEED, None)]
+        queue, done = [seed], {seed}
+        while queue:
+            a = queue.pop(0)
+            for j in range(len(atoms)):
+                if j not in done and parent_of.get(j) == a:
+                    steps.append(step(j, _DOWN, atoms[j][1]))
+                    done.add(j)
+                    queue.append(j)
+            p = parent_of.get(a)
+            if p is not None and p not in done:
+                steps.append(step(p, _UP, atoms[a][1]))
+                done.add(p)
+                queue.append(p)
+        return tuple(steps)
+
+
 class SaturationState:
-    """E-classes over one profile: union-find, hash-consed nodes, worklists."""
+    """E-classes over one profile: union-find, hash-consed nodes, indexes."""
 
     def __init__(self, variety: VarietyDef, profile: GeneratorProfile):
         self.variety = variety
@@ -154,19 +282,24 @@ class SaturationState:
         self.n_live = 0
         self.nodes_created = 0
         self.merges_done = 0
+        self.instances = 0  # axiom instances instantiated
         self._dirty = False  # a merge was made since the last scan
         self._indexed_nodes = -1  # nodes_created when the indexes were built
+        self.generation = 0  # scanning rebuilds so far
+        self._stamp: dict[tuple, int] = {}
         self.class_nodes: dict[int, list[tuple]] = {}
+        self._uses: dict[int, list[tuple]] = {}
+        self._by_op: dict[int, list[tuple]] = {}
         self._sort_classes: dict[int, list[int]] = {}
         self.round = 0
         # match the side with more structure, merge with the other side
-        self._compiled = []
+        self._queries = []
         for ax in variety.axioms:
             if ax.rhs.length > ax.lhs.length:
                 pat, other = ax.rhs, ax.lhs
             else:
                 pat, other = ax.lhs, ax.rhs
-            self._compiled.append((pat, other, ax.vars.variables()))
+            self._queries.append(_Query(pat, other, ax.vars.variables()))
         for v in profile.variables():
             cls = self._new_class(v.sort)
             self.key2class[(GEN, v.name, v.sort)] = cls
@@ -212,32 +345,59 @@ class SaturationState:
         self.nodes_created += 1
         return cls
 
+    def _build(self, steps, root: int, vals: list[int]) -> int:
+        """Run a plan from ``_plan`` on slot values; the class it builds."""
+        for op_id, args, sort, out in steps:
+            vals[out] = self._node(op_id, tuple(vals[a] for a in args), sort)
+        return self.find(vals[root])
+
+    def _resolve(self, t: Term) -> int:
+        """The class of a term over the profile's generators."""
+        slot_of = {v: i for i, v in enumerate(self.gen_class)}
+        steps: list = []
+        root = _plan(t, slot_of, len(slot_of), steps)
+        vals = list(self.gen_class.values()) + [0] * len(steps)
+        return self._build(steps, root, vals)
+
     # congruence closure ----------------------------------------------------
 
     def rebuild(self):
         """Restore congruence closure and the match indexes.
 
         Each pass re-canonicalizes every node key, merges the classes of
-        keys that become equal, and builds ``class_nodes`` and the sorted
-        per-sort root lists on the way.  Passes repeat until one forces no
-        merge; that pass's indexes are kept.  With no merge and no new node
-        since the last scan, nothing can have changed and the scan is
-        skipped.
+        keys that become equal, and builds the indexes on the way: the keys
+        of each class (``class_nodes``), the keys each class is an argument
+        of (the use lists), the keys of each op, and the sorted per-sort
+        root lists.  It also stamps every canonical key with the generation
+        (the count of scanning rebuilds) at which its canonical form or its
+        class's root last changed, so a match all of whose keys are stamped
+        at or before an earlier generation already existed then.  Passes
+        repeat until one forces no merge; that pass's indexes are kept.
+        With no merge and no new node since the last scan, nothing can have
+        changed and the scan is skipped.
         """
         if not self._dirty and self._indexed_nodes == self.nodes_created:
             return
         find = self.find
+        self.generation += 1
+        gen = self.generation
         while True:
             self._dirty = False
+            old = self._stamp
             fresh: dict[tuple, int] = {}
+            stamp: dict[tuple, int] = {}
             nodes: dict[int, list[tuple]] = {}
+            uses: dict[int, list[tuple]] = {}
+            by_op: dict[int, list[tuple]] = {op.id: [] for op in self.sig.ops}
             by_sort: dict[int, list[int]] = {s.id: [] for s in self.sig.sorts}
             seen: set[int] = set()
-            for key, cls in self.key2class.items():
+            table = self.key2class
+            for key, cls in table.items():
                 if key[0] == GEN:
                     canon = key
                 else:
-                    canon = (key[0],) + tuple(find(c) for c in key[1:])
+                    args = tuple(find(c) for c in key[1:])
+                    canon = (key[0],) + args
                 root = find(cls)
                 prev = fresh.get(canon)
                 if prev is None:
@@ -246,17 +406,28 @@ class SaturationState:
                         seen.add(root)
                         by_sort[self.class_sort[root]].append(root)
                     if key[0] != GEN:
+                        # old iff the scan before had this key with this root
+                        s = old.get(canon)
+                        stamp[canon] = s if s is not None and table[canon] == root else gen
                         nodes.setdefault(root, []).append(canon)
+                        by_op[key[0]].append(canon)
+                        for c in set(args):
+                            uses.setdefault(c, []).append(canon)
                 elif find(prev) != root:
                     self._union(prev, root)
                     fresh[canon] = find(prev)
+                    if fresh[canon] != prev:
+                        stamp[canon] = gen
             self.key2class = fresh
+            self._stamp = stamp
             if not self._dirty:
                 break
         for col in by_sort.values():
             col.sort()
         self._sort_classes = by_sort
         self.class_nodes = nodes
+        self._uses = uses
+        self._by_op = by_op
         self._indexed_nodes = self.nodes_created
 
     def classes_of_sort(self, sort: int) -> list[int]:
@@ -277,61 +448,75 @@ class SaturationState:
                     raise _Tripped("classes")
         return self.nodes_created - created0
 
-    def _match_pattern(self, pat: Term, cls: int, binding: dict):
-        if pat.is_var():
-            bound = binding.get(pat.var)
-            if bound is None:
-                b2 = dict(binding)
-                b2[pat.var] = cls
-                yield b2
-            elif self.find(bound) == self.find(cls):
-                yield binding
+    def _join(self, q: _Query, since: int) -> list[list[int]]:
+        """Slot values of every match of ``q`` with a key stamped after ``since``.
+
+        Seed atom i takes only new keys, atoms before it only old ones and
+        atoms after it any, so each match comes from exactly one seed.  With
+        ``since`` at −1 every key is new, and seed 0 alone finds every match.
+        """
+        if not q.plans:
+            return [[c] + [0] * (q.width - 1) for c in self.classes_of_sort(q.sort)]
+        vals = [0] * q.width
+        found: list[list[int]] = []
+        for steps in q.plans[: 1 if since < 0 else None]:
+            self._extend(steps, 0, vals, since, found)
+        return found
+
+    def _extend(self, steps, d: int, vals: list[int], since: int, found: list):
+        """Bind step d's atom to each key that fits, then the steps after it."""
+        if d == len(steps):
+            found.append(vals.copy())
             return
-        for key in self.class_nodes.get(cls, ()):
-            if key[0] != pat.op.id:
+        op, source, src, age, out, fields = steps[d]
+        if source == _SEED:
+            keys = self._by_op[op]
+        else:
+            keys = (self.class_nodes if source == _DOWN else self._uses).get(vals[src], ())
+        stamp = self._stamp
+        for key in keys:
+            if key[0] != op or age and (stamp[key] > since) != (age == _NEW):
                 continue
-            stack = [binding]
-            for sub, child in zip(pat.children, key[1:]):
-                nxt = []
-                for b in stack:
-                    nxt.extend(self._match_pattern(sub, child, b))
-                stack = nxt
-                if not stack:
+            for pos, slot, check in fields:
+                if not check:
+                    vals[slot] = key[pos]
+                elif vals[slot] != key[pos]:
                     break
-            yield from stack
+            else:
+                vals[out] = self.key2class[key]
+                self._extend(steps, d + 1, vals, since, found)
+
+    def _instances(self, q: _Query, since: int):
+        """Slot values of each axiom instance from the matches after ``since``."""
+        pools = [self.classes_of_sort(sort) for _, sort in q.missing]
+        slots = [slot for slot, _ in q.missing]
+        for vals in self._join(q, since):
+            for combo in itertools.product(*pools):
+                for slot, c in zip(slots, combo):
+                    vals[slot] = c
+                yield vals
 
     def match_pass(self, budget: Budget) -> tuple[int, int]:
-        """One pass over all axioms; returns (merges, nodes created)."""
+        """One pass over all axioms; returns (merges, nodes created).
+
+        Each query joins only from the keys stamped since it last matched:
+        a match of old keys alone was instantiated then, and its nodes and
+        merge persist.
+        """
         merges = 0
         created0 = self.nodes_created
-        for pat, other, declared in self._compiled:
+        for q in self._queries:
             self.rebuild()
-            matches = []
-            for cls in self.classes_of_sort(pat.sort):
-                for b in self._match_pattern(pat, cls, {}):
-                    matches.append((cls, b))
-            for cls, binding in matches:
-                missing = [v for v in declared if v not in binding]
-                pools = [self.classes_of_sort(v.sort) for v in missing]
-                for combo in itertools.product(*pools):
-                    b = binding
-                    if missing:
-                        b = dict(binding)
-                        b.update(zip(missing, combo))
-                    lhs_cls = self.find(cls)
-                    rhs_cls = self._instantiate(other, b)
-                    if self._union(lhs_cls, rhs_cls):
-                        merges += 1
-                    if self.n_live > budget.max_classes:
-                        raise _Tripped("classes")
+            since = -1 if q.full else q.seen
+            q.seen = self.generation
+            for vals in self._instances(q, since):
+                self.instances += 1
+                if self._union(vals[q.root], self._build(q.build, q.other, vals)):
+                    merges += 1
+                if self.n_live > budget.max_classes:
+                    raise _Tripped("classes")
         self.rebuild()
         return merges, self.nodes_created - created0
-
-    def _instantiate(self, t: Term, binding: dict) -> int:
-        if t.is_var():
-            return self.find(binding[t.var])
-        children = tuple(self._instantiate(c, binding) for c in t.children)
-        return self._node(t.op.id, children, t.op.result_sort)
 
 
 def _run(
@@ -345,10 +530,7 @@ def _run(
     stats = BuildStats()
     pair = None
     if watch is not None:
-        pair = (
-            state._instantiate(watch[0], state.gen_class),
-            state._instantiate(watch[1], state.gen_class),
-        )
+        pair = (state._resolve(watch[0]), state._resolve(watch[1]))
 
     def watching() -> bool:
         return pair is not None and state.find(pair[0]) == state.find(pair[1])
@@ -361,6 +543,7 @@ def _run(
         state.round = rnd
         if rnd > budget.max_rounds:
             return BudgetExceeded(state.n_live, rnd - 1, "rounds", stats), state, stats
+        instances0 = state.instances
         try:
             created = state.grow(budget)
             after_grow = state.n_live
@@ -378,7 +561,7 @@ def _run(
                 return _WatchMerged(rnd), state, stats
             return BudgetExceeded(state.n_live, rnd, trip.limit, stats), state, stats
         stats.rounds.append(
-            RoundStats(rnd, created, merges, after_grow, state.n_live)
+            RoundStats(rnd, created, merges, state.instances - instances0, after_grow, state.n_live)
         )
         if created == 0 and merges == 0:
             return None, state, stats  # saturated

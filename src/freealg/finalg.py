@@ -119,20 +119,50 @@ class FiniteAlgebra:
         return out
 
     @classmethod
-    def from_json_dict(cls, sig: Signature, data: dict) -> "FiniteAlgebra":
+    def from_json_dict(cls, sig: Signature, data) -> "FiniteAlgebra":
+        """Read the ``to_json_dict`` layout; any other shape is an AlgebraError."""
+        if not isinstance(data, dict):
+            raise AlgebraError("an algebra must be a JSON object")
+        carriers = _json_object(data, "carriers")
         sizes = [0] * len(sig.sorts)
-        for name, n in data.get("carriers", {}).items():
-            sizes[sig.sort_named(name).id] = int(n)
+        for name, n in carriers.items():
+            sizes[sig.sort_named(name).id] = _json_int(n, f"carrier size of '{name}'")
+        all_tables = _json_object(data, "tables")
         tables: dict[int, dict[tuple, int]] = {}
         for op in sig.ops:
-            entries = data.get("tables", {}).get(op.name)
+            entries = all_tables.get(op.name)
             if entries is None:
                 raise AlgebraError(f"missing table for operation '{op.name}'")
-            tables[op.id] = {tuple(e["args"]): int(e["result"]) for e in entries}
+            if not isinstance(entries, list):
+                raise AlgebraError(f"table for '{op.name}' must be a list of entries")
+            table: dict[tuple, int] = {}
+            for e in entries:
+                if not isinstance(e, dict) or not isinstance(e.get("args"), list):
+                    raise AlgebraError(
+                        f"table for '{op.name}' has an entry that is not an object "
+                        f"with an 'args' list: {e!r}"
+                    )
+                where = f"in the table for '{op.name}'"
+                args = tuple(_json_int(a, f"argument {where}") for a in e["args"])
+                table[args] = _json_int(e.get("result"), f"result {where}")
+            tables[op.id] = table
         return cls(sig, tuple(sizes), tables)
 
     def __repr__(self) -> str:
         return f"FiniteAlgebra({'+'.join(map(str, self.sizes))})"
+
+
+def _json_object(data: dict, field: str) -> dict:
+    value = data.get(field, {})
+    if not isinstance(value, dict):
+        raise AlgebraError(f"'{field}' must be a JSON object")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise AlgebraError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def one_element_algebra(sig: Signature) -> FiniteAlgebra:

@@ -36,6 +36,7 @@ def test_free_comm_idem(tmp_path, capsys):
     assert data["status"] == "saturated"
     assert data["sizes"] == {"elem": 7}
     assert data["total_size"] == 7
+    assert sum(r["instances"] for r in data["stats"]["rounds"]) > 0
 
 
 def test_free_empty_profile(capsys):
@@ -161,6 +162,35 @@ def test_check_empty_carrier_vacuous(tmp_path):
     alg = tmp_path / "empty.alg.json"
     alg.write_text(json.dumps({"carriers": {"elem": 0}, "tables": {"mul": []}}))
     assert main(["check", corpus_path("comm-idem-semigroups.var"), str(alg)]) == 0
+
+
+MALFORMED_ALGEBRAS = {
+    "entry-not-an-object": {"carriers": {"elem": 1}, "tables": {"mul": [[0]], "inv": [[0]], "e": [[0]]}},
+    "tables-not-an-object": {"carriers": {"elem": 1}, "tables": 5},
+    "top-level-array": [{"carriers": {"elem": 1}}],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_ALGEBRAS))
+def test_check_rejects_malformed_algebra(tmp_path, capsys, shape):
+    alg = tmp_path / "bad.alg.json"
+    alg.write_text(json.dumps(MALFORMED_ALGEBRAS[shape]))
+    assert main(["check", corpus_path("boolean-groups.var"), str(alg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_check_takes_json_but_no_budget_flags(tmp_path, capsys):
+    v = load_entry_variety("boolean-groups")
+    z2 = tmp_path / "z2.alg.json"
+    z2.write_text(json.dumps(cyclic_group(v.sig, 2).to_json_dict()))
+    with pytest.raises(SystemExit) as refused:
+        main(["check", corpus_path("boolean-groups.var"), str(z2), "--budget-rounds", "0"])
+    assert refused.value.code == 2
+    assert "--budget-rounds" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert main(["check", corpus_path("boolean-groups.var"), str(z2), "--json", str(out)]) == 0
+    assert validate_report(out)["status"] == "satisfied"
 
 
 def test_corpus_single_entry(tmp_path, capsys):

@@ -28,6 +28,31 @@ def profile_of(v, counts):
     )
 
 
+def zero_squares_variety():
+    # commutative semigroups in which every square is one absorbing element;
+    # (mul x x) = (mul y y) has a variable that its matched side lacks
+    return make_variety(
+        ["elem"],
+        [("mul", ["elem", "elem"], "elem")],
+        "zero-squares",
+        [
+            ([("x", "elem"), ("y", "elem"), ("z", "elem")], "(mul (mul x y) z)", "(mul x (mul y z))"),
+            ([("x", "elem"), ("y", "elem")], "(mul x y)", "(mul y x)"),
+            ([("x", "elem"), ("y", "elem")], "(mul x x)", "(mul y y)"),
+            ([("x", "elem"), ("y", "elem")], "(mul x (mul y y))", "(mul y y)"),
+        ],
+    )
+
+
+def collapse_variety():
+    return make_variety(
+        ["elem"],
+        [("mul", ["elem", "elem"], "elem")],
+        "collapse",
+        [([("x1", "elem"), ("x2", "elem")], "x1", "x2")],
+    )
+
+
 def test_sets_free_algebra_is_the_generators(sets_variety):
     prof = profile_of(sets_variety, (3,))
     res = build_free_algebra(sets_variety, prof)
@@ -63,12 +88,7 @@ def test_nondegeneracy_sets(sets_variety):
 
 
 def test_nondegeneracy_collapse():
-    v = make_variety(
-        ["elem"],
-        [("mul", ["elem", "elem"], "elem")],
-        "collapse",
-        [([("x1", "elem"), ("x2", "elem")], "x1", "x2")],
-    )
+    v = collapse_variety()
     assert nondegeneracy_check(v, "elem").verdict == DEGENERATE
 
 
@@ -139,14 +159,22 @@ def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts,
     def rebuild_and_check(state):
         rebuild(state)
         nodes: dict[int, list[tuple]] = {}
+        uses: dict[int, list[tuple]] = {}
+        by_op: dict[int, list[tuple]] = {op.id: [] for op in state.sig.ops}
         by_sort: dict[int, set[int]] = {s.id: set() for s in state.sig.sorts}
         for key, cls in state.key2class.items():
             root = state.find(cls)
             if key[0] != GEN:
                 assert key == (key[0],) + tuple(state.find(c) for c in key[1:])
+                assert key in state._stamp
                 nodes.setdefault(root, []).append(key)
+                by_op[key[0]].append(key)
+                for c in set(key[1:]):
+                    uses.setdefault(c, []).append(key)
             by_sort[state.class_sort[root]].add(root)
         assert state.class_nodes == nodes
+        assert state._uses == uses
+        assert state._by_op == by_op
         for sort, roots in by_sort.items():
             assert state.classes_of_sort(sort) == sorted(roots)
         checked.append(state.round)
@@ -155,6 +183,92 @@ def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts,
     v = load_entry_variety(name)
     build_free_algebra(v, profile_of(v, counts), budget)
     assert len(set(checked)) > 1
+
+
+def test_rebuild_restamps_exactly_the_changed_keys():
+    # a key is new when its canonical form or its class's root changed
+    v = make_variety(["elem"], [("f", ["elem"], "elem"), ("h", ["elem"], "elem")], "unary", [])
+    f, h = (op.id for op in v.sig.ops)
+    state = SaturationState(v, profile_of(v, (3,)))
+    x1, x2, x3 = state.gen_class.values()
+    state._node(f, (x2,), 0)
+    hx1 = state._node(h, (x1,), 0)
+    state._node(h, (x3,), 0)
+    state.rebuild()
+    before = state.generation
+    state._union(x1, x2)  # (f x2) becomes (f x1), its class keeps its root
+    state._union(x3, hx1)  # (h x1) keeps its form, its class's root becomes x3
+    state.rebuild()
+    assert state.generation == before + 1
+    assert state._stamp == {(f, x1): before + 1, (h, x1): before + 1, (h, x3): before}
+
+
+COMPLETENESS_CASES = [
+    (name, counts, None)
+    for name, entry in ENTRIES.items()
+    for counts, sizes in entry.expected
+    if sizes != INFINITE and sum(counts) <= 3
+] + [
+    ("semigroup-actions-trivial", (1, 1), None),
+    (zero_squares_variety, (2,), (4,)),
+    (zero_squares_variety, (3,), (8,)),
+    (collapse_variety, (3,), (1,)),
+]
+
+
+def _case_id(case):
+    name, counts, _ = case
+    return f"{getattr(name, '__name__', name)}-{','.join(map(str, counts))}"
+
+
+@pytest.mark.parametrize("name,counts,sizes", COMPLETENESS_CASES, ids=map(_case_id, COMPLETENESS_CASES))
+def test_semi_naive_matching_misses_nothing(monkeypatch, name, counts, sizes):
+    # a pass with no merge ends the match loop; a full join of every query
+    # must then find only instances that already hold and need no new node
+    match_pass = SaturationState.match_pass
+    quiet = []
+
+    def match_pass_and_check(state, budget):
+        merges, created = match_pass(state, budget)
+        if merges == 0:
+            nodes = state.nodes_created
+            for q in state._queries:
+                for vals in state._instances(q, -1):
+                    assert state.find(vals[q.root]) == state._build(q.build, q.other, vals)
+            assert state.nodes_created == nodes
+            quiet.append(state.round)
+        return merges, created
+
+    monkeypatch.setattr(SaturationState, "match_pass", match_pass_and_check)
+    if callable(name):
+        v, budget = name(), Budget()
+    else:
+        v, budget = load_entry_variety(name), ENTRIES[name].infinite_budget
+    res = build_free_algebra(v, profile_of(v, counts), budget)
+    if sizes is not None:
+        assert res.algebra.sizes == sizes
+    assert quiet
+
+
+BUDGET_TRIPS = [
+    ("automata", (1, 1, 0), "rounds", 130, 64),
+    ("automata", (1, 1, 1), "rounds", 131, 64),
+    ("semigroup-actions-trivial", (1, 1), "classes", 4001, 8),
+    ("group-reps-trivial-f2", (1, 0), "classes", 4001, 2),
+    ("lie-reps-null-f2", (2, 0), "classes", 4001, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "name,counts,limit,classes,rounds",
+    BUDGET_TRIPS,
+    ids=[f"{n}-{','.join(map(str, c))}" for n, c, *_ in BUDGET_TRIPS],
+)
+def test_budget_trip_is_pinned(name, counts, limit, classes, rounds):
+    v = load_entry_variety(name)
+    res = build_free_algebra(v, profile_of(v, counts), ENTRIES[name].infinite_budget)
+    assert isinstance(res, BudgetExceeded)
+    assert (res.limit, res.classes, res.rounds) == (limit, classes, rounds)
 
 
 def test_close_never_increases_classes(boolean_groups):
@@ -338,12 +452,7 @@ def test_constants_populate_empty_profile(boolean_groups):
 
 
 def test_degenerate_output_is_legal():
-    v = make_variety(
-        ["elem"],
-        [("mul", ["elem", "elem"], "elem")],
-        "collapse",
-        [([("x1", "elem"), ("x2", "elem")], "x1", "x2")],
-    )
+    v = collapse_variety()
     for n in (1, 2, 3):
         res = build_free_algebra(v, profile_of(v, (n,)))
         assert res.algebra.sizes == (1,)
