@@ -180,7 +180,15 @@ def cmd_corpus(args) -> int:
     budget = _budget(args)
     names = list(args.names or [])
     if args.filter:
-        names += [n for n in corpus_mod.entry_names() if args.filter in n]
+        matched = [n for n in corpus_mod.entry_names() if args.filter in n]
+        if not matched:
+            avail = ", ".join(corpus_mod.entry_names())
+            print(
+                f"error: no corpus entry matches '{args.filter}'; available: {avail}",
+                file=sys.stderr,
+            )
+            return 1
+        names += matched
     try:
         t0 = time.perf_counter()
         report = corpus_mod.run_corpus(names or None, budget)

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from .egraph import Budget, BudgetExceeded, FreeAlgebraResult, VarietyDef, build_free_algebra
-from .finalg import MorphismTable
-from .terms import GeneratorProfile, SortedVar, extend_assignment
+from .finalg import Evaluator, MorphismTable
+from .terms import GeneratorProfile, SortedVar
 
 
 class SubvarietyError(Exception):
@@ -66,7 +66,7 @@ def hom_from_gen_images(
     Each source class is sent to the evaluation of its representative term;
     freeness of the source makes this a homomorphism.
     """
-    ev = extend_assignment(src.profile, images, dst.algebra)
+    ev = Evaluator(src.profile, images, dst.algebra)
     maps = tuple(tuple(ev(rep) for rep in src.reps[s.id]) for s in src.variety.sig.sorts)
     table = MorphismTable(src.algebra, dst.algebra, maps)
     assert table.is_homomorphism(), "universal property violated"

@@ -133,9 +133,6 @@ class FreeAlgebraResult:
     reps: tuple[tuple[Term, ...], ...]
     stats: BuildStats
 
-    def sizes(self) -> tuple[int, ...]:
-        return self.algebra.sizes
-
     def rep_strings(self, cap: int | None = None) -> dict[str, list[str]]:
         out = {}
         for s in self.variety.sig.sorts:

@@ -170,6 +170,8 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
                 rank2 = _parse_rank(f.items[1:], "sort2-axioms")
                 w2 = tuple(parse_axiom(g, sub2) for g in f.items[1:] if sexpr.head(g) == "axiom")
             elif kind == "sample-h1":
+                if len(f) != 2:
+                    raise CertificateError("sample-h1 looks like (sample-h1 PATH)")
                 rel = sexpr.atom_text(f[1], "sample path")
                 path = Path(base_dir or ".") / rel
                 sample = load_algebra_json(path, sub1)

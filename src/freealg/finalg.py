@@ -98,12 +98,6 @@ class FiniteAlgebra:
     def total_size(self) -> int:
         return sum(self.sizes)
 
-    def elements(self, sort: int) -> range:
-        return range(self.sizes[sort])
-
-    def apply(self, op_id: int, args: tuple) -> int:
-        return self.tables[op_id][args]
-
     def to_json_dict(self, reps: dict[str, list[str]] | None = None) -> dict:
         tables = {}
         for op in self.sig.ops:
@@ -286,17 +280,14 @@ class MorphismTable:
     def __call__(self, sort: int, elem: int) -> int:
         return self.maps[sort][elem]
 
-    def commutes(self):
-        """None if hom on every table entry, else (op, args) of a violation."""
+    def is_homomorphism(self) -> bool:
+        """Commutes with every operation, table entry by table entry."""
         for op in self.source.sig.ops:
             for args, res in self.source.tables[op.id].items():
                 mapped = tuple(self.maps[s][a] for a, s in zip(args, op.arg_sorts))
                 if self.target.tables[op.id][mapped] != self.maps[op.result_sort][res]:
-                    return (op, args)
-        return None
-
-    def is_homomorphism(self) -> bool:
-        return self.commutes() is None
+                    return False
+        return True
 
     def is_bijective(self) -> bool:
         return all(
@@ -412,104 +403,92 @@ def quotient(alg: FiniteAlgebra, cong: CongruenceTable):
     return q, proj
 
 
-def _colors(alg: FiniteAlgebra, rounds: int = 2):
-    """Cheap per-element invariants: iterated op-neighborhood refinement."""
-    colors = [tuple(s for _ in range(alg.sizes[s])) for s in range(len(alg.sizes))]
-    colors = [list(c) for c in colors]
-    for _ in range(rounds):
-        sigs: list[list] = [[(colors[s][e],) for e in range(alg.sizes[s])] for s in range(len(alg.sizes))]
-        for op in alg.sig.ops:
-            buckets: list[dict[int, list]] = [dict() for _ in range(op.arity)]
-            for args, res in alg.tables[op.id].items():
-                for pos, a in enumerate(args):
-                    others = tuple(
-                        colors[op.arg_sorts[j]][v] for j, v in enumerate(args) if j != pos
-                    )
-                    buckets[pos].setdefault(a, []).append((others, colors[op.result_sort][res]))
-            for pos in range(op.arity):
-                s = op.arg_sorts[pos]
-                for e in range(alg.sizes[s]):
-                    entry = tuple(sorted(buckets[pos].get(e, [])))
-                    sigs[s][e] = sigs[s][e] + ((op.id, pos, entry),)
-        for s in range(len(alg.sizes)):
-            relabel: dict = {}
-            for e in range(alg.sizes[s]):
-                key = sigs[s][e]
-                if key not in relabel:
-                    relabel[key] = len(relabel)
-                colors[s][e] = (s, relabel[key])
-    return colors
+def _close(
+    a: FiniteAlgebra, b: FiniteAlgebra, maps: list[list[int]], used: list[set[int]]
+) -> bool:
+    """Extend a partial map a -> b (-1 = unmapped) to a fixed point.
+
+    Every table entry of ``a`` whose arguments are all mapped sends its
+    result to ``b``'s value at their images.  False on a clash: a result
+    already mapped elsewhere, or an image another element already took.
+    """
+    grew = True
+    while grew:
+        grew = False
+        for op in a.sig.ops:
+            image_of = b.tables[op.id]
+            arg_maps = [maps[s] for s in op.arg_sorts]
+            res_map, res_used = maps[op.result_sort], used[op.result_sort]
+            for args, res in a.tables[op.id].items():
+                img = tuple(m[x] for m, x in zip(arg_maps, args))
+                if -1 in img:
+                    continue
+                v = image_of[img]
+                if res_map[res] == v:
+                    continue
+                if res_map[res] >= 0 or v in res_used:
+                    return False
+                res_map[res] = v
+                res_used.add(v)
+                grew = True
+    return True
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     """First sort-respecting bijective homomorphism under canonical order.
 
-    Pruning: per-sort carrier sizes, then per-element invariant colors,
-    then backtracking with on-the-fly table checks.
+    Canonical order compares the per-sort maps lexicographically in
+    ``(sort, element)`` order.  A homomorphism is fixed by its values on a
+    generating set, so the search backtracks only over generator images:
+    the generators are taken greedily in canonical order, each element not
+    in the closure of those before it.  Every other element therefore lies
+    in the closure of earlier generators, and its image follows from
+    theirs; trying generator images in ascending order meets the maps in
+    canonical order.  ``_close`` prunes each partial tuple of images and
+    completes the map at the leaf.
     """
     if a.sig is not b.sig and not a.sig.same_shape(b.sig):
         raise AlgebraError("isomorphism search needs a shared signature")
     if a.sizes != b.sizes:
         return None
-    ca = _colors(a)
-    cb = _colors(b)
-    for s in range(len(a.sizes)):
-        if sorted(ca[s]) != sorted(cb[s]):
-            return None
 
-    order = [(s, e) for s in range(len(a.sizes)) for e in range(a.sizes[s])]
-    maps: list[list[int]] = [[-1] * n for n in a.sizes]
-    used: list[set[int]] = [set() for _ in a.sizes]
+    def empty():
+        return [[-1] * n for n in a.sizes], [set() for _ in a.sizes]
 
-    ops_by_sort: dict[int, list] = {s: [] for s in range(len(a.sizes))}
-    for op in a.sig.ops:
-        for s in set(op.arg_sorts) | {op.result_sort}:
-            ops_by_sort[s].append(op)
+    # Closing a partial identity of a never clashes; what it leaves
+    # unmapped is not generated by the elements chosen so far.
+    maps, used = empty()
+    _close(a, a, maps, used)
+    gens = []
+    for s, n in enumerate(a.sizes):
+        for e in range(n):
+            if maps[s][e] < 0:
+                gens.append((s, e))
+                maps[s][e] = e
+                used[s].add(e)
+                _close(a, a, maps, used)
 
-    def consistent(s: int, e: int) -> bool:
-        # Check every table entry that mentions e once all its participants
-        # are mapped; each entry is fully checked when its last participant
-        # gets placed.
-        for op in ops_by_sort[s]:
-            for args, res in a.tables[op.id].items():
-                touches = (op.result_sort == s and res == e) or any(
-                    t == s and x == e for x, t in zip(args, op.arg_sorts)
-                )
-                if not touches:
-                    continue
-                mapped = []
-                ok = True
-                for x, t in zip(args, op.arg_sorts):
-                    v = maps[t][x]
-                    if v < 0:
-                        ok = False
-                        break
-                    mapped.append(v)
-                mr = maps[op.result_sort][res]
-                if not ok or mr < 0:
-                    continue
-                if b.tables[op.id][tuple(mapped)] != mr:
-                    return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        s, e = order[i]
+    def extend(i: int, maps: list[list[int]], used: list[set[int]]):
+        if i == len(gens):
+            return maps
+        s, e = gens[i]
         for cand in range(b.sizes[s]):
-            if cand in used[s] or cb[s][cand] != ca[s][e]:
+            if cand in used[s]:
                 continue
-            maps[s][e] = cand
-            used[s].add(cand)
-            if consistent(s, e) and backtrack(i + 1):
-                return True
-            maps[s][e] = -1
-            used[s].remove(cand)
-        return False
-
-    if not backtrack(0):
+            m = [list(col) for col in maps]
+            u = [set(col) for col in used]
+            m[s][e] = cand
+            u[s].add(cand)
+            found = _close(a, b, m, u) and extend(i + 1, m, u)
+            if found:
+                return found
         return None
-    table = MorphismTable(a, b, tuple(tuple(m) for m in maps))
+
+    maps, used = empty()
+    found = _close(a, b, maps, used) and extend(0, maps, used)
+    if not found:
+        return None
+    table = MorphismTable(a, b, tuple(tuple(m) for m in found))
     assert table.is_homomorphism() and table.is_bijective()
     return table
 

@@ -64,27 +64,7 @@ class Signature:
         """Build from names: op_decls is (name, [arg sort names], result sort name)."""
         if not sort_names:
             raise SignatureError("a signature needs at least one sort")
-        sorts: list[Sort] = []
-        seen: dict[str, Sort] = {}
-        for name in sort_names:
-            if not name:
-                raise SignatureError("empty sort name")
-            if name in seen:
-                raise DuplicateName(f"duplicate sort '{name}'")
-            s = Sort(len(sorts), name)
-            seen[name] = s
-            sorts.append(s)
-        ops: list[Op] = []
-        op_seen: set[str] = set()
-        for name, args, res in op_decls:
-            if name in op_seen:
-                raise DuplicateName(f"duplicate operation '{name}'")
-            op_seen.add(name)
-            for a in list(args) + [res]:
-                if a not in seen:
-                    raise UnknownSort(f"operation '{name}' refers to undeclared sort '{a}'")
-            ops.append(Op(len(ops), name, tuple(seen[a].id for a in args), seen[res].id))
-        return cls(tuple(sorts), tuple(ops))
+        return _declare(sort_names, op_decls)
 
     def sort_named(self, name: str) -> Sort:
         try:
@@ -124,14 +104,14 @@ class Signature:
 def validate_signature(raw) -> Signature:
     """Parse and validate a ``(signature ...)`` form from a definition file."""
     form = sexpr.expect_list(raw, "signature")
-    sort_decls: list[tuple[str, Atom]] = []
+    sort_decls: list[Atom] = []
     op_decls: list[tuple] = []
     for item in form.items[1:]:
         kind = sexpr.head(item)
         if kind == "sort":
             if len(item) != 2 or not isinstance(item[1], Atom):
                 raise SignatureError("malformed sort declaration", item.line, item.col)
-            sort_decls.append((item[1].text, item[1]))
+            sort_decls.append(item[1])
         elif kind == "op":
             if (
                 len(item) != 4
@@ -152,36 +132,41 @@ def validate_signature(raw) -> Signature:
             )
     if not sort_decls:
         raise SignatureError("signature declares no sorts", form.line, form.col)
+    return _declare(sort_decls, op_decls)
 
-    seen: dict[str, int] = {}
-    sorts: list[Sort] = []
-    for name, atom in sort_decls:
-        if name in seen:
-            raise DuplicateName(f"duplicate sort '{name}'", atom.line, atom.col)
-        seen[name] = len(sorts)
-        sorts.append(Sort(len(sorts), name))
+
+def _declare(sort_names, op_decls) -> Signature:
+    """Number the sorts and ops, rejecting duplicate and undeclared names.
+
+    A name is a string, or an ``Atom`` (its ``str`` is its text) whose line
+    and column the error carries.
+    """
+    ids: dict[str, int] = {}
+    for name in sort_names:
+        text = str(name)
+        if not text:
+            raise SignatureError("empty sort name")
+        if text in ids:
+            raise DuplicateName(f"duplicate sort '{text}'", *_at(name))
+        ids[text] = len(ids)
     ops: list[Op] = []
     op_seen: set[str] = set()
-    for name_atom, args, res_atom in op_decls:
-        name = name_atom.text
-        if name in op_seen:
-            raise DuplicateName(f"duplicate operation '{name}'", name_atom.line, name_atom.col)
-        op_seen.add(name)
-        arg_ids = []
-        for a in args:
-            if a.text not in seen:
+    for name, args, res in op_decls:
+        op_name = str(name)
+        if op_name in op_seen:
+            raise DuplicateName(f"duplicate operation '{op_name}'", *_at(name))
+        op_seen.add(op_name)
+        for a in [*args, res]:
+            if str(a) not in ids:
                 raise UnknownSort(
-                    f"operation '{name}' refers to undeclared sort '{a.text}'", a.line, a.col
+                    f"operation '{op_name}' refers to undeclared sort '{a}'", *_at(a)
                 )
-            arg_ids.append(seen[a.text])
-        if res_atom.text not in seen:
-            raise UnknownSort(
-                f"operation '{name}' refers to undeclared sort '{res_atom.text}'",
-                res_atom.line,
-                res_atom.col,
-            )
-        ops.append(Op(len(ops), name, tuple(arg_ids), seen[res_atom.text]))
-    return Signature(tuple(sorts), tuple(ops))
+        ops.append(Op(len(ops), op_name, tuple(ids[str(a)] for a in args), ids[str(res)]))
+    return Signature(tuple(Sort(i, n) for n, i in ids.items()), tuple(ops))
+
+
+def _at(name) -> tuple:
+    return (name.line, name.col) if isinstance(name, Atom) else ()
 
 
 @dataclass(frozen=True)

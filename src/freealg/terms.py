@@ -293,18 +293,6 @@ def substitute(t: Term, mapping: dict[SortedVar, Term], arena: TermArena) -> Ter
     return arena.apply(t.op, tuple(substitute(c, mapping, arena) for c in t.children))
 
 
-def extend_assignment(vars: GeneratorProfile, images: dict, target):
-    """Unique homomorphic extension of a sort-respecting generator map.
-
-    ``target`` is a finite algebra; the returned callable evaluates any term
-    over ``vars``.  Raises SortViolation/MissingSort from the finalg module
-    when an image lies outside its carrier.
-    """
-    from .finalg import Evaluator
-
-    return Evaluator(vars, images, target)
-
-
 def is_sort1_pure(t: Term, split: ActionSplit) -> bool:
     """Whether a term uses only first-class ops and first-sort variables.
 

@@ -217,6 +217,26 @@ def test_corpus_filter(capsys):
     assert "left-zero" in capsys.readouterr().out
 
 
+def test_corpus_filter_without_match_is_an_error(capsys):
+    code = main(["corpus", "--filter", "zzz-no-such"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "available" in captured.err
+    assert "boolean-groups" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("form", ["(sample-h1)", "(sample-h1 a.alg.json b.alg.json)"])
+def test_certify_malformed_sample_h1(tmp_path, capsys, form):
+    text = Path(corpus_path("group-reps-trivial-f2.cert")).read_text()
+    cert = tmp_path / "bad.cert"
+    cert.write_text(text.rstrip()[:-1] + f"\n  {form})\n")
+    code = main(["certify", corpus_path("group-reps-trivial-f2.var"), str(cert)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sample-h1" in err and "Traceback" not in err
+
+
 def test_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("VF_BUDGET_ROUNDS", "12")
     code = main(["free", corpus_path("automata.var"), "in=1,state=1,out=1"])

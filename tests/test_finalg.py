@@ -175,6 +175,45 @@ def test_iso_search_matches_exhaustive_search(data):
     assert (mine is not None) == bool(brute)
     if mine is not None:
         assert mine.is_homomorphism() and mine.is_bijective()
+        assert mine.maps == min(t.maps for t in brute)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_iso_search_is_first_in_canonical_order_two_sorted(data):
+    # a constant and a binary op on "s", a cross-sort op (s, t) -> t; half
+    # of the bs are relabelings of a, so most pairs are isomorphic
+    sig = Signature.make(
+        ["s", "t"],
+        [("c", [], "s"), ("f", ["s", "s"], "s"), ("g", ["s", "t"], "t")],
+    )
+    sizes = (data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+
+    def random_algebra():
+        tables = {}
+        for op in sig.ops:
+            keys = itertools.product(*(range(sizes[s]) for s in op.arg_sorts))
+            res = st.integers(0, sizes[op.result_sort] - 1)
+            tables[op.id] = {k: data.draw(res) for k in keys}
+        return FiniteAlgebra(sig, sizes, tables)
+
+    a = random_algebra()
+    if data.draw(st.booleans(), label="relabel"):
+        perms = [data.draw(st.permutations(range(n))) for n in sizes]
+        b = FiniteAlgebra(sig, sizes, {
+            op.id: {
+                tuple(perms[s][x] for x, s in zip(args, op.arg_sorts)): perms[op.result_sort][res]
+                for args, res in a.tables[op.id].items()
+            }
+            for op in sig.ops
+        })
+    else:
+        b = random_algebra()
+    mine = find_isomorphism(a, b)
+    brute = exhaustive_isos(a, b)
+    assert (mine is not None) == bool(brute)
+    if mine is not None:
+        assert mine.maps == min(t.maps for t in brute)
 
 
 def test_iso_search_respects_sorts(graphs_variety):

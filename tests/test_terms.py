@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import make_axioms
 from freealg.corpus import load_entry_variety
-from freealg.finalg import FiniteAlgebra
+from freealg.finalg import Evaluator, FiniteAlgebra
 from freealg.signature import Signature, classify_action_signature
 from freealg.terms import (
     GeneratorProfile,
@@ -18,7 +18,6 @@ from freealg.terms import (
     alpha_key,
     arena_of,
     enumerate_terms,
-    extend_assignment,
     is_sort1_pure,
     parse_term,
     substitute,
@@ -132,7 +131,7 @@ def test_substitute_identity_is_identity(semigroup_sig, xy):
 def test_extend_assignment_left_zero(left_zero):
     alg = FiniteAlgebra.make(left_zero.sig, {"elem": 2}, {"mul": lambda x, y: x})
     prof = GeneratorProfile.from_counts(left_zero.sig, {"elem": 2})
-    ev = extend_assignment(prof, dict(zip(prof.variables(), [0, 1])), alg)
+    ev = Evaluator(prof, dict(zip(prof.variables(), [0, 1])), alg)
     assert ev(parse_term("(mul x1 x2)", left_zero.sig, prof)) == 0
     assert ev(parse_term("(mul x2 x1)", left_zero.sig, prof)) == 1
 
@@ -142,7 +141,7 @@ def test_extend_assignment_z2(boolean_groups):
 
     z2 = cyclic_group(boolean_groups.sig, 2)
     prof = GeneratorProfile.from_counts(boolean_groups.sig, {"elem": 1})
-    ev = extend_assignment(prof, {prof.variables()[0]: 1}, z2)
+    ev = Evaluator(prof, {prof.variables()[0]: 1}, z2)
     assert ev(parse_term("(mul x1 x1)", boolean_groups.sig, prof)) == 0
 
 
@@ -153,9 +152,9 @@ def test_extend_assignment_validates(boolean_groups):
     z2 = cyclic_group(boolean_groups.sig, 2)
     prof = GeneratorProfile.from_counts(boolean_groups.sig, {"elem": 1})
     with pytest.raises(SortViolation):
-        extend_assignment(prof, {prof.variables()[0]: 5}, z2)
+        Evaluator(prof, {prof.variables()[0]: 5}, z2)
     with pytest.raises(SortViolation):
-        extend_assignment(prof, {}, z2)
+        Evaluator(prof, {}, z2)
 
 
 def test_extension_uniqueness(boolean_groups):
@@ -166,8 +165,8 @@ def test_extension_uniqueness(boolean_groups):
     sig = boolean_groups.sig
     prof = GeneratorProfile.from_counts(sig, {"elem": 2})
     images = dict(zip(prof.variables(), [1, 0]))
-    ev1 = extend_assignment(prof, images, z2)
-    ev2 = extend_assignment(prof, dict(images), z2)
+    ev1 = Evaluator(prof, images, z2)
+    ev2 = Evaluator(prof, dict(images), z2)
     rng = random.Random(7)
     arena = arena_of(sig)
     vs = [arena.var(v) for v in prof.variables()]
