@@ -189,6 +189,7 @@ def cmd_corpus(args) -> int:
             )
             return 1
         names += matched
+    names = list(dict.fromkeys(names))  # each entry once, in first-named order
     try:
         t0 = time.perf_counter()
         report = corpus_mod.run_corpus(names or None, budget)

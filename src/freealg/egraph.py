@@ -3,9 +3,15 @@
 The engine maintains e-classes of terms over a generator profile.  Each
 round first applies every operation to every tuple of existing classes
 (GROW), then repeatedly matches axiom patterns against the classes and
-merges the paired instances until quiet (MATCH).  Before each axiom is
-matched, ``rebuild`` restores congruence closure and the match indexes in
-one scan of the hash-cons table (CLOSE).  A round that creates no nodes
+merges the paired instances until quiet (MATCH).  An instance builds its
+other side with ``_build``; when the outer node of that side is missing,
+it goes straight into the matched class, a merge without a class that
+would be merged away at once.  Before each axiom is matched, ``rebuild``
+restores congruence closure from a worklist (CLOSE): only the classes
+merged since the last rebuild are repaired, by putting the keys in their
+use lists back in canonical form and merging the classes of keys that
+then coincide.  Keys are indexed as they enter the hash-cons table, so
+the match indexes need no scan either.  A round that creates no nodes
 and merges nothing witnesses saturation: the quotient is closed under all
 operations, satisfies all axioms, and is exactly the congruence generated
 by the axiom instances, i.e. the free algebra on the profile.  Nodes are
@@ -17,8 +23,9 @@ POPL 2022).  The hash-cons table is the relation: each canonical key
 ``(op, children...)`` with its class is one tuple of that op's table.
 Each axiom's matched side is compiled once into a conjunctive query, one
 atom per operation node over integer slots, and its other side into a
-slot-indexed build plan.  ``rebuild`` stamps every key with the generation
-at which its canonical form or its class's root last changed, so a query
+slot-indexed build plan.  Every key carries a stamp: the generation (the
+count of rebuilds) closed after its canonical form or its class's root
+last changed, so a query
 joins only from the keys stamped after its own last pass: the first new
 atom is the seed, the atoms before it must be old, and the join extends up
 through the use lists and down through ``class_nodes``.  A match made of
@@ -33,6 +40,7 @@ turns that into an explicit BudgetExceeded result, never an error.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from dataclasses import dataclass, field
 
 from .finalg import FiniteAlgebra
@@ -280,14 +288,16 @@ class SaturationState:
         self.nodes_created = 0
         self.merges_done = 0
         self.instances = 0  # axiom instances instantiated
-        self._dirty = False  # a merge was made since the last scan
-        self._indexed_nodes = -1  # nodes_created when the indexes were built
-        self.generation = 0  # scanning rebuilds so far
+        self.generation = 0  # rebuilds so far
+        self._losers: list[int] = []  # classes merged away, not yet repaired
         self._stamp: dict[tuple, int] = {}
-        self.class_nodes: dict[int, list[tuple]] = {}
-        self._uses: dict[int, list[tuple]] = {}
-        self._by_op: dict[int, list[tuple]] = {}
-        self._sort_classes: dict[int, list[int]] = {}
+        # the indexes are dicts used as ordered sets, for O(1) removal;
+        # class_nodes maps each key of a class to its position in the table
+        self._entered = 0  # keys entered into the table so far
+        self.class_nodes: dict[int, dict[tuple, int]] = {}
+        self._uses: dict[int, dict[tuple, None]] = {}
+        self._by_op: dict[int, dict[tuple, None]] = {op.id: {} for op in self.sig.ops}
+        self._sort_classes: dict[int, dict[int, None]] = {s.id: {} for s in self.sig.sorts}
         self.round = 0
         # match the side with more structure, merge with the other side
         self._queries = []
@@ -318,34 +328,52 @@ class SaturationState:
         if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
+        del self._sort_classes[self.class_sort[rb]][rb]
+        self._losers.append(rb)
         self.n_live -= 1
         self.merges_done += 1
-        self._dirty = True
         return True
 
     def _new_class(self, sort: int) -> int:
         cid = len(self.parent)
         self.parent.append(cid)
         self.class_sort.append(sort)
+        # ids only grow, so each sort's roots stay in ascending order
+        self._sort_classes[sort][cid] = None
         self.n_live += 1
         return cid
 
     # nodes ----------------------------------------------------------------
 
-    def _node(self, op_id: int, children: tuple[int, ...], result_sort: int) -> int:
-        key = (op_id,) + tuple(self.find(c) for c in children)
+    def _node(self, op_id: int, children, result_sort: int, into: int | None = None) -> int:
+        """The class of the node ``op_id(children)``, made if it is missing.
+
+        A missing node goes into a new class, or straight into class
+        ``into`` when given, which counts as a merge.
+        """
+        key = (op_id, *map(self.find, children))
         cls = self.key2class.get(key)
         if cls is not None:
             return self.find(cls)
-        cls = self._new_class(result_sort)
-        self.key2class[key] = cls
+        if into is None:
+            cls = self._new_class(result_sort)
+        else:
+            cls = self.find(into)
+            self.merges_done += 1
+        self._enter(key, cls)
         self.nodes_created += 1
         return cls
 
-    def _build(self, steps, root: int, vals: list[int]) -> int:
-        """Run a plan from ``_plan`` on slot values; the class it builds."""
+    def _build(self, steps, root: int, vals: list[int], into: int | None = None) -> int:
+        """Run a plan from ``_plan`` on slot values; the class it builds.
+
+        With ``into``, the class the term is to join, a missing outer node
+        goes straight into that class instead of a new one that the caller
+        would merge away at once.
+        """
+        node, at = self._node, vals.__getitem__
         for op_id, args, sort, out in steps:
-            vals[out] = self._node(op_id, tuple(vals[a] for a in args), sort)
+            vals[out] = node(op_id, map(at, args), sort, into if out == root else None)
         return self.find(vals[root])
 
     def _resolve(self, t: Term) -> int:
@@ -358,77 +386,80 @@ class SaturationState:
 
     # congruence closure ----------------------------------------------------
 
-    def rebuild(self):
-        """Restore congruence closure and the match indexes.
+    def _enter(self, key: tuple, cls: int):
+        """Put a canonical key of root ``cls`` at the end of the table and of
+        every index, stamped new for the next rebuild's generation."""
+        self.key2class[key] = cls
+        self._stamp[key] = self.generation + 1
+        self._entered += 1
+        nodes = self.class_nodes.get(cls)
+        if nodes is None:
+            nodes = self.class_nodes[cls] = {}
+        nodes[key] = self._entered
+        self._by_op[key[0]][key] = None
+        for c in set(key[1:]):
+            uses = self._uses.get(c)
+            if uses is None:
+                uses = self._uses[c] = {}
+            uses[key] = None
 
-        Each pass re-canonicalizes every node key, merges the classes of
-        keys that become equal, and builds the indexes on the way: the keys
-        of each class (``class_nodes``), the keys each class is an argument
-        of (the use lists), the keys of each op, and the sorted per-sort
-        root lists.  It also stamps every canonical key with the generation
-        (the count of scanning rebuilds) at which its canonical form or its
-        class's root last changed, so a match all of whose keys are stamped
-        at or before an earlier generation already existed then.  Passes
-        repeat until one forces no merge; that pass's indexes are kept.
-        With no merge and no new node since the last scan, nothing can have
-        changed and the scan is skipped.
+    def _unindex(self, key: tuple) -> int:
+        """Take a key out of the table and every index; returns its class."""
+        cls = self.key2class.pop(key)
+        del self._stamp[key]
+        del self.class_nodes[cls][key]
+        del self._by_op[key[0]][key]
+        for c in set(key[1:]):
+            del self._uses[c][key]
+        return cls
+
+    def rebuild(self):
+        """Restore congruence closure and close a generation of stamps.
+
+        Every key is indexed as it enters the table: in the keys of its
+        class (``class_nodes``, with each key's position in the table), the
+        keys each class is an argument of (the use lists) and the keys of
+        its op, all in table order.  A rebuild repairs only what merges
+        broke (Downey, Sethi and Tarjan, JACM 1980; egg's ``rebuild``).  For
+        each loser, a class merged into another, the keys in its use list
+        leave the table and re-enter it in canonical form; a key whose
+        canonical form is there already merges the two classes instead,
+        which queues another loser.  Then the loser's own keys move to its
+        root: they keep their places in the table, and the root's key list
+        is merged with theirs by position.  A key that enters or moves is
+        stamped with the generation (the count of rebuilds) that the next
+        rebuild closes, so a key is new exactly when its canonical form or
+        its class's root changed, and a match all of whose keys are stamped
+        at or before an earlier generation already existed then.
         """
-        if not self._dirty and self._indexed_nodes == self.nodes_created:
-            return
-        find = self.find
-        self.generation += 1
-        gen = self.generation
-        while True:
-            self._dirty = False
-            old = self._stamp
-            fresh: dict[tuple, int] = {}
-            stamp: dict[tuple, int] = {}
-            nodes: dict[int, list[tuple]] = {}
-            uses: dict[int, list[tuple]] = {}
-            by_op: dict[int, list[tuple]] = {op.id: [] for op in self.sig.ops}
-            by_sort: dict[int, list[int]] = {s.id: [] for s in self.sig.sorts}
-            seen: set[int] = set()
-            table = self.key2class
-            for key, cls in table.items():
-                if key[0] == GEN:
-                    canon = key
+        find, table, stamp = self.find, self.key2class, self._stamp
+        losers = self._losers
+        while losers:
+            loser = losers.pop()
+            for key in list(self._uses.get(loser, ())):
+                cls = self._unindex(key)
+                canon = (key[0], *map(find, key[1:]))
+                other = table.get(canon)
+                if other is None:
+                    self._enter(canon, find(cls))
                 else:
-                    args = tuple(find(c) for c in key[1:])
-                    canon = (key[0],) + args
-                root = find(cls)
-                prev = fresh.get(canon)
-                if prev is None:
-                    fresh[canon] = root
-                    if root not in seen:
-                        seen.add(root)
-                        by_sort[self.class_sort[root]].append(root)
-                    if key[0] != GEN:
-                        # old iff the scan before had this key with this root
-                        s = old.get(canon)
-                        stamp[canon] = s if s is not None and table[canon] == root else gen
-                        nodes.setdefault(root, []).append(canon)
-                        by_op[key[0]].append(canon)
-                        for c in set(args):
-                            uses.setdefault(c, []).append(canon)
-                elif find(prev) != root:
-                    self._union(prev, root)
-                    fresh[canon] = find(prev)
-                    if fresh[canon] != prev:
-                        stamp[canon] = gen
-            self.key2class = fresh
-            self._stamp = stamp
-            if not self._dirty:
-                break
-        for col in by_sort.values():
-            col.sort()
-        self._sort_classes = by_sort
-        self.class_nodes = nodes
-        self._uses = uses
-        self._by_op = by_op
-        self._indexed_nodes = self.nodes_created
+                    self._union(other, cls)
+            self._uses.pop(loser, None)
+            members = self.class_nodes.pop(loser, None)
+            if members:
+                root = find(loser)
+                for key in members:
+                    table[key] = root
+                    stamp[key] = self.generation + 1
+                mine = self.class_nodes.get(root)
+                if mine:
+                    # both are in table order: merge them by position
+                    members = dict(sorted((*mine.items(), *members.items()), key=itemgetter(1)))
+                self.class_nodes[root] = members
+        self.generation += 1
 
     def classes_of_sort(self, sort: int) -> list[int]:
-        return self._sort_classes.get(sort, [])
+        return list(self._sort_classes[sort])
 
     # round steps -----------------------------------------------------------
 
@@ -436,10 +467,9 @@ class SaturationState:
         """Apply every op to every argument-class tuple from the round start."""
         self.rebuild()
         created0 = self.nodes_created
+        roots = [self.classes_of_sort(s.id) for s in self.sig.sorts]
         for op in self.sig.ops:
-            # the indexes stay as they were until the next rebuild
-            pools = [self.classes_of_sort(s) for s in op.arg_sorts]
-            for tup in itertools.product(*pools):
+            for tup in itertools.product(*(roots[s] for s in op.arg_sorts)):
                 self._node(op.id, tup, op.result_sort)
                 if self.n_live > budget.max_classes:
                     raise _Tripped("classes")
@@ -498,7 +528,9 @@ class SaturationState:
 
         Each query joins only from the keys stamped since it last matched:
         a match of old keys alone was instantiated then, and its nodes and
-        merge persist.
+        merge persist.  A join collects all its matches before the first
+        instance builds, so no index changes while a join reads it.  An
+        outer node built straight into its matched class counts as a merge.
         """
         merges = 0
         created0 = self.nodes_created
@@ -506,12 +538,14 @@ class SaturationState:
             self.rebuild()
             since = -1 if q.full else q.seen
             q.seen = self.generation
+            merges0 = self.merges_done
+            steps, other, root = q.build, q.other, q.root
             for vals in self._instances(q, since):
                 self.instances += 1
-                if self._union(vals[q.root], self._build(q.build, q.other, vals)):
-                    merges += 1
+                self._union(vals[root], self._build(steps, other, vals, vals[root]))
                 if self.n_live > budget.max_classes:
                     raise _Tripped("classes")
+            merges += self.merges_done - merges0
         self.rebuild()
         return merges, self.nodes_created - created0
 

@@ -404,12 +404,17 @@ def quotient(alg: FiniteAlgebra, cong: CongruenceTable):
 
 
 def _close(
-    a: FiniteAlgebra, b: FiniteAlgebra, maps: list[list[int]], used: list[set[int]]
+    a: FiniteAlgebra,
+    b: FiniteAlgebra,
+    maps: list[list[int]],
+    used: list[set[int]],
+    trail: list[tuple[int, int]],
 ) -> bool:
     """Extend a partial map a -> b (-1 = unmapped) to a fixed point.
 
     Every table entry of ``a`` whose arguments are all mapped sends its
-    result to ``b``'s value at their images.  False on a clash: a result
+    result to ``b``'s value at their images, and each ``(sort, element)``
+    so mapped is appended to ``trail``.  False on a clash: a result
     already mapped elsewhere, or an image another element already took.
     """
     grew = True
@@ -430,6 +435,7 @@ def _close(
                     return False
                 res_map[res] = v
                 res_used.add(v)
+                trail.append((op.result_sort, res))
                 grew = True
     return True
 
@@ -445,7 +451,9 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     in the closure of earlier generators, and its image follows from
     theirs; trying generator images in ascending order meets the maps in
     canonical order.  ``_close`` prunes each partial tuple of images and
-    completes the map at the leaf.
+    completes the map at the leaf.  The search keeps an explicit stack,
+    one frame per placed generator, so its depth is not bounded by
+    Python's recursion limit.
     """
     if a.sig is not b.sig and not a.sig.same_shape(b.sig):
         raise AlgebraError("isomorphism search needs a shared signature")
@@ -458,7 +466,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     # Closing a partial identity of a never clashes; what it leaves
     # unmapped is not generated by the elements chosen so far.
     maps, used = empty()
-    _close(a, a, maps, used)
+    _close(a, a, maps, used, [])
     gens = []
     for s, n in enumerate(a.sizes):
         for e in range(n):
@@ -466,29 +474,44 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
                 gens.append((s, e))
                 maps[s][e] = e
                 used[s].add(e)
-                _close(a, a, maps, used)
-
-    def extend(i: int, maps: list[list[int]], used: list[set[int]]):
-        if i == len(gens):
-            return maps
-        s, e = gens[i]
-        for cand in range(b.sizes[s]):
-            if cand in used[s]:
-                continue
-            m = [list(col) for col in maps]
-            u = [set(col) for col in used]
-            m[s][e] = cand
-            u[s].add(cand)
-            found = _close(a, b, m, u) and extend(i + 1, m, u)
-            if found:
-                return found
-        return None
+                _close(a, a, maps, used, [])
 
     maps, used = empty()
-    found = _close(a, b, maps, used) and extend(0, maps, used)
-    if not found:
+    trail: list[tuple[int, int]] = []
+
+    def undo(mark: int):
+        while len(trail) > mark:
+            s, e = trail.pop()
+            used[s].remove(maps[s][e])
+            maps[s][e] = -1
+
+    if not _close(a, b, maps, used, trail):
         return None
-    table = MorphismTable(a, b, tuple(tuple(m) for m in found))
+    # one frame per placed generator: the trail length before it, its image
+    frames: list[tuple[int, int]] = []
+    cand = 0
+    while len(frames) < len(gens):
+        s, e = gens[len(frames)]
+        while cand < b.sizes[s] and cand in used[s]:
+            cand += 1
+        if cand == b.sizes[s]:
+            if not frames:
+                return None
+            mark, last = frames.pop()
+            undo(mark)
+            cand = last + 1
+            continue
+        mark = len(trail)
+        maps[s][e] = cand
+        used[s].add(cand)
+        trail.append((s, e))
+        if _close(a, b, maps, used, trail):
+            frames.append((mark, cand))
+            cand = 0
+        else:
+            undo(mark)
+            cand += 1
+    table = MorphismTable(a, b, tuple(tuple(m) for m in maps))
     assert table.is_homomorphism() and table.is_bijective()
     return table
 

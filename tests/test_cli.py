@@ -217,6 +217,12 @@ def test_corpus_filter(capsys):
     assert "left-zero" in capsys.readouterr().out
 
 
+def test_corpus_named_and_filtered_entry_runs_once(capsys):
+    code = main(["corpus", "left-zero", "--filter", "left-zero"])
+    assert code == 0
+    assert capsys.readouterr().out.count("] left-zero:") == 1
+
+
 def test_corpus_filter_without_match_is_an_error(capsys):
     code = main(["corpus", "--filter", "zzz-no-such"])
     assert code == 1

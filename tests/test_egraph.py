@@ -142,6 +142,9 @@ def test_determinism(comm_idem):
 INDEX_CASES = [
     ("elem-abelian-3", (2,), Budget()),
     ("semigroup-actions-trivial", (1, 1), ENTRIES["semigroup-actions-trivial"].infinite_budget),
+    # rows on which rebuild itself forces many congruence merges
+    ("boolean-groups", (3,), Budget()),
+    ("lie-reps-null-f2", (2, 0), ENTRIES["lie-reps-null-f2"].infinite_budget),
 ]
 
 
@@ -172,9 +175,9 @@ def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts,
                 for c in set(key[1:]):
                     uses.setdefault(c, []).append(key)
             by_sort[state.class_sort[root]].add(root)
-        assert state.class_nodes == nodes
-        assert state._uses == uses
-        assert state._by_op == by_op
+        assert {c: list(keys) for c, keys in state.class_nodes.items()} == nodes
+        assert {c: list(keys) for c, keys in state._uses.items()} == uses
+        assert {op: list(keys) for op, keys in state._by_op.items()} == by_op
         for sort, roots in by_sort.items():
             assert state.classes_of_sort(sort) == sorted(roots)
         checked.append(state.round)
@@ -201,6 +204,25 @@ def test_rebuild_restamps_exactly_the_changed_keys():
     state.rebuild()
     assert state.generation == before + 1
     assert state._stamp == {(f, x1): before + 1, (h, x1): before + 1, (h, x3): before}
+
+
+def test_one_union_closes_a_two_level_congruence_cascade():
+    v = make_variety(["elem"], [("f", ["elem"], "elem"), ("g", ["elem"], "elem")], "unary", [])
+    f, g = (op.id for op in v.sig.ops)
+    state = SaturationState(v, profile_of(v, (2,)))
+    a, b = state.gen_class.values()
+    fa, fb = state._node(f, (a,), 0), state._node(f, (b,), 0)
+    gfa, gfb = state._node(g, (fa,), 0), state._node(g, (fb,), 0)
+    state.rebuild()
+    assert state.n_live == 6
+    assert state._union(a, b)
+    state.rebuild()
+    # (f b) meets (f a), and then (g (f b)) meets (g (f a))
+    assert state.find(fa) == state.find(fb) != state.find(a)
+    assert state.find(gfa) == state.find(gfb) != state.find(fa)
+    assert (state.n_live, state.merges_done) == (3, 3)
+    assert sorted(k for k in state.key2class if k[0] != GEN) == [(f, a), (g, fa)]
+    assert state.classes_of_sort(0) == [a, fa, gfa]
 
 
 COMPLETENESS_CASES = [

@@ -216,6 +216,13 @@ def test_iso_search_is_first_in_canonical_order_two_sorted(data):
         assert mine.maps == min(t.maps for t in brute)
 
 
+def test_iso_search_depth_is_not_bounded_by_the_recursion_limit(sets_variety):
+    # every element of a free set is a generator, one search frame each
+    prof = GeneratorProfile.from_counts(sets_variety.sig, {"elem": 1100})
+    a = build_free_algebra(sets_variety, prof).algebra
+    assert find_isomorphism(a, a) == MorphismTable.identity(a)
+
+
 def test_iso_search_respects_sorts(graphs_variety):
     sig = graphs_variety.sig
     a = FiniteAlgebra.make(sig, {"edge": 1, "vertex": 2}, {"h": lambda e: 0, "t": lambda e: 1})
