@@ -26,23 +26,27 @@ budget exhaustion is an Unknown status, never a refutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .egraph import (
     Budget,
     BudgetExceeded,
-    CONSEQUENCE_NO,
     CONSEQUENCE_YES,
     DEGENERATE,
-    FreeAlgebraResult,
     NONDEGENERATE,
     VarietyDef,
     build_free_algebra,
     is_consequence,
     nondegeneracy_check,
 )
-from .finalg import FiniteAlgebra, assemble_trivial_action, find_isomorphism, satisfies_all
-from .signature import ActionSplit, NotActionSeparable, classify_action_signature, restrict_to_part
+from .finalg import (
+    FiniteAlgebra,
+    assemble_trivial_action,
+    find_isomorphism,
+    one_element_algebra,
+    satisfies_all,
+)
+from .signature import NotActionSeparable, classify_action_signature, restrict_to_part
 from .terms import (
     GeneratorProfile,
     Identity,
@@ -173,18 +177,6 @@ class CertReport:
         }
 
 
-@dataclass
-class _Sweep:
-    ok: bool
-    status: str = CERTIFIED
-    detail: str = ""
-    nondeg: dict = field(default_factory=dict)
-    profiles: list = field(default_factory=list)
-    iso: list = field(default_factory=list)
-    refuted: RefutedEvidence | None = None
-    builds: dict = field(default_factory=dict)
-
-
 def _axis_profiles(nsorts: int, sort: int, rank: int):
     for n in range(rank + 1):
         counts = [0] * nsorts
@@ -196,69 +188,57 @@ def _grid_profiles(nsorts: int, rank: int):
     yield from itertools.product(range(rank + 1), repeat=nsorts)
 
 
-def _sweep(variety: VarietyDef, profiles, check_sorts, budget: Budget, compare=None) -> _Sweep:
-    """Nondegeneracy plus builds plus pairwise non-isomorphism evidence."""
-    out = _Sweep(ok=True)
+def _settle(report: CertReport, status: str, detail: str) -> bool:
+    report.status = status
+    report.detail = detail
+    return False
+
+
+def _sweep(report: CertReport, variety: VarietyDef, profiles, check_sorts, budget: Budget) -> bool:
+    """Nondegeneracy plus builds plus pairwise non-isomorphism evidence,
+    written into the report; False once that evidence settles its verdict."""
     for s in check_sorts:
-        report = nondegeneracy_check(variety, s, budget)
-        out.nondeg[variety.sig.sorts[s].name] = report.verdict
-        if report.verdict == DEGENERATE:
-            out.ok = False
-            out.status = UNKNOWN
-            out.detail = f"witness '{variety.name}' is degenerate: {report.detail}"
-            return out
-        if report.verdict != NONDEGENERATE:
-            out.ok = False
-            out.status = UNKNOWN
-            out.detail = f"nondegeneracy of '{variety.name}' undecided: {report.detail}"
-            return out
+        nondeg = nondegeneracy_check(variety, s, budget)
+        report.nondegeneracy[variety.sig.sorts[s].name] = nondeg.verdict
+        if nondeg.verdict == DEGENERATE:
+            return _settle(
+                report, UNKNOWN, f"witness '{variety.name}' is degenerate: {nondeg.detail}"
+            )
+        if nondeg.verdict != NONDEGENERATE:
+            return _settle(
+                report, UNKNOWN, f"nondegeneracy of '{variety.name}' undecided: {nondeg.detail}"
+            )
     sig = variety.sig
-    profiles = list(profiles)
+    builds: dict[tuple[int, ...], FiniteAlgebra] = {}
     for counts in profiles:
         prof = GeneratorProfile.from_counts(
             sig, {s.name: c for s, c in zip(sig.sorts, counts)}
         )
         res = build_free_algebra(variety, prof, budget)
         if isinstance(res, BudgetExceeded):
-            out.profiles.append(
-                ProfileEvidence(counts, None, "budget", f"{res.limit} limit at round {res.rounds}")
+            report.profiles += (
+                ProfileEvidence(counts, None, "budget", f"{res.limit} limit at round {res.rounds}"),
             )
-            out.ok = False
-            out.status = UNKNOWN
-            out.detail = (
+            return _settle(
+                report,
+                UNKNOWN,
                 f"free algebra of '{variety.name}' on [{counts}] did not saturate "
-                f"({res.limit} limit)"
+                f"({res.limit} limit)",
             )
-            return out
-        out.builds[counts] = res
-        out.profiles.append(ProfileEvidence(counts, res.algebra.sizes, "ok"))
-    for i, p in enumerate(profiles):
-        for q in profiles[i + 1:]:
-            if compare is not None and not compare(p, q):
-                continue
-            iso = find_isomorphism(out.builds[p].algebra, out.builds[q].algebra)
-            out.iso.append(IsoCheck(p, q, iso is not None))
-            if iso is not None:
-                assert iso.is_homomorphism() and iso.is_bijective()
-                out.ok = False
-                out.status = REFUTED
-                out.detail = (
-                    f"free algebras of '{variety.name}' on [{p}] and [{q}] are isomorphic"
-                )
-                out.refuted = RefutedEvidence(p, q, iso.to_json_dict())
-                return out
-    return out
-
-
-def _merge_sweep(report: CertReport, sweep: _Sweep) -> CertReport:
-    report.nondegeneracy.update(sweep.nondeg)
-    report.profiles = report.profiles + tuple(sweep.profiles)
-    report.iso_checks = report.iso_checks + tuple(sweep.iso)
-    if not sweep.ok:
-        report.status = sweep.status
-        report.detail = sweep.detail
-        report.refuted = sweep.refuted
-    return report
+        builds[counts] = res.algebra
+        report.profiles += (ProfileEvidence(counts, res.algebra.sizes, "ok"),)
+    for p, q in itertools.combinations(builds, 2):
+        iso = find_isomorphism(builds[p], builds[q])
+        report.iso_checks += (IsoCheck(p, q, iso is not None),)
+        if iso is not None:
+            assert iso.is_homomorphism() and iso.is_bijective()
+            report.refuted = RefutedEvidence(p, q, iso.to_json_dict())
+            return _settle(
+                report,
+                REFUTED,
+                f"free algebras of '{variety.name}' on [{p}] and [{q}] are isomorphic",
+            )
+    return True
 
 
 def certify_empty_theory(v: VarietyDef) -> CertReport:
@@ -304,13 +284,8 @@ def certify_fujiwara(
             "transports any isomorphism of the parent's free algebras to it"
         ),
     )
-    sweep = _sweep(
-        delta,
-        _grid_profiles(len(v.sig.sorts), rank),
-        range(len(v.sig.sorts)),
-        budget,
-    )
-    return _merge_sweep(report, sweep)
+    _sweep(report, delta, _grid_profiles(len(v.sig.sorts), rank), range(len(v.sig.sorts)), budget)
+    return report
 
 
 def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = None) -> CertReport:
@@ -341,16 +316,8 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
     for s in sig.sorts:
         w = resolved[s.id]
         delta = v.extended(w.extra_axioms, f"{v.name}#{s.name}")
-        sweep = _sweep(
-            delta,
-            _axis_profiles(len(sig.sorts), s.id, w.rank),
-            [s.id],
-            budget,
-            compare=lambda p, q, i=s.id: p[i] != q[i],
-        )
-        report = _merge_sweep(report, sweep)
-        if not sweep.ok:
-            return report
+        if not _sweep(report, delta, _axis_profiles(len(sig.sorts), s.id, w.rank), [s.id], budget):
+            break
     return report
 
 
@@ -404,9 +371,7 @@ def certify_action_split(
                 f"(consequence check: {verdict})"
             )
             return report
-    sweep1 = _sweep(witness1, _axis_profiles(1, 0, cert.sort1_rank), [0], budget)
-    report = _merge_sweep(report, sweep1)
-    if not sweep1.ok:
+    if not _sweep(report, witness1, _axis_profiles(1, 0, cert.sort1_rank), [0], budget):
         return report
 
     # sort-2 leg: extend v with the trivial-action identity for the declared
@@ -449,8 +414,6 @@ def certify_action_split(
     # action, must satisfy the whole trivial-action extension.
     h1 = cert.sample_h1
     if h1 is None:
-        from .finalg import one_element_algebra
-
         h1 = one_element_algebra(sub1)
     for n in range(cert.sort2_rank + 1):
         prof = GeneratorProfile.from_counts(sub2, {sub2.sorts[0].name: n})
@@ -471,9 +434,7 @@ def certify_action_split(
             )
             return report
 
-    sweep2 = _sweep(witness2, _axis_profiles(1, 0, cert.sort2_rank), [0], budget)
-    report = _merge_sweep(report, sweep2)
-    if not sweep2.ok:
+    if not _sweep(report, witness2, _axis_profiles(1, 0, cert.sort2_rank), [0], budget):
         return report
 
     report.assumptions = (
@@ -495,19 +456,9 @@ def run_certificate(v: VarietyDef, cert, budget: Budget | None = None, rank_cap:
     if isinstance(cert, FujiwaraCert):
         return certify_fujiwara(v, cert.extra_axioms, cap(cert.rank), budget)
     if isinstance(cert, PerSortCert):
-        capped = {
-            k: PerSortWitness(w.extra_axioms, cap(w.rank)) for k, w in cert.witnesses.items()
-        }
+        capped = {k: replace(w, rank=cap(w.rank)) for k, w in cert.witnesses.items()}
         return certify_per_sort(v, capped, budget)
     if isinstance(cert, ActionSplitCert):
-        capped = ActionSplitCert(
-            s_var=cert.s_var,
-            s_term=cert.s_term,
-            sort1_axioms=cert.sort1_axioms,
-            sort1_rank=cap(cert.sort1_rank),
-            sort2_axioms=cert.sort2_axioms,
-            sort2_rank=cap(cert.sort2_rank),
-            sample_h1=cert.sample_h1,
-        )
+        capped = replace(cert, sort1_rank=cap(cert.sort1_rank), sort2_rank=cap(cert.sort2_rank))
         return certify_action_split(v, capped, budget)
     raise CertificateError(f"unknown certificate type {type(cert).__name__}")

@@ -15,13 +15,15 @@ not finitely presentable at desk scale.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .certify import CertReport, run_certificate
+from .certify import run_certificate
+from .dfunctor import hom_from_gen_images
 from .egraph import Budget, BudgetExceeded, VarietyDef, build_free_algebra
-from .files import load_certificate, parse_certificate_document, parse_variety_document
-from .finalg import FiniteAlgebra, find_isomorphism, satisfies_all
+from .files import parse_certificate_document, parse_variety_document
+from .finalg import FiniteAlgebra, find_isomorphism
 from .terms import GeneratorProfile, term_profile_iso
 
 INFINITE = "infinite"
@@ -412,8 +414,6 @@ def setcoup_swap_demo(budget: Budget | None = None, max_count: int = 3) -> SwapR
     # a morphism F(A) -> F(C) is determined by a pair of generator-index
     # maps; the functor exchanges the two components and materializes on
     # the swapped objects
-    from .dfunctor import hom_from_gen_images
-
     def materialize(a, c, fa, fb):
         src, dst = frees[a], frees[c]
         images = {}
@@ -439,12 +439,10 @@ def setcoup_swap_demo(budget: Budget | None = None, max_count: int = 3) -> SwapR
         return materialize(swap(a), swap(c), fb, fa), swap(a), swap(c)
 
     def index_maps(a, c):
-        import itertools as it
-
         k, l = a
         p, r = c
-        for fa in it.product(range(p), repeat=k):
-            for fb in it.product(range(r), repeat=l):
+        for fa in itertools.product(range(p), repeat=k):
+            for fb in itertools.product(range(r), repeat=l):
                 yield (fa, fb)
 
     morphisms_checked = 0

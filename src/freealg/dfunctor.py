@@ -160,16 +160,6 @@ class DFunctor:
         return out
 
 
-def induced_morphism(
-    pair: SubvarietyPair,
-    src: GeneratorProfile,
-    dst: GeneratorProfile,
-    phi: MorphismTable,
-    budget: Budget | None = None,
-) -> MorphismTable:
-    return DFunctor(pair, budget).morphism(src, dst, phi)
-
-
 @dataclass
 class FunctorialityReport:
     profiles: tuple[tuple[int, ...], ...]

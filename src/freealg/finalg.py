@@ -30,13 +30,6 @@ class EmptyCarrier(AlgebraError):
     pass
 
 
-class NotACongruence(AlgebraError):
-    def __init__(self, op_name: str, tuples):
-        super().__init__(f"partition is not compatible with '{op_name}' at {tuples}")
-        self.op_name = op_name
-        self.tuples = tuples
-
-
 class FiniteAlgebra:
     def __init__(self, sig: Signature, sizes: tuple[int, ...], tables: dict[int, dict[tuple, int]]):
         self.sig = sig
@@ -326,81 +319,6 @@ class MorphismTable:
 
     def __repr__(self) -> str:
         return f"MorphismTable({self.maps})"
-
-
-class CongruenceTable:
-    """Per-sort partition of a finite algebra's carriers.
-
-    blocks[s][e] is the block index of element e of sort s; block indices
-    are dense 0..nblocks-1 per sort.
-    """
-
-    def __init__(self, alg: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...]):
-        self.alg = alg
-        self.blocks = tuple(tuple(b) for b in blocks)
-        self.nblocks = []
-        for s in alg.sig.sorts:
-            col = self.blocks[s.id]
-            if len(col) != alg.sizes[s.id]:
-                raise AlgebraError(f"partition for sort '{s.name}' has the wrong length")
-            k = len(set(col))
-            if col and (min(col) != 0 or max(col) != k - 1):
-                raise AlgebraError(f"block indices for sort '{s.name}' are not dense")
-            self.nblocks.append(k)
-
-    @classmethod
-    def identity(cls, alg: FiniteAlgebra) -> "CongruenceTable":
-        return cls(alg, tuple(tuple(range(n)) for n in alg.sizes))
-
-    @classmethod
-    def full(cls, alg: FiniteAlgebra) -> "CongruenceTable":
-        return cls(alg, tuple(tuple(0 for _ in range(n)) for n in alg.sizes))
-
-    @classmethod
-    def kernel(cls, phi: MorphismTable) -> "CongruenceTable":
-        blocks = []
-        for s, m in enumerate(phi.maps):
-            relabel: dict[int, int] = {}
-            col = []
-            for v in m:
-                if v not in relabel:
-                    relabel[v] = len(relabel)
-                col.append(relabel[v])
-            blocks.append(tuple(col))
-        return cls(phi.source, tuple(blocks))
-
-    def violation(self):
-        """None if compatible with every op, else (op, arg tuple pair)."""
-        for op in self.alg.sig.ops:
-            seen: dict[tuple, tuple] = {}
-            for args, res in self.alg.tables[op.id].items():
-                key = tuple(self.blocks[s][a] for a, s in zip(args, op.arg_sorts))
-                prev = seen.get(key)
-                if prev is None:
-                    seen[key] = (args, res)
-                elif self.blocks[op.result_sort][prev[1]] != self.blocks[op.result_sort][res]:
-                    return (op, (prev[0], args))
-        return None
-
-
-def quotient(alg: FiniteAlgebra, cong: CongruenceTable):
-    """Quotient algebra plus the natural projection onto it."""
-    if cong.alg is not alg:
-        raise AlgebraError("congruence belongs to a different algebra")
-    bad = cong.violation()
-    if bad is not None:
-        raise NotACongruence(bad[0].name, bad[1])
-    sizes = tuple(cong.nblocks)
-    tables: dict[int, dict[tuple, int]] = {}
-    for op in alg.sig.ops:
-        table: dict[tuple, int] = {}
-        for args, res in alg.tables[op.id].items():
-            key = tuple(cong.blocks[s][a] for a, s in zip(args, op.arg_sorts))
-            table[key] = cong.blocks[op.result_sort][res]
-        tables[op.id] = table
-    q = FiniteAlgebra(alg.sig, sizes, tables)
-    proj = MorphismTable(alg, q, cong.blocks)
-    return q, proj
 
 
 def _close(

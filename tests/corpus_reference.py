@@ -5,7 +5,8 @@
 writes ``tests/corpus_reference.json``: for every finite ``expected`` row
 of the corpus, the sizes, generator images, representatives and op tables
 of its free algebra, and for every ``INFINITE`` row, built under the
-entry's ``infinite_budget``, the ``(limit, classes, rounds)`` of its trip.
+entry's ``infinite_budget``, the ``(limit, classes, rounds)`` of its trip;
+and for every entry, the JSON report of its certificate.
 ``test_corpus_reference.py`` compares the engine against that file.
 Rewrite it only for a change that is meant to alter results, and review
 the diff.
@@ -16,7 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from freealg.corpus import ENTRIES, INFINITE, load_entry_variety
+from freealg.certify import run_certificate
+from freealg.corpus import ENTRIES, INFINITE, load_entry, load_entry_variety
 from freealg.egraph import BudgetExceeded, build_free_algebra
 from freealg.terms import GeneratorProfile
 
@@ -51,8 +53,18 @@ def row_result(name: str, counts, infinite: bool) -> dict:
     }
 
 
+def certificate_label(name: str) -> str:
+    return f"{name} certificate"
+
+
+def certificate_result(name: str) -> dict:
+    """The entry's certificate report, as JSON would carry it."""
+    return json.loads(json.dumps(run_certificate(*load_entry(name)).to_json_dict()))
+
+
 def main() -> None:
     data = {label: row_result(name, counts, inf) for label, name, counts, inf in rows()}
+    data.update((certificate_label(name), certificate_result(name)) for name in ENTRIES)
     REFERENCE.write_text(json.dumps(data, indent=0, sort_keys=True) + "\n")
     print(f"wrote {REFERENCE} ({len(data)} rows)")
 

@@ -7,6 +7,7 @@ from freealg.certify import (
     CERTIFIED,
     CERTIFIED_CONDITIONAL,
     NOT_APPLICABLE,
+    REFUTED,
     UNKNOWN,
     ActionSplitCert,
     CertificateError,
@@ -18,11 +19,11 @@ from freealg.certify import (
     certify_per_sort,
     run_certificate,
 )
-from freealg.corpus import load_entry, load_entry_variety
+from freealg.corpus import load_entry
 from freealg.egraph import Budget, build_free_algebra
-from freealg.finalg import find_isomorphism
+from freealg.finalg import MorphismTable, find_isomorphism
 from freealg.signature import classify_action_signature, restrict_to_part
-from freealg.terms import GeneratorProfile, SortedVar, parse_term
+from freealg.terms import GeneratorProfile
 
 
 def test_empty_theory_routes(sets_variety, graphs_variety):
@@ -105,6 +106,22 @@ def test_fujiwara_budget_unknown():
     )
     report = certify_fujiwara(semigroups, [], 2, Budget(max_classes=300, max_rounds=6))
     assert report.status == UNKNOWN
+    # the watched two-generator run trips first, so nothing is built
+    assert report.nondegeneracy == {"elem": "unknown"}
+    assert "undecided" in report.detail
+    assert report.profiles == () and report.iso_checks == ()
+
+
+def test_fujiwara_sweep_build_budget_unknown(boolean_groups):
+    # the witness is nondegenerate within the budget, but its free algebra
+    # on three generators is not; the sweep stops there, before any iso check
+    report = certify_fujiwara(boolean_groups, [], 3, Budget(max_classes=100))
+    assert report.status == UNKNOWN
+    assert report.nondegeneracy == {"elem": "nondegenerate"}
+    assert [p.counts for p in report.profiles] == [(0,), (1,), (2,), (3,)]
+    assert report.profiles[-1].status == "budget"
+    assert report.profiles[-1].sizes is None
+    assert report.iso_checks == ()
 
 
 def test_fujiwara_rank_monotone(boolean_groups):
@@ -160,6 +177,16 @@ def test_per_sort_semigroup_actions():
     assert report.status == CERTIFIED
     assert report.rank == 2
     assert report.nondegeneracy == {"s": "nondegenerate", "el": "nondegenerate"}
+    # each sort's sweep compares every pair on its own axis, and only those
+    pairs = [(c.left, c.right) for c in report.iso_checks]
+    assert pairs == [
+        ((0, 0), (1, 0)),
+        ((0, 0), (2, 0)),
+        ((1, 0), (2, 0)),
+        ((0, 0), (0, 1)),
+        ((0, 0), (0, 2)),
+        ((0, 1), (0, 2)),
+    ]
 
 
 def test_per_sort_missing_witness(graphs_variety):
@@ -256,6 +283,21 @@ def test_refuted_evidence_shape(boolean_groups):
     data = ev.to_json_dict()
     assert data["left"] == [1] and data["right"] == [2]
     assert data["isomorphism"] == {"elem": [0, 1]}
+
+
+def test_sweep_stops_at_the_first_isomorphism(boolean_groups, monkeypatch):
+    # no honest route finds an isomorphism between free algebras on
+    # different profiles; a search that always answers reaches the branch
+    monkeypatch.setattr(
+        "freealg.certify.find_isomorphism", lambda a, b: MorphismTable.identity(a)
+    )
+    report = certify_fujiwara(boolean_groups, [], 2)
+    assert report.status == REFUTED
+    assert (report.refuted.left, report.refuted.right) == ((0,), (1,))
+    assert [(c.left, c.right, c.isomorphic) for c in report.iso_checks] == [((0,), (1,), True)]
+    data = report.to_json_dict()["refuted"]
+    assert data["left"] == [0] and data["right"] == [1]
+    assert "isomorphism" in data
 
 
 def test_report_json_shape(boolean_groups):

@@ -11,10 +11,9 @@ from freealg.dfunctor import (
     check_functoriality,
     enumerate_homs,
     hom_from_gen_images,
-    induced_morphism,
     natural_epimorphism,
 )
-from freealg.egraph import Budget, VarietyDef, build_free_algebra
+from freealg.egraph import VarietyDef
 from freealg.finalg import MorphismTable, eval_term
 from freealg.terms import GeneratorProfile, arena_of, term_key
 
@@ -214,12 +213,3 @@ def test_functoriality_boolean_exhaustive(boolean_groups):
             for b in ((1,), (2,))
             for c in ((1,), (2,))
         )
-
-
-def test_induced_morphism_module_function(band_pair, bands):
-    two = prof(bands, 2)
-    functor = DFunctor(band_pair)
-    epi = functor.epi(two)
-    phi = MorphismTable.identity(epi.theta_free.algebra)
-    out = induced_morphism(band_pair, two, two, phi)
-    assert out.maps == MorphismTable.identity(epi.delta_free.algebra).maps

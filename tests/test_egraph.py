@@ -154,8 +154,8 @@ INDEX_CASES = [
     ids=[f"{n}-{','.join(map(str, c))}" for n, c, _ in INDEX_CASES],
 )
 def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts, budget):
-    # rebuild skips its scan when nothing changed since the last one, so
-    # after every call its indexes must still equal a scan of key2class
+    # rebuild repairs its indexes in place rather than rescanning, so after
+    # every call they must equal a fresh scan of key2class
     rebuild = SaturationState.rebuild
     checked = []
 

@@ -10,16 +10,13 @@ from freealg.corpus import load_entry_variety
 from freealg.egraph import build_free_algebra
 from freealg.finalg import (
     AlgebraError,
-    CongruenceTable,
     Counterexample,
     FiniteAlgebra,
     MorphismTable,
-    NotACongruence,
     assemble_trivial_action,
     eval_term,
     find_isomorphism,
     one_element_algebra,
-    quotient,
     satisfies_all,
     satisfies_identity,
 )
@@ -232,61 +229,6 @@ def test_iso_search_respects_sorts(graphs_variety):
     assert iso.maps[sig.sort_named("vertex").id] == (1, 0)
     c = FiniteAlgebra.make(sig, {"edge": 1, "vertex": 2}, {"h": lambda e: 0, "t": lambda e: 0})
     assert find_isomorphism(a, c) is None
-
-
-# quotients -----------------------------------------------------------------
-
-
-def test_quotient_by_identity_is_isomorphic(boolean_groups):
-    z4 = cyclic_group(boolean_groups.sig, 4)
-    q, proj = quotient(z4, CongruenceTable.identity(z4))
-    assert q.sizes == z4.sizes
-    assert proj.is_bijective()
-    assert find_isomorphism(z4, q) is not None
-
-
-def test_quotient_by_full_collapses(boolean_groups):
-    z4 = cyclic_group(boolean_groups.sig, 4)
-    q, proj = quotient(z4, CongruenceTable.full(z4))
-    assert all(s in (0, 1) for s in q.sizes)
-    assert proj.is_surjective()
-
-
-def test_quotient_z4_mod_two(boolean_groups):
-    z4 = cyclic_group(boolean_groups.sig, 4)
-    cong = CongruenceTable(z4, ((0, 1, 0, 1),))
-    q, proj = quotient(z4, cong)
-    z2 = cyclic_group(boolean_groups.sig, 2)
-    assert q.sizes == (2,)
-    assert q.tables == z2.tables
-    assert proj.is_homomorphism()
-
-
-def test_quotient_rejects_non_congruence(boolean_groups):
-    z4 = cyclic_group(boolean_groups.sig, 4)
-    bad = CongruenceTable(z4, ((0, 0, 1, 1),))
-    with pytest.raises(NotACongruence) as e:
-        quotient(z4, bad)
-    assert e.value.op_name in ("mul", "inv")
-
-
-def test_kernel_factoring(boolean_groups):
-    # a morphism compatible with congruences factors through the quotients
-    z4 = cyclic_group(boolean_groups.sig, 4)
-    z2 = cyclic_group(boolean_groups.sig, 2)
-    phi = MorphismTable(z4, z2, ((0, 1, 0, 1),))
-    assert phi.is_homomorphism()
-    u = CongruenceTable.kernel(phi)
-    q, proj = quotient(z4, u)
-    # psi with psi . proj == phi
-    psi_maps = [None] * 2
-    col = [None] * q.sizes[0]
-    for e in range(4):
-        col[proj(0, e)] = phi(0, e)
-    psi = MorphismTable(q, z2, (tuple(col),))
-    assert psi.is_homomorphism()
-    for e in range(4):
-        assert psi(0, proj(0, e)) == phi(0, e)
 
 
 # trivial-action assembly ----------------------------------------------------
