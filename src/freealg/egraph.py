@@ -4,28 +4,27 @@ The engine maintains e-classes of terms over a generator profile.  Each
 round first applies every operation to every tuple of existing classes
 (GROW), then repeatedly matches axiom patterns against the classes and
 merges the paired instances until quiet (MATCH).  An instance builds its
-other side with ``_build``; when the outer node of that side is missing,
-it goes straight into the matched class, a merge without a class that
-would be merged away at once.  Before each axiom is matched, ``rebuild``
-restores congruence closure from a worklist (CLOSE): only the classes
-merged since the last rebuild are repaired, by putting the keys in their
-use lists back in canonical form and merging the classes of keys that
-then coincide.  Keys are indexed as they enter the hash-cons table, so
-the match indexes need no scan either.  A round that creates no nodes
-and merges nothing witnesses saturation: the quotient is closed under all
+other side by hash-cons lookups; when the outer node of that side is
+missing, it goes straight into the matched class, a merge without a class
+that would be merged away at once.  Before each axiom is matched,
+``rebuild`` restores congruence closure from a worklist (CLOSE): only the
+classes merged since the last rebuild are repaired, by putting the keys in
+their use lists back in canonical form and merging the classes of keys
+that then coincide.  Keys are indexed as they enter the hash-cons table, so
+the match indexes need no scan either.  A round that creates no nodes and
+merges nothing witnesses saturation: the quotient is closed under all
 operations, satisfies all axioms, and is exactly the congruence generated
 by the axiom instances, i.e. the free algebra on the profile.  Nodes are
-only ever created by ``_node``, and representatives are extracted once,
+only ever created by ``_make``, and representatives are extracted once,
 when the saturated state is frozen.
 
 MATCH is relational and semi-naive (Zhang et al., "Relational E-Matching",
 POPL 2022).  The hash-cons table is the relation: each canonical key
 ``(op, children...)`` with its class is one tuple of that op's table.
-Each axiom's matched side is compiled once into a conjunctive query, one
-atom per operation node over integer slots, and its other side into a
-slot-indexed build plan.  Every key carries a stamp: the generation (the
-count of rebuilds) closed after its canonical form or its class's root
-last changed, so a query
+Each axiom's matched side is a conjunctive query, one atom per operation
+node over integer slots, and its other side a slot-indexed build plan.
+Every key carries a stamp: the generation (the count of rebuilds) closed
+after its canonical form or its class's root last changed, so a query
 joins only from the keys stamped after its own last pass: the first new
 atom is the seed, the atoms before it must be old, and the join extends up
 through the use lists and down through ``class_nodes``.  A match made of
@@ -33,12 +32,20 @@ old keys alone existed at the last pass and was instantiated then.
 Queries whose other side has a variable the matched side lacks, and
 bare-variable patterns, join in full on every pass.
 
+Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
+Scholz and Subotić, CAV 2016), into the Python source of one match kernel
+that runs the join as nested loops and builds every instance in
+straight-line code (see ``_Query``).  The source holds only op ids, sort
+ids and slot numbers, and kernels are cached by source, so every axiom
+shape is compiled once per process.
+
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import itemgetter
 from dataclasses import dataclass, field
@@ -161,10 +168,6 @@ class _Tripped(Exception):
         self.limit = limit
 
 
-_NEW, _OLD, _ANY = 1, -1, 0  # how a join step filters atoms by stamp
-_SEED, _DOWN, _UP = 0, 1, 2  # where a join step takes its candidate keys
-
-
 def _plan(t: Term, slot_of: dict[SortedVar, int], base: int, steps: list) -> int:
     """Compile a term into the steps that build its class from slot values.
 
@@ -180,45 +183,87 @@ def _plan(t: Term, slot_of: dict[SortedVar, int], base: int, steps: list) -> int
     return steps[-1][3]
 
 
+_NEST = 16  # join loops per generated function; CPython nests at most 20 blocks
+_compiled = itertools.count()  # numbers each kernel's file name, for profiles
+
+
+@functools.cache
+def _compile(source: str):
+    """The kernel that ``source`` defines.  Axioms of one shape over the
+    same op and sort ids share a source, so each shape compiles once."""
+    namespace = {"product": itertools.product, "_Tripped": _Tripped}
+    exec(compile(source, f"<match kernel {next(_compiled)}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _root(x: str) -> str:
+    """Source for the root of class ``x``: ``find`` without a call when
+    ``x`` is a root already, as most classes are."""
+    return f"({x} if parent[{x}] == {x} else find({x}))"
+
+
+def _names(slots) -> str:
+    return ", ".join(f"v{s}" for s in slots)
+
+
 class _Query:
-    """One axiom, compiled for semi-naive matching.
+    """One axiom, compiled into a match kernel.
 
     The matched side is a conjunctive query over the per-op tables: one
     atom ``(op, out, args)`` per operation node, over integer slots that
-    hold classes, one slot per operation node and one per variable.  For
-    each atom as the delta (seed) atom, ``plans`` holds a join order that
-    reaches every other atom from it: down from a bound out slot through
-    ``class_nodes``, or up from a bound argument slot through the use
-    lists.  Each step is ``(op, source, from slot, age, out, fields)``,
-    where a field ``(key position, slot, check)`` either checks a bound
-    slot against the key or binds it.  The other side is a build plan
-    (see ``_plan``) over the same slots, plus one slot per variable the
-    matched side lacks, which ``missing`` fills from every class of its
-    sort.  ``seen`` is the rebuild generation the query last matched at.
+    hold classes, one slot per operation node and one per variable.  The
+    other side is a build plan (see ``_plan``) over the same slots, plus
+    one slot per variable the matched side lacks.  Both become the Python
+    source of one function, ``kernel(state, since, max_classes, pools)``,
+    that makes a whole pass of the axiom:
+
+    * The join.  For each atom as the seed, nested loops bind every atom,
+      breadth first from it: the seed's loop runs over its op's keys, and
+      each further loop runs down from a bound out slot through
+      ``class_nodes`` or up from a bound argument slot through the use
+      lists.  The seed takes only keys stamped after ``since``, the atoms
+      before it only older keys and the atoms after it any key, so each
+      match comes from exactly one seed; with ``since`` at -1 every key is
+      new, and seed 0 alone finds every match.  The matches are collected,
+      as tuples of the slots the instances read, before the first instance
+      builds, so no index changes while a loop reads it.
+    * The instances.  Each match, with each combination of classes from
+      ``pools`` for the missing variables, is one instance: the kernel
+      looks the other side's nodes up in the hash-cons table, has
+      ``_make`` enter a missing one, and unions the result with the matched
+      class; a missing outer node goes straight into the matched class.
+
+    Only op ids, sort ids and slot numbers enter the source, so no name
+    from a definition file reaches it, and axioms of one shape share a
+    kernel.  A bare-variable pattern has no atom: its matches are the
+    classes of its sort, the first of ``pools``.  ``pools`` holds the sorts
+    whose classes ``match_pass`` passes; ``full`` queries, which a stamp
+    cannot filter, join in full on every pass; ``seen`` is the rebuild
+    generation the query last matched at.
     """
 
     def __init__(self, pat: Term, other: Term, declared):
         slot_of: dict[SortedVar, int] = {}
         atoms: list = []
         slots = itertools.count()
-        self.sort = pat.sort
-        self.root = self._atoms(pat, slot_of, atoms, slots)
+        root = self._atoms(pat, slot_of, atoms, slots)
         width = next(slots)
-        self.missing = []
+        ranged = [] if atoms else [root]  # slots that range over a pool
+        self.pools = [] if atoms else [pat.sort]
         for v in declared:
             if v not in slot_of:
                 slot_of[v] = width
-                self.missing.append((width, v.sort))
+                ranged.append(width)
+                self.pools.append(v.sort)
                 width += 1
-        build: list = []
-        self.other = _plan(other, slot_of, width, build)
-        self.build = tuple(build)
-        self.width = width + len(build)
-        self.plans = [self._join_order(atoms, i) for i in range(len(atoms))]
+        steps: list = []
+        top = _plan(other, slot_of, width, steps)
         # a bare-variable pattern has no atom to take a delta from, and a
         # missing variable ranges over classes that no stamp tracks
-        self.full = not atoms or bool(self.missing)
+        self.full = bool(ranged)
         self.seen = -1
+        self.source = self._source(atoms, root, ranged, steps, top)
+        self.kernel = _compile(self.source)
 
     @staticmethod
     def _atoms(t: Term, slot_of: dict, atoms: list, slots) -> int:
@@ -234,10 +279,80 @@ class _Query:
         atoms[i] = (t.op.id, out, args)
         return out
 
+    def _source(self, atoms, root: int, ranged, steps, top: int) -> str:
+        """The kernel's source: the joins, then the instance loop."""
+        built = {out for *_, out in steps}
+        reads = {a for _, args, _, _ in steps for a in args} | {top, root}
+        # the matched slots that an instance reads: each match keeps these
+        keep = sorted(s for s in reads if s not in built and s not in ranged)
+        lines = ["def kernel(state, since, max_classes, pools):"]
+        helpers: list[str] = []
+        body = ["table = state.key2class"]
+        if atoms:
+            body += [
+                "stamp = state._stamp",
+                "by_op = state._by_op",
+                "nodes = state.class_nodes",
+                "uses = state._uses",
+                "found = []",
+                "add = found.append",
+            ]
+            emit = f"add(({_names(keep)}))" if len(keep) > 1 else f"add(v{keep[0]})"
+            for seed in range(1 if self.full else len(atoms)):
+                join = self._nest(self._join_order(atoms, seed), set(), emit, helpers)
+                if seed == 1:
+                    body.append("if since >= 0:")
+                body += join if seed == 0 else ["    " + line for line in join]
+        body += [
+            "parent = state.parent",
+            "find = state.find",
+            "make = state._make",
+            "union = state._union",
+            "n = 0",
+        ]
+        loops = []
+        if atoms:
+            loops.append(f"for {_names(keep)} in found:")
+        if len(ranged) == 1:
+            loops.append(f"for v{ranged[0]} in pools[0]:")
+        elif ranged:
+            loops.append(f"for {_names(ranged)} in product(*pools):")
+        inner = ["n += 1", *self._build_lines(steps, top, root, built)]
+        inner += [
+            "if state.n_live > max_classes:",
+            "    state.instances += n",
+            "    raise _Tripped('classes')",
+        ]
+        for depth, loop in enumerate(loops):
+            body.append("    " * depth + loop)
+        body += ["    " * len(loops) + line for line in inner]
+        body.append("state.instances += n")
+        lines += ["    " + line for line in body]
+        return "\n".join(lines + helpers) + "\n"
+
     @staticmethod
-    def _join_order(atoms, seed: int) -> tuple:
-        """Steps that bind every atom, breadth first from the seed atom;
-        atoms before the seed must be old, so no match is found twice."""
+    def _build_lines(steps, top: int, root: int, built) -> list[str]:
+        """Build the other side and union it with the matched class."""
+        if not steps:
+            return [f"union(v{root}, v{top})"]
+        lines = []
+        for op, args, sort, out in steps:
+            key = [str(op)] + [f"v{a}" if a in built else _root(f"v{a}") for a in args]
+            lines += [f"k = ({', '.join(key)}{',' if not args else ''})", "c = table.get(k)"]
+            if out != top:
+                lines.append(f"v{out} = make(k, {sort}) if c is None else {_root('c')}")
+        return lines + [
+            "if c is None:",
+            f"    make(k, {steps[-1][2]}, v{root})",
+            f"elif {_root('c')} != {_root(f'v{root}')}:",
+            f"    union(v{root}, c)",
+        ]
+
+    @staticmethod
+    def _join_order(atoms, seed: int) -> list[tuple[str, list[str], set]]:
+        """One loop per atom, breadth first from the seed atom: its header,
+        the lines of its body and the slots it binds.  Atoms before the
+        seed must be old, so no match is found twice."""
         parent_of = {
             j: p
             for p, (_, _, args) in enumerate(atoms)
@@ -245,32 +360,68 @@ class _Query:
             if out in args
         }
         bound: set[int] = set()
+        levels = []
 
-        def step(j: int, source: int, src: int | None) -> tuple:
+        def level(j: int, header: str, down: bool):
             op, out, args = atoms[j]
-            age = _NEW if j == seed else _OLD if j < seed else _ANY
-            fields = []
-            bound.add(out)
+            k = f"k{j}"
+            # the seed's loop runs over its op's keys alone
+            checks = [f"stamp[{k}] <= since"] if j == seed else [f"{k}[0] != {op}"]
+            if j < seed:
+                checks.append(f"stamp[{k}] > since")
+            binds, mine = [], {}
             for pos, slot in enumerate(args, 1):
-                fields.append((pos, slot, slot in bound))
-                bound.add(slot)
-            return (op, source, src, age, out, tuple(fields))
+                if slot in mine:
+                    checks.append(f"{k}[{pos}] != {k}[{mine[slot]}]")
+                elif slot in bound:
+                    checks.append(f"{k}[{pos}] != v{slot}")
+                else:
+                    binds.append(f"v{slot} = {k}[{pos}]")
+                    mine[slot] = pos
+            if not down:
+                binds.append(f"v{out} = table[{k}]")
+            bound.update(mine, (out,))
+            body = [f"if {' or '.join(checks)}:", "    continue"] if checks else []
+            levels.append((f"for {k} in {header}:", body + binds, set(mine) | {out}))
 
-        steps = [step(seed, _SEED, None)]
+        level(seed, f"by_op[{atoms[seed][0]}]", False)
         queue, done = [seed], {seed}
         while queue:
             a = queue.pop(0)
             for j in range(len(atoms)):
                 if j not in done and parent_of.get(j) == a:
-                    steps.append(step(j, _DOWN, atoms[j][1]))
+                    # the parent bound this atom's out slot to a root,
+                    # and every key of class_nodes[root] maps to root
+                    level(j, f"nodes.get(v{atoms[j][1]}, ())", True)
                     done.add(j)
                     queue.append(j)
             p = parent_of.get(a)
             if p is not None and p not in done:
-                steps.append(step(p, _UP, atoms[a][1]))
+                level(p, f"uses.get(v{atoms[a][1]}, ())", False)
                 done.add(p)
                 queue.append(p)
-        return tuple(steps)
+        return levels
+
+    @staticmethod
+    def _nest(levels, bound: set, emit: str, helpers: list) -> list[str]:
+        """Nest the levels' loops around ``emit``; past ``_NEST`` loops the
+        rest goes into a helper function that ``helpers`` collects."""
+        lines = []
+        for depth, (header, body, binds) in enumerate(levels[:_NEST]):
+            lines.append("    " * depth + header)
+            lines += ["    " * (depth + 1) + line for line in body]
+            bound = bound | binds
+        depth = min(len(levels), _NEST)
+        if len(levels) <= _NEST:
+            lines.append("    " * depth + emit)
+            return lines
+        i = len(helpers)
+        helpers.append("")  # this helper's place, ahead of those it calls
+        params = f"since, table, stamp, nodes, uses, add, {_names(sorted(bound))}"
+        lines.append("    " * depth + f"join{i}({params})")
+        inner = _Query._nest(levels[_NEST:], bound, emit, helpers)
+        helpers[i] = "\n".join([f"def join{i}({params}):"] + ["    " + line for line in inner])
+        return lines
 
 
 class SaturationState:
@@ -345,18 +496,20 @@ class SaturationState:
 
     # nodes ----------------------------------------------------------------
 
-    def _node(self, op_id: int, children, result_sort: int, into: int | None = None) -> int:
-        """The class of the node ``op_id(children)``, made if it is missing.
-
-        A missing node goes into a new class, or straight into class
-        ``into`` when given, which counts as a merge.
-        """
+    def _node(self, op_id: int, children, result_sort: int) -> int:
+        """The class of the node ``op_id(children)``, made if it is missing."""
         key = (op_id, *map(self.find, children))
         cls = self.key2class.get(key)
         if cls is not None:
             return self.find(cls)
+        return self._make(key, result_sort)
+
+    def _make(self, key: tuple, sort: int, into: int | None = None) -> int:
+        """Enter the missing canonical key into a new class of ``sort``, or
+        straight into class ``into`` when given, which counts as a merge;
+        returns its class.  Every node is made here."""
         if into is None:
-            cls = self._new_class(result_sort)
+            cls = self._new_class(sort)
         else:
             cls = self.find(into)
             self.merges_done += 1
@@ -364,25 +517,11 @@ class SaturationState:
         self.nodes_created += 1
         return cls
 
-    def _build(self, steps, root: int, vals: list[int], into: int | None = None) -> int:
-        """Run a plan from ``_plan`` on slot values; the class it builds.
-
-        With ``into``, the class the term is to join, a missing outer node
-        goes straight into that class instead of a new one that the caller
-        would merge away at once.
-        """
-        node, at = self._node, vals.__getitem__
-        for op_id, args, sort, out in steps:
-            vals[out] = node(op_id, map(at, args), sort, into if out == root else None)
-        return self.find(vals[root])
-
     def _resolve(self, t: Term) -> int:
         """The class of a term over the profile's generators."""
-        slot_of = {v: i for i, v in enumerate(self.gen_class)}
-        steps: list = []
-        root = _plan(t, slot_of, len(slot_of), steps)
-        vals = list(self.gen_class.values()) + [0] * len(steps)
-        return self._build(steps, root, vals)
+        if t.is_var():
+            return self.gen_class[t.var]
+        return self._node(t.op.id, [self._resolve(c) for c in t.children], t.op.result_sort)
 
     # congruence closure ----------------------------------------------------
 
@@ -475,62 +614,13 @@ class SaturationState:
                     raise _Tripped("classes")
         return self.nodes_created - created0
 
-    def _join(self, q: _Query, since: int) -> list[list[int]]:
-        """Slot values of every match of ``q`` with a key stamped after ``since``.
-
-        Seed atom i takes only new keys, atoms before it only old ones and
-        atoms after it any, so each match comes from exactly one seed.  With
-        ``since`` at −1 every key is new, and seed 0 alone finds every match.
-        """
-        if not q.plans:
-            return [[c] + [0] * (q.width - 1) for c in self.classes_of_sort(q.sort)]
-        vals = [0] * q.width
-        found: list[list[int]] = []
-        for steps in q.plans[: 1 if since < 0 else None]:
-            self._extend(steps, 0, vals, since, found)
-        return found
-
-    def _extend(self, steps, d: int, vals: list[int], since: int, found: list):
-        """Bind step d's atom to each key that fits, then the steps after it."""
-        if d == len(steps):
-            found.append(vals.copy())
-            return
-        op, source, src, age, out, fields = steps[d]
-        if source == _SEED:
-            keys = self._by_op[op]
-        else:
-            keys = (self.class_nodes if source == _DOWN else self._uses).get(vals[src], ())
-        stamp = self._stamp
-        for key in keys:
-            if key[0] != op or age and (stamp[key] > since) != (age == _NEW):
-                continue
-            for pos, slot, check in fields:
-                if not check:
-                    vals[slot] = key[pos]
-                elif vals[slot] != key[pos]:
-                    break
-            else:
-                vals[out] = self.key2class[key]
-                self._extend(steps, d + 1, vals, since, found)
-
-    def _instances(self, q: _Query, since: int):
-        """Slot values of each axiom instance from the matches after ``since``."""
-        pools = [self.classes_of_sort(sort) for _, sort in q.missing]
-        slots = [slot for slot, _ in q.missing]
-        for vals in self._join(q, since):
-            for combo in itertools.product(*pools):
-                for slot, c in zip(slots, combo):
-                    vals[slot] = c
-                yield vals
-
     def match_pass(self, budget: Budget) -> tuple[int, int]:
         """One pass over all axioms; returns (merges, nodes created).
 
-        Each query joins only from the keys stamped since it last matched:
-        a match of old keys alone was instantiated then, and its nodes and
-        merge persist.  A join collects all its matches before the first
-        instance builds, so no index changes while a join reads it.  An
-        outer node built straight into its matched class counts as a merge.
+        Each query's kernel joins only from the keys stamped since it last
+        matched: a match of old keys alone was instantiated then, and its
+        nodes and merge persist.  An outer node built straight into its
+        matched class counts as a merge.
         """
         merges = 0
         created0 = self.nodes_created
@@ -539,12 +629,7 @@ class SaturationState:
             since = -1 if q.full else q.seen
             q.seen = self.generation
             merges0 = self.merges_done
-            steps, other, root = q.build, q.other, q.root
-            for vals in self._instances(q, since):
-                self.instances += 1
-                self._union(vals[root], self._build(steps, other, vals, vals[root]))
-                if self.n_live > budget.max_classes:
-                    raise _Tripped("classes")
+            q.kernel(self, since, budget.max_classes, [self.classes_of_sort(s) for s in q.pools])
             merges += self.merges_done - merges0
         self.rebuild()
         return merges, self.nodes_created - created0

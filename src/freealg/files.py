@@ -35,7 +35,7 @@ from .certify import (
 )
 from .egraph import VarietyDef
 from .finalg import FiniteAlgebra
-from .sexpr import Atom, SList
+from .sexpr import SList
 from .signature import (
     NotActionSeparable,
     Signature,

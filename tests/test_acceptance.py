@@ -23,10 +23,10 @@ from freealg.certify import (
     certify_per_sort,
 )
 from freealg.cli import main
-from freealg.corpus import ENTRIES, INFINITE, load_entry, setcoup_swap_demo
+from freealg.corpus import ENTRIES, load_entry, setcoup_swap_demo
 from freealg.dfunctor import SubvarietyPair, check_functoriality
 from freealg.egraph import Budget, BudgetExceeded, build_free_algebra
-from freealg.finalg import MorphismTable, find_isomorphism
+from freealg.finalg import MorphismTable
 from freealg.terms import (
     GeneratorProfile,
     SortedVar,

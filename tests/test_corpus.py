@@ -11,7 +11,7 @@ from freealg.corpus import (
     run_entry,
     setcoup_swap_demo,
 )
-from freealg.files import parse_certificate_document, parse_variety_document, serialize_variety
+from freealg.files import parse_variety_document, serialize_variety
 from freealg.finalg import satisfies_all
 from freealg.terms import alpha_key
 

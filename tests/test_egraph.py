@@ -1,10 +1,12 @@
+import ast
+import gc
 import itertools
 import random
 
 import pytest
 
 from bruteforce import agrees_with_engine, bruteforce_free_algebra
-from conftest import GROUP_AXIOMS, GROUP_OPS, make_axioms, make_variety
+from conftest import make_axioms, make_variety
 from freealg.corpus import ENTRIES, INFINITE, entry_models, load_entry_variety
 from freealg.egraph import (
     GEN,
@@ -14,6 +16,7 @@ from freealg.egraph import (
     NONDEGENERATE,
     UNKNOWN,
     SaturationState,
+    _compile,
     build_free_algebra,
     is_consequence,
     nondegeneracy_check,
@@ -245,19 +248,22 @@ def _case_id(case):
 
 @pytest.mark.parametrize("name,counts,sizes", COMPLETENESS_CASES, ids=map(_case_id, COMPLETENESS_CASES))
 def test_semi_naive_matching_misses_nothing(monkeypatch, name, counts, sizes):
-    # a pass with no merge ends the match loop; a full join of every query
-    # must then find only instances that already hold and need no new node
+    # a pass with no merge ends the match loop; every query's kernel, run
+    # over all its matches, must then find only instances that already
+    # hold and need no new node
     match_pass = SaturationState.match_pass
     quiet = []
 
     def match_pass_and_check(state, budget):
         merges, created = match_pass(state, budget)
         if merges == 0:
-            nodes = state.nodes_created
+            before = (state.nodes_created, state.merges_done)
+            instances = state.instances
             for q in state._queries:
-                for vals in state._instances(q, -1):
-                    assert state.find(vals[q.root]) == state._build(q.build, q.other, vals)
-            assert state.nodes_created == nodes
+                pools = [state.classes_of_sort(s) for s in q.pools]
+                q.kernel(state, -1, budget.max_classes, pools)
+                assert (state.nodes_created, state.merges_done) == before
+            state.instances = instances
             quiet.append(state.round)
         return merges, created
 
@@ -291,6 +297,92 @@ def test_budget_trip_is_pinned(name, counts, limit, classes, rounds):
     res = build_free_algebra(v, profile_of(v, counts), ENTRIES[name].infinite_budget)
     assert isinstance(res, BudgetExceeded)
     assert (res.limit, res.classes, res.rounds) == (limit, classes, rounds)
+
+
+def test_kernels_compile_once_per_axiom_shape():
+    # every state compiles its axioms; a second build of the same variety
+    # must reuse each kernel rather than compile it again
+    v = load_entry_variety("boolean-groups")
+    build_free_algebra(v, profile_of(v, (2,)))
+    before = _compile.cache_info()
+    build_free_algebra(v, profile_of(v, (2,)))
+    after = _compile.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(v.axioms)
+
+
+def test_a_build_leaves_no_cyclic_garbage():
+    v = load_entry_variety("elem-abelian-3")
+    gc.collect()
+    gc.disable()
+    try:
+        res = build_free_algebra(v, profile_of(v, (3,)))
+        assert res.algebra.sizes == (27,)
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def named_groups(elem, mul, inv, e):
+    # groups of exponent 2 over the given sort and op names
+    return make_variety(
+        [elem],
+        [(mul, [elem, elem], elem), (inv, [elem], elem), (e, [], elem)],
+        "named-groups",
+        [
+            ([(x, elem) for x in xs], lhs, rhs)
+            for xs, lhs, rhs in [
+                ("xyz", f"({mul} ({mul} x y) z)", f"({mul} x ({mul} y z))"),
+                ("x", f"({mul} ({e}) x)", "x"),
+                ("x", f"({mul} x ({inv} x))", f"({e})"),
+                ("x", f"({mul} x x)", f"({e})"),
+            ]
+        ],
+    )
+
+
+def test_kernel_source_holds_no_name_from_the_variety():
+    plain = named_groups("elem", "mul", "inv", "e")
+    # names that collide with the kernels' own local names
+    clash = named_groups("state", "find", "table", "since")
+    results = [build_free_algebra(v, profile_of(v, (2,))) for v in (plain, clash)]
+    assert [r.algebra.sizes for r in results] == [(4,), (4,)]
+    assert results[0].algebra.tables == results[1].algebra.tables
+
+    def sources(v):
+        return [q.source for q in SaturationState(v, profile_of(v, (2,)))._queries]
+
+    names = {"elem", "mul", "inv", "e"}
+    for source in sources(plain):
+        words = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.arg):
+                words.add(node.arg)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words.add(node.value)
+        assert not words & names
+    # renaming every sort and op leaves every kernel as it was
+    assert sources(clash) == sources(plain)
+
+
+def test_patterns_deeper_than_one_generated_function():
+    # (f^40 x) = x: each of the 40 seeds' joins nests 40 loops, more than
+    # one function may hold, so it spans the kernel and two helpers
+    v = make_variety(
+        ["elem"],
+        [("f", ["elem"], "elem")],
+        "cycle-40",
+        [([("x", "elem")], "(f " * 40 + "x" + ")" * 40, "x")],
+    )
+    res = build_free_algebra(v, profile_of(v, (1,)))
+    assert res.algebra.sizes == (40,)
+    [q] = SaturationState(v, profile_of(v, (1,)))._queries
+    assert q.source.count("def join") == 2 * 40
 
 
 def test_close_never_increases_classes(boolean_groups):

@@ -1,6 +1,6 @@
 import pytest
 
-from freealg.sexpr import Atom, SexprError, SList, parse_all, parse_one, unparse
+from freealg.sexpr import SexprError, SList, parse_all, parse_one, unparse
 
 
 def test_atoms_and_lists():
