@@ -188,15 +188,17 @@ def _grid_profiles(nsorts: int, rank: int):
     yield from itertools.product(range(rank + 1), repeat=nsorts)
 
 
-def _settle(report: CertReport, status: str, detail: str) -> bool:
+def _settle(report: CertReport, status: str, detail: str) -> None:
     report.status = status
     report.detail = detail
-    return False
 
 
-def _sweep(report: CertReport, variety: VarietyDef, profiles, check_sorts, budget: Budget) -> bool:
+def _sweep(
+    report: CertReport, variety: VarietyDef, profiles, check_sorts, budget: Budget
+) -> dict[tuple[int, ...], FiniteAlgebra] | None:
     """Nondegeneracy plus builds plus pairwise non-isomorphism evidence,
-    written into the report; False once that evidence settles its verdict."""
+    written into the report.  Returns the free algebras it built, keyed by
+    profile counts, or None once that evidence settles the verdict."""
     for s in check_sorts:
         nondeg = nondegeneracy_check(variety, s, budget)
         report.nondegeneracy[variety.sig.sorts[s].name] = nondeg.verdict
@@ -238,7 +240,7 @@ def _sweep(report: CertReport, variety: VarietyDef, profiles, check_sorts, budge
                 REFUTED,
                 f"free algebras of '{variety.name}' on [{p}] and [{q}] are isomorphic",
             )
-    return True
+    return builds
 
 
 def certify_empty_theory(v: VarietyDef) -> CertReport:
@@ -292,10 +294,7 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
     """One witness extension per sort, swept along that sort's profile axis."""
     budget = budget or Budget()
     sig = v.sig
-    resolved: dict[int, PerSortWitness] = {}
-    for key, w in witnesses.items():
-        sort = key if isinstance(key, int) else sig.sort_named(key).id
-        resolved[sort] = w
+    resolved = {sig.sort_named(name).id: w for name, w in witnesses.items()}
     missing = [s.name for s in sig.sorts if s.id not in resolved]
     if missing:
         raise CertificateError(f"missing per-sort witness for sort(s): {', '.join(missing)}")
@@ -316,7 +315,7 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
     for s in sig.sorts:
         w = resolved[s.id]
         delta = v.extended(w.extra_axioms, f"{v.name}#{s.name}")
-        if not _sweep(report, delta, _axis_profiles(len(sig.sorts), s.id, w.rank), [s.id], budget):
+        if _sweep(report, delta, _axis_profiles(len(sig.sorts), s.id, w.rank), [s.id], budget) is None:
             break
     return report
 
@@ -365,13 +364,14 @@ def certify_action_split(
         sub_ax = transport_identity(ax, sub1)
         verdict = _covered_by(sub_ax, witness1.axioms, witness1, budget)
         if verdict != CONSEQUENCE_YES:
-            report.status = UNKNOWN
-            report.detail = (
+            _settle(
+                report,
+                UNKNOWN,
                 f"sort-1 witness does not cover the axiom {ax!r} "
-                f"(consequence check: {verdict})"
+                f"(consequence check: {verdict})",
             )
             return report
-    if not _sweep(report, witness1, _axis_profiles(1, 0, cert.sort1_rank), [0], budget):
+    if _sweep(report, witness1, _axis_profiles(1, 0, cert.sort1_rank), [0], budget) is None:
         return report
 
     # sort-2 leg: extend v with the trivial-action identity for the declared
@@ -403,39 +403,33 @@ def certify_action_split(
         lifted = transport_identity(ax, sig)
         verdict = _covered_by(lifted, delta_v.axioms, delta_v, budget)
         if verdict != CONSEQUENCE_YES:
-            report.status = UNKNOWN
-            report.detail = (
+            _settle(
+                report,
+                UNKNOWN,
                 f"second-sort axiom {ax!r} is not a confirmed consequence of the "
-                f"trivial-action extension (consequence check: {verdict})"
+                f"trivial-action extension (consequence check: {verdict})",
             )
             return report
+    builds = _sweep(report, witness2, _axis_profiles(1, 0, cert.sort2_rank), [0], budget)
+    if builds is None:
+        return report
 
     # assembly: any model of the declared parts, glued with the trivial
     # action, must satisfy the whole trivial-action extension.
     h1 = cert.sample_h1
     if h1 is None:
         h1 = one_element_algebra(sub1)
-    for n in range(cert.sort2_rank + 1):
-        prof = GeneratorProfile.from_counts(sub2, {sub2.sorts[0].name: n})
-        res = build_free_algebra(witness2, prof, budget)
-        if isinstance(res, BudgetExceeded):
-            report.status = UNKNOWN
-            report.detail = (
-                f"second-sort free algebra on {n} generators did not saturate"
-            )
-            return report
-        assembled = assemble_trivial_action(sig, split, h1, res.algebra, cert.s_var, cert.s_term)
+    for h2 in builds.values():
+        assembled = assemble_trivial_action(sig, split, h1, h2, cert.s_var, cert.s_term)
         verdict = satisfies_all(assembled, delta_v.axioms)
         if verdict is not True:
-            report.status = UNKNOWN
-            report.detail = (
+            _settle(
+                report,
+                UNKNOWN,
                 "assembled trivial-action algebra violates the extension: "
-                + verdict.describe()
+                + verdict.describe(),
             )
             return report
-
-    if not _sweep(report, witness2, _axis_profiles(1, 0, cert.sort2_rank), [0], budget):
-        return report
 
     report.assumptions = (
         "the declared second-sort axioms axiomatize the second-sort theory of "

@@ -15,15 +15,14 @@ not finitely presentable at desk scale.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .certify import run_certificate
-from .dfunctor import hom_from_gen_images
+from .dfunctor import enumerate_homs
 from .egraph import Budget, BudgetExceeded, VarietyDef, build_free_algebra
 from .files import parse_certificate_document, parse_variety_document
-from .finalg import FiniteAlgebra, find_isomorphism
+from .finalg import FiniteAlgebra, MorphismTable, find_isomorphism
 from .terms import GeneratorProfile, term_profile_iso
 
 INFINITE = "infinite"
@@ -400,61 +399,32 @@ def setcoup_swap_demo(budget: Budget | None = None, max_count: int = 3) -> SwapR
             assert not isinstance(res, BudgetExceeded)
             frees[(m, n)] = res
 
-    def swap(profile):
-        return (profile[1], profile[0])
+    def swap(pair):
+        return (pair[1], pair[0])
 
-    objects_checked = 0
-    for p in frees:
-        objects_checked += 1
-        if swap(swap(p)) != p:
-            violations.append(f"object involution failed on {p}")
-        if frees[swap(swap(p))].algebra.sizes != frees[p].algebra.sizes:
-            violations.append(f"double swap changed the algebra on {p}")
+    # in a free couple element k of each sort is generator k, so the functor
+    # sends F(m, n) to F(n, m) and a morphism to its two maps exchanged
+    for p, res in frees.items():
+        if frees[swap(p)].algebra.sizes != res.algebra.sizes[::-1]:
+            violations.append(f"swap did not exchange the carriers of {p}")
 
-    # a morphism F(A) -> F(C) is determined by a pair of generator-index
-    # maps; the functor exchanges the two components and materializes on
-    # the swapped objects
-    def materialize(a, c, fa, fb):
-        src, dst = frees[a], frees[c]
-        images = {}
-        for s, col in ((0, fa), (1, fb)):
-            sort = sig.sorts[s]
-            for k, var in enumerate(src.profile.by_sort[sort.id]):
-                target_var = dst.profile.by_sort[sort.id][col[k]]
-                images[var] = dst.gen_images[target_var]
-        return hom_from_gen_images(src, dst, images)
-
-    def extract_index_maps(table, a, c):
-        src, dst = frees[a], frees[c]
-        out = []
-        for s in sig.sorts:
-            back = {dst.gen_images[var]: k for k, var in enumerate(dst.profile.by_sort[s.id])}
-            out.append(
-                tuple(back[table(s.id, src.gen_images[var])] for var in src.profile.by_sort[s.id])
-            )
-        return tuple(out)
+    homs = {
+        (a, c): [t for _, t in enumerate_homs(frees[a], frees[c])] for a in frees for c in frees
+    }
 
     def apply_swap(table, a, c):
-        fa, fb = extract_index_maps(table, a, c)
-        return materialize(swap(a), swap(c), fb, fa), swap(a), swap(c)
+        return MorphismTable(
+            frees[swap(a)].algebra, frees[swap(c)].algebra, (table.maps[1], table.maps[0])
+        )
 
-    def index_maps(a, c):
-        k, l = a
-        p, r = c
-        for fa in itertools.product(range(p), repeat=k):
-            for fb in itertools.product(range(r), repeat=l):
-                yield (fa, fb)
-
-    morphisms_checked = 0
-    for a in frees:
-        for c in frees:
-            for fa, fb in index_maps(a, c):
-                morphisms_checked += 1
-                original = materialize(a, c, fa, fb)
-                once, a1, c1 = apply_swap(original, a, c)
-                twice, a2, c2 = apply_swap(once, a1, c1)
-                if (a2, c2) != (a, c) or twice != original:
-                    violations.append(f"morphism involution failed between {a} and {c}")
+    for (a, c), hom_set in homs.items():
+        swapped = [apply_swap(t, a, c) for t in hom_set]
+        if not all(t.is_homomorphism() for t in swapped):
+            violations.append(f"a swapped morphism from {a} to {c} is not a homomorphism")
+        if sorted(t.maps for t in swapped) != sorted(t.maps for t in homs[(swap(a), swap(c))]):
+            violations.append(f"swap does not biject the morphisms from {a} to {c} onto theirs")
+        if any(apply_swap(t, swap(a), swap(c)) != f for f, t in zip(hom_set, swapped)):
+            violations.append(f"morphism involution failed between {a} and {c}")
 
     left = frees[(1, 0)]
     right = frees[(0, 1)]
@@ -463,8 +433,8 @@ def setcoup_swap_demo(budget: Budget | None = None, max_count: int = 3) -> SwapR
     asymmetry_ok = (not profile_iso) and iso is None
     report = run_certificate(v, cert, budget)
     return SwapReport(
-        objects_checked=objects_checked,
-        morphisms_checked=morphisms_checked,
+        objects_checked=len(frees),
+        morphisms_checked=sum(map(len, homs.values())),
         involution_ok=not violations,
         asymmetry_profiles=((1, 0), (0, 1)),
         asymmetry_noniso=asymmetry_ok,

@@ -129,9 +129,6 @@ class DFunctor:
             self._epis[key] = got
         return got
 
-    def object(self, profile: GeneratorProfile) -> FreeAlgebraResult:
-        return self.epi(profile).delta_free
-
     def morphism(
         self, src: GeneratorProfile, dst: GeneratorProfile, phi: MorphismTable
     ) -> MorphismTable:

@@ -61,9 +61,6 @@ from .terms import (
     term_key,
 )
 
-GEN = "g"  # key tag for generator nodes; op nodes are tagged by op id
-
-
 @dataclass(frozen=True)
 class VarietyDef:
     """A signature plus a finite, ordered list of defining identities."""
@@ -459,9 +456,7 @@ class SaturationState:
                 pat, other = ax.lhs, ax.rhs
             self._queries.append(_Query(pat, other, ax.vars.variables()))
         for v in profile.variables():
-            cls = self._new_class(v.sort)
-            self.key2class[(GEN, v.name, v.sort)] = cls
-            self.gen_class[v] = cls
+            self.gen_class[v] = self._new_class(v.sort)
 
     # union-find ----------------------------------------------------------
 
@@ -704,8 +699,6 @@ def extract_representatives(state: SaturationState) -> dict[int, Term]:
     while changed:
         changed = False
         for key, cls in state.key2class.items():
-            if key[0] == GEN:
-                continue
             children = key[1:]
             if any(c not in best for c in children):
                 continue

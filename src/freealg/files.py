@@ -136,6 +136,8 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
             if len(entry) < 2:
                 raise CertificateError("per-sort entries look like (sort NAME (rank N) axioms...)")
             sname = sexpr.atom_text(entry[1], "sort name")
+            if sname in witnesses:
+                raise CertificateError(f"per-sort certificate gives sort '{sname}' twice")
             rank = _parse_rank(entry.items[2:], f"per-sort witness for '{sname}'")
             axioms = tuple(
                 parse_axiom(g, variety.sig) for g in entry.items[2:] if sexpr.head(g) == "axiom"
@@ -154,8 +156,12 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
         w1 = w2 = None
         rank1 = rank2 = None
         sample = None
+        seen: set[str] = set()
         for f in body:
             kind = sexpr.head(f)
+            if kind in seen:
+                raise CertificateError(f"action-split certificate gives the '{kind}' section twice")
+            seen.add(kind)
             if kind == "s-term":
                 if len(f) != 3 or not isinstance(f[1], SList) or len(f[1]) != 1:
                     raise CertificateError("s-term looks like (s-term (VAR) TERM)")
@@ -218,8 +224,11 @@ def parse_profile_spec(spec: str, sig: Signature) -> GeneratorProfile:
         if "=" not in chunk:
             raise SignatureError(f"bad profile component '{chunk}', expected SORT=COUNT")
         name, _, num = chunk.partition("=")
+        name = name.strip()
+        if name in counts:
+            raise SignatureError(f"sort '{name}' is given twice in the profile")
         try:
-            counts[name.strip()] = int(num)
+            counts[name] = int(num)
         except ValueError:
             raise SignatureError(f"bad generator count in '{chunk}'") from None
     for name in counts:

@@ -64,7 +64,7 @@ class FiniteAlgebra:
 
     @classmethod
     def make(cls, sig: Signature, sizes: dict[str, int], tables: dict[str, object]) -> "FiniteAlgebra":
-        """Build from names; each table is a dict, a nested list, or a callable."""
+        """Build from names; each table is a callable on element indices."""
         size_vec = [0] * len(sig.sorts)
         for name, n in sizes.items():
             size_vec[sig.sort_named(name).id] = n
@@ -76,15 +76,7 @@ class FiniteAlgebra:
             table: dict[tuple, int] = {}
             pools = [range(size_vec[s]) for s in op.arg_sorts]
             for args in itertools.product(*pools):
-                if callable(spec):
-                    table[args] = spec(*args)
-                elif isinstance(spec, dict):
-                    table[args] = spec[args]
-                else:
-                    cell = spec
-                    for a in args:
-                        cell = cell[a]
-                    table[args] = cell
+                table[args] = spec(*args)
             out[op.id] = table
         return cls(sig, tuple(size_vec), out)
 
@@ -131,6 +123,8 @@ class FiniteAlgebra:
                     )
                 where = f"in the table for '{op.name}'"
                 args = tuple(_json_int(a, f"argument {where}") for a in e["args"])
+                if args in table:
+                    raise AlgebraError(f"table for '{op.name}' gives arguments {list(args)} twice")
                 table[args] = _json_int(e.get("result"), f"result {where}")
             tables[op.id] = table
         return cls(sig, tuple(sizes), tables)

@@ -144,9 +144,7 @@ class GeneratorProfile:
         self._by_name = {v.name: v for vs in self.by_sort.values() for v in vs}
 
     @classmethod
-    def from_counts(cls, sig: Signature, counts: dict[str, int] | None = None, **kw) -> "GeneratorProfile":
-        counts = dict(counts or {})
-        counts.update(kw)
+    def from_counts(cls, sig: Signature, counts: dict[str, int]) -> "GeneratorProfile":
         by_sort: dict[int, tuple[SortedVar, ...]] = {}
         one_sorted = len(sig.sorts) == 1
         for name, n in counts.items():

@@ -6,7 +6,8 @@ writes ``tests/corpus_reference.json``: for every finite ``expected`` row
 of the corpus, the sizes, generator images, representatives and op tables
 of its free algebra, and for every ``INFINITE`` row, built under the
 entry's ``infinite_budget``, the ``(limit, classes, rounds)`` of its trip;
-and for every entry, the JSON report of its certificate.
+for every entry, the JSON report of its certificate; and the report of
+the setcoup sort-swap demo.
 ``test_corpus_reference.py`` compares the engine against that file.
 Rewrite it only for a change that is meant to alter results, and review
 the diff.
@@ -18,7 +19,7 @@ import json
 from pathlib import Path
 
 from freealg.certify import run_certificate
-from freealg.corpus import ENTRIES, INFINITE, load_entry, load_entry_variety
+from freealg.corpus import ENTRIES, INFINITE, load_entry, load_entry_variety, setcoup_swap_demo
 from freealg.egraph import BudgetExceeded, build_free_algebra
 from freealg.terms import GeneratorProfile
 
@@ -62,9 +63,18 @@ def certificate_result(name: str) -> dict:
     return json.loads(json.dumps(run_certificate(*load_entry(name)).to_json_dict()))
 
 
+SWAP_DEMO_LABEL = "setcoup swap demo"
+
+
+def swap_demo_result() -> dict:
+    """The setcoup sort-swap demo's report, as JSON would carry it."""
+    return json.loads(json.dumps(setcoup_swap_demo().to_json_dict()))
+
+
 def main() -> None:
     data = {label: row_result(name, counts, inf) for label, name, counts, inf in rows()}
     data.update((certificate_label(name), certificate_result(name)) for name in ENTRIES)
+    data[SWAP_DEMO_LABEL] = swap_demo_result()
     REFERENCE.write_text(json.dumps(data, indent=0, sort_keys=True) + "\n")
     print(f"wrote {REFERENCE} ({len(data)} rows)")
 

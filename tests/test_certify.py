@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -245,6 +246,22 @@ def test_action_split_unconfirmed_sort2_axiom():
     report = certify_action_split(v, bad)
     assert report.status == UNKNOWN
     assert "second-sort axiom" in report.detail
+
+
+def test_action_split_sort2_sweep_budget_unknown():
+    # the sort-1 leg and the consequence checks finish within the budget,
+    # but the second-sort free algebra on four generators does not; the
+    # sweep reports that trip, and the assembly check never runs
+    v, cert = load_entry("group-reps-trivial-f2")
+    report = certify_action_split(
+        v, replace(cert, sort1_rank=2, sort2_rank=4), Budget(max_classes=80)
+    )
+    assert report.status == UNKNOWN
+    assert report.nondegeneracy == {"g": "nondegenerate", "v": "nondegenerate"}
+    assert [p.counts for p in report.profiles] == [(0,), (1,), (2,), (0,), (1,), (2,), (3,), (4,)]
+    assert report.profiles[-1].status == "budget"
+    assert "#sort2" in report.detail and "did not saturate" in report.detail
+    assert report.assumptions == ()
 
 
 def test_run_certificate_rank_cap(boolean_groups):

@@ -9,6 +9,8 @@ from conftest import cyclic_group
 from freealg.cli import main
 from freealg.corpus import load_entry_variety
 from freealg.files import serialize_variety
+from freealg.finalg import FiniteAlgebra
+from freealg.signature import classify_action_signature, restrict_to_part
 
 
 SCHEMA = json.loads(
@@ -232,15 +234,93 @@ def test_corpus_filter_without_match_is_an_error(capsys):
     assert captured.out == ""
 
 
+def _with_section(cert_name: str, section: str) -> str:
+    """A corpus certificate's text with one more section at its end."""
+    text = Path(corpus_path(cert_name)).read_text()
+    return text.rstrip()[:-1] + f"\n  {section})\n"
+
+
 @pytest.mark.parametrize("form", ["(sample-h1)", "(sample-h1 a.alg.json b.alg.json)"])
 def test_certify_malformed_sample_h1(tmp_path, capsys, form):
-    text = Path(corpus_path("group-reps-trivial-f2.cert")).read_text()
     cert = tmp_path / "bad.cert"
-    cert.write_text(text.rstrip()[:-1] + f"\n  {form})\n")
+    cert.write_text(_with_section("group-reps-trivial-f2.cert", form))
     code = main(["certify", corpus_path("group-reps-trivial-f2.var"), str(cert)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sample-h1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sample,code,status",
+    [
+        ("left-zero", 0, "certified_conditional"),
+        # (x y) z = x but x (y z) = 1 - x: the assembled algebra is not a semigroup
+        ("not-associative", 2, "unknown"),
+    ],
+)
+def test_certify_action_split_with_sample_h1(tmp_path, capsys, sample, code, status):
+    mul = {"left-zero": lambda x, y: x, "not-associative": lambda x, y: 1 - x}[sample]
+    v = load_entry_variety("semigroup-actions-trivial")
+    split = classify_action_signature(v.sig)
+    sub1, _ = restrict_to_part(v.sig, split, 1)
+    (tmp_path / "h1.alg.json").write_text(
+        json.dumps(FiniteAlgebra.make(sub1, {"s": 2}, {"mul": mul}).to_json_dict())
+    )
+    cert = tmp_path / "sample.cert"
+    cert.write_text(_with_section("semigroup-actions-trivial.cert", "(sample-h1 h1.alg.json)"))
+    out = tmp_path / "r.json"
+    args = ["certify", corpus_path("semigroup-actions-trivial.var"), str(cert), "--json", str(out)]
+    assert main(args) == code
+    data = validate_report(out)
+    assert data["status"] == status
+    # the sort-2 sweep runs before the assembly check, so both reports carry it
+    assert data["nondegeneracy"] == {"s": "nondegenerate", "el": "nondegenerate"}
+    assert [p["counts"] for p in data["profiles"]] == [[n] for n in range(4)] * 2
+    if status == "unknown":
+        assert "assembled trivial-action algebra violates" in data["detail"]
+        assert data["assumptions"] == []
+
+
+def _algebra_with_repeated_entry() -> str:
+    data = cyclic_group(load_entry_variety("boolean-groups").sig, 2).to_json_dict()
+    data["tables"]["mul"].append({"args": [0, 0], "result": 1})
+    return json.dumps(data)
+
+
+REPEATED_ENTRIES = {
+    "profile-sort": ("free", "boolean-groups.var", None, lambda: "elem=2,elem=3"),
+    "per-sort-witness": (
+        "certify",
+        "boolean-groups.var",
+        "twice.cert",
+        lambda: "(certificate per-sort (sort elem (rank 2)) (sort elem (rank 3)))",
+    ),
+    "action-split-section": (
+        "certify",
+        "semigroup-actions-trivial.var",
+        "twice.cert",
+        lambda: _with_section("semigroup-actions-trivial.cert", "(s-term (w) w)"),
+    ),
+    "algebra-table-entry": (
+        "check",
+        "boolean-groups.var",
+        "twice.alg.json",
+        _algebra_with_repeated_entry,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_ENTRIES))
+def test_repeated_entry_is_an_error(tmp_path, capsys, case):
+    # a repeated entry is refused, never overridden by the later one
+    command, variety, filename, text = REPEATED_ENTRIES[case]
+    arg = text()
+    if filename is not None:
+        (tmp_path / filename).write_text(arg)
+        arg = str(tmp_path / filename)
+    assert main([command, corpus_path(variety), arg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "twice" in err and "Traceback" not in err
 
 
 def test_env_budget(monkeypatch, capsys):

@@ -9,7 +9,6 @@ from bruteforce import agrees_with_engine, bruteforce_free_algebra
 from conftest import make_axioms, make_variety
 from freealg.corpus import ENTRIES, INFINITE, entry_models, load_entry_variety
 from freealg.egraph import (
-    GEN,
     Budget,
     BudgetExceeded,
     DEGENERATE,
@@ -170,13 +169,15 @@ def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts,
         by_sort: dict[int, set[int]] = {s.id: set() for s in state.sig.sorts}
         for key, cls in state.key2class.items():
             root = state.find(cls)
-            if key[0] != GEN:
-                assert key == (key[0],) + tuple(state.find(c) for c in key[1:])
-                assert key in state._stamp
-                nodes.setdefault(root, []).append(key)
-                by_op[key[0]].append(key)
-                for c in set(key[1:]):
-                    uses.setdefault(c, []).append(key)
+            assert key == (key[0],) + tuple(state.find(c) for c in key[1:])
+            assert key in state._stamp
+            nodes.setdefault(root, []).append(key)
+            by_op[key[0]].append(key)
+            for c in set(key[1:]):
+                uses.setdefault(c, []).append(key)
+            by_sort[state.class_sort[root]].add(root)
+        for cls in state.gen_class.values():
+            root = state.find(cls)
             by_sort[state.class_sort[root]].add(root)
         assert {c: list(keys) for c, keys in state.class_nodes.items()} == nodes
         assert {c: list(keys) for c, keys in state._uses.items()} == uses
@@ -224,7 +225,7 @@ def test_one_union_closes_a_two_level_congruence_cascade():
     assert state.find(fa) == state.find(fb) != state.find(a)
     assert state.find(gfa) == state.find(gfb) != state.find(fa)
     assert (state.n_live, state.merges_done) == (3, 3)
-    assert sorted(k for k in state.key2class if k[0] != GEN) == [(f, a), (g, fa)]
+    assert sorted(state.key2class) == [(f, a), (g, fa)]
     assert state.classes_of_sort(0) == [a, fa, gfa]
 
 
