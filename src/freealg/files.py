@@ -34,7 +34,7 @@ from .certify import (
     PerSortWitness,
 )
 from .egraph import VarietyDef
-from .finalg import FiniteAlgebra
+from .finalg import AlgebraError, FiniteAlgebra
 from .sexpr import SList
 from .signature import (
     NotActionSeparable,
@@ -104,12 +104,28 @@ def serialize_variety(v: VarietyDef) -> str:
     return "\n".join(lines) + ")\n"
 
 
-def _parse_rank(forms, where: str) -> int:
-    ranks = [f for f in forms if sexpr.head(f) == "rank"]
+def _parse_witness(forms, sig: Signature, where: str) -> tuple[int, tuple[Identity, ...]]:
+    """A witness body: exactly one ``(rank N)`` and any number of axioms.
+
+    Any other form is an error, so a misspelled axiom is never dropped.
+    """
+    ranks = []
+    axioms = []
+    for f in forms:
+        kind = sexpr.head(f)
+        if kind == "rank":
+            ranks.append(f)
+        elif kind == "axiom":
+            axioms.append(parse_axiom(f, sig))
+        else:
+            raise CertificateError(
+                f"{f.line}:{f.col}: {where} takes (rank N) and (axiom ...) forms, "
+                f"not '{kind or sexpr.unparse(f)}'"
+            )
     if len(ranks) != 1 or len(ranks[0]) != 2:
         raise CertificateError(f"{where} needs exactly one (rank N)")
     try:
-        return int(sexpr.atom_text(ranks[0][1], "rank"))
+        return int(sexpr.atom_text(ranks[0][1], "rank")), tuple(axioms)
     except ValueError:
         raise CertificateError(f"{where}: rank must be an integer") from None
 
@@ -126,8 +142,7 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
             raise CertificateError("empty-theory certificates take no parameters")
         return EmptyTheoryCert()
     if route == "fujiwara":
-        rank = _parse_rank(body, "fujiwara certificate")
-        axioms = tuple(parse_axiom(f, variety.sig) for f in body if sexpr.head(f) == "axiom")
+        rank, axioms = _parse_witness(body, variety.sig, "fujiwara certificate")
         return FujiwaraCert(extra_axioms=axioms, rank=rank)
     if route == "per-sort":
         witnesses: dict[str, PerSortWitness] = {}
@@ -138,9 +153,8 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
             sname = sexpr.atom_text(entry[1], "sort name")
             if sname in witnesses:
                 raise CertificateError(f"per-sort certificate gives sort '{sname}' twice")
-            rank = _parse_rank(entry.items[2:], f"per-sort witness for '{sname}'")
-            axioms = tuple(
-                parse_axiom(g, variety.sig) for g in entry.items[2:] if sexpr.head(g) == "axiom"
+            rank, axioms = _parse_witness(
+                entry.items[2:], variety.sig, f"per-sort witness for '{sname}'"
             )
             witnesses[sname] = PerSortWitness(extra_axioms=axioms, rank=rank)
         if not witnesses:
@@ -170,11 +184,9 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
                 prof = GeneratorProfile.of_vars(sub2, [s_var])
                 s_term = parse_term(f[2], sub2, prof)
             elif kind == "sort1-witness":
-                rank1 = _parse_rank(f.items[1:], "sort1-witness")
-                w1 = tuple(parse_axiom(g, sub1) for g in f.items[1:] if sexpr.head(g) == "axiom")
+                rank1, w1 = _parse_witness(f.items[1:], sub1, "sort1-witness")
             elif kind == "sort2-axioms":
-                rank2 = _parse_rank(f.items[1:], "sort2-axioms")
-                w2 = tuple(parse_axiom(g, sub2) for g in f.items[1:] if sexpr.head(g) == "axiom")
+                rank2, w2 = _parse_witness(f.items[1:], sub2, "sort2-axioms")
             elif kind == "sample-h1":
                 if len(f) != 2:
                     raise CertificateError("sample-h1 looks like (sample-h1 PATH)")
@@ -210,8 +222,18 @@ def load_certificate(path, variety: VarietyDef):
 
 
 def load_algebra_json(path, sig: Signature) -> FiniteAlgebra:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     return FiniteAlgebra.from_json_dict(sig, data)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct; a repeat is an error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise AlgebraError(f"JSON object gives the key {key!r} twice")
+        out[key] = value
+    return out
 
 
 def parse_profile_spec(spec: str, sig: Signature) -> GeneratorProfile:

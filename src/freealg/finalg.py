@@ -271,7 +271,7 @@ class MorphismTable:
         """Commutes with every operation, table entry by table entry."""
         for op in self.source.sig.ops:
             for args, res in self.source.tables[op.id].items():
-                mapped = tuple(self.maps[s][a] for a, s in zip(args, op.arg_sorts))
+                mapped = tuple([self.maps[s][a] for a, s in zip(args, op.arg_sorts)])
                 if self.target.tables[op.id][mapped] != self.maps[op.result_sort][res]:
                     return False
         return True
@@ -315,41 +315,75 @@ class MorphismTable:
         return f"MorphismTable({self.maps})"
 
 
+# A table entry of the source algebra: op id, the (sort, element) of each
+# argument, and the (sort, element) of its result.
+_Entry = tuple[int, tuple[tuple[int, int], ...], int, int]
+
+
+def _use_lists(a: FiniteAlgebra) -> tuple[list[list[list[_Entry]]], tuple[_Entry, ...]]:
+    """Index the table entries of ``a`` by the elements they read.
+
+    ``uses[s][e]`` lists, once each, the entries with element ``e`` of sort
+    ``s`` among their arguments (``mul(x, x)`` is listed once under ``x``);
+    the tuple beside them holds the entries of nullary ops, which no use
+    list reaches.
+    """
+    uses: list[list[list[_Entry]]] = [[[] for _ in range(n)] for n in a.sizes]
+    constants: list[_Entry] = []
+    for op in a.sig.ops:
+        for args, res in a.tables[op.id].items():
+            pairs = tuple(zip(op.arg_sorts, args))
+            entry = (op.id, pairs, op.result_sort, res)
+            for s, e in pairs:
+                use = uses[s][e]
+                if not use or use[-1] is not entry:
+                    use.append(entry)
+            if not pairs:
+                constants.append(entry)
+    return uses, tuple(constants)
+
+
 def _close(
-    a: FiniteAlgebra,
-    b: FiniteAlgebra,
+    tables: dict[int, dict[tuple, int]],
+    uses: list[list[list[_Entry]]],
     maps: list[list[int]],
     used: list[set[int]],
     trail: list[tuple[int, int]],
+    head: int,
+    seeds: tuple[_Entry, ...] = (),
 ) -> bool:
-    """Extend a partial map a -> b (-1 = unmapped) to a fixed point.
+    """Extend a closed partial map a -> b (-1 = unmapped) to a fixed point.
 
-    Every table entry of ``a`` whose arguments are all mapped sends its
-    result to ``b``'s value at their images, and each ``(sort, element)``
-    so mapped is appended to ``trail``.  False on a clash: a result
-    already mapped elsewhere, or an image another element already took.
+    ``tables`` are ``b``'s tables and ``uses`` the ``_use_lists`` of ``a``.
+    The map was closed before ``trail[head:]`` was mapped, so only entries
+    that read one of those elements, and the ``seeds``, can fire.  The
+    trail is the worklist: each ``(sort, element)`` is taken from it once,
+    and each of its entries whose arguments are all mapped sends its result
+    to ``b``'s value at their images; each result so mapped is appended to
+    ``trail`` in turn.  False on a clash: a result already mapped
+    elsewhere, or an image another element already took.  The fixed point,
+    and whether there is a clash, do not depend on the visiting order.
     """
-    grew = True
-    while grew:
-        grew = False
-        for op in a.sig.ops:
-            image_of = b.tables[op.id]
-            arg_maps = [maps[s] for s in op.arg_sorts]
-            res_map, res_used = maps[op.result_sort], used[op.result_sort]
-            for args, res in a.tables[op.id].items():
-                img = tuple(m[x] for m, x in zip(arg_maps, args))
-                if -1 in img:
-                    continue
-                v = image_of[img]
-                if res_map[res] == v:
-                    continue
-                if res_map[res] >= 0 or v in res_used:
-                    return False
-                res_map[res] = v
-                res_used.add(v)
-                trail.append((op.result_sort, res))
-                grew = True
-    return True
+    batch = seeds
+    while True:
+        for op_id, pairs, rs, res in batch:
+            img = tuple([maps[s][e] for s, e in pairs])
+            if -1 in img:
+                continue
+            v = tables[op_id][img]
+            res_map = maps[rs]
+            if res_map[res] == v:
+                continue
+            if res_map[res] >= 0 or v in used[rs]:
+                return False
+            res_map[res] = v
+            used[rs].add(v)
+            trail.append((rs, res))
+        if head == len(trail):
+            return True
+        s, e = trail[head]
+        head += 1
+        batch = uses[s][e]
 
 
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
@@ -363,22 +397,26 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     in the closure of earlier generators, and its image follows from
     theirs; trying generator images in ascending order meets the maps in
     canonical order.  ``_close`` prunes each partial tuple of images and
-    completes the map at the leaf.  The search keeps an explicit stack,
-    one frame per placed generator, so its depth is not bounded by
-    Python's recursion limit.
+    completes the map at the leaf.  After the size check, ``a`` is indexed
+    once into use lists (``_use_lists``), so each closure visits only the
+    table entries of the elements mapped since the last one; the trail of
+    mapped elements is both the worklist and the undo log.  The search
+    keeps an explicit stack, one frame per placed generator, so its depth
+    is not bounded by Python's recursion limit.
     """
     if a.sig is not b.sig and not a.sig.same_shape(b.sig):
         raise AlgebraError("isomorphism search needs a shared signature")
     if a.sizes != b.sizes:
         return None
+    uses, constants = _use_lists(a)
 
     def empty():
-        return [[-1] * n for n in a.sizes], [set() for _ in a.sizes]
+        return [[-1] * n for n in a.sizes], [set() for _ in a.sizes], []
 
     # Closing a partial identity of a never clashes; what it leaves
     # unmapped is not generated by the elements chosen so far.
-    maps, used = empty()
-    _close(a, a, maps, used, [])
+    maps, used, trail = empty()
+    _close(a.tables, uses, maps, used, trail, 0, constants)
     gens = []
     for s, n in enumerate(a.sizes):
         for e in range(n):
@@ -386,10 +424,10 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
                 gens.append((s, e))
                 maps[s][e] = e
                 used[s].add(e)
-                _close(a, a, maps, used, [])
+                trail.append((s, e))
+                _close(a.tables, uses, maps, used, trail, len(trail) - 1)
 
-    maps, used = empty()
-    trail: list[tuple[int, int]] = []
+    maps, used, trail = empty()
 
     def undo(mark: int):
         while len(trail) > mark:
@@ -397,7 +435,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
             used[s].remove(maps[s][e])
             maps[s][e] = -1
 
-    if not _close(a, b, maps, used, trail):
+    if not _close(b.tables, uses, maps, used, trail, 0, constants):
         return None
     # one frame per placed generator: the trail length before it, its image
     frames: list[tuple[int, int]] = []
@@ -417,7 +455,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
         maps[s][e] = cand
         used[s].add(cand)
         trail.append((s, e))
-        if _close(a, b, maps, used, trail):
+        if _close(b.tables, uses, maps, used, trail, mark):
             frames.append((mark, cand))
             cand = 0
         else:

@@ -323,6 +323,64 @@ def test_repeated_entry_is_an_error(tmp_path, capsys, case):
     assert err.startswith("error:") and "twice" in err and "Traceback" not in err
 
 
+def _algebra_with_repeated_carrier_key() -> str:
+    # boolean-groups has one sort; the JSON names its carrier twice
+    text = json.dumps(cyclic_group(load_entry_variety("boolean-groups").sig, 2).to_json_dict())
+    return text.replace('"carriers": {"elem": 2}', '"carriers": {"elem": 1, "elem": 2}', 1)
+
+
+MISSPELLED = "(axoim ((x elem)) (= (mul x x) (e)))"
+
+# inputs with a part that a reader could drop or override without a word
+UNREADABLE_INPUTS = {
+    "fujiwara-body": (
+        "boolean-groups.var",
+        "bad.cert",
+        lambda: f"(certificate fujiwara (rank 2) {MISSPELLED})",
+        "axoim",
+    ),
+    "per-sort-entry": (
+        "boolean-groups.var",
+        "bad.cert",
+        lambda: f"(certificate per-sort (sort elem (rank 2) {MISSPELLED}))",
+        "axoim",
+    ),
+    "sort1-witness": (
+        "semigroup-actions-trivial.var",
+        "bad.cert",
+        lambda: Path(corpus_path("semigroup-actions-trivial.cert")).read_text().replace(
+            "(sort1-witness", "(sort1-witness (axoim ((x s)) (= x x))", 1
+        ),
+        "axoim",
+    ),
+    "sort2-axioms": (
+        "semigroup-actions-trivial.var",
+        "bad.cert",
+        lambda: Path(corpus_path("semigroup-actions-trivial.cert")).read_text().replace(
+            "(sort2-axioms", "(sort2-axioms rank", 1
+        ),
+        "'rank'",
+    ),
+    "algebra-json-key": (
+        "boolean-groups.var",
+        "twice.alg.json",
+        _algebra_with_repeated_carrier_key,
+        "'elem' twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_is_an_error(tmp_path, capsys, case):
+    variety, filename, text, named = UNREADABLE_INPUTS[case]
+    path = tmp_path / filename
+    path.write_text(text())
+    command = "check" if filename.endswith(".json") else "certify"
+    assert main([command, corpus_path(variety), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
 def test_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("VF_BUDGET_ROUNDS", "12")
     code = main(["free", corpus_path("automata.var"), "in=1,state=1,out=1"])

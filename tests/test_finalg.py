@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -196,14 +198,7 @@ def test_iso_search_is_first_in_canonical_order_two_sorted(data):
 
     a = random_algebra()
     if data.draw(st.booleans(), label="relabel"):
-        perms = [data.draw(st.permutations(range(n))) for n in sizes]
-        b = FiniteAlgebra(sig, sizes, {
-            op.id: {
-                tuple(perms[s][x] for x, s in zip(args, op.arg_sorts)): perms[op.result_sort][res]
-                for args, res in a.tables[op.id].items()
-            }
-            for op in sig.ops
-        })
+        b = relabeled(a, [data.draw(st.permutations(range(n))) for n in sizes])
     else:
         b = random_algebra()
     mine = find_isomorphism(a, b)
@@ -211,6 +206,82 @@ def test_iso_search_is_first_in_canonical_order_two_sorted(data):
     assert (mine is not None) == bool(brute)
     if mine is not None:
         assert mine.maps == min(t.maps for t in brute)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_iso_search_matches_exhaustive_search_on_forced_chains(data):
+    # a constant, a unary op, a binary op and a second sort: the constant
+    # seeds the closure, a successor forces chains as long as the carrier,
+    # f(x, x) entries repeat an argument, and g reaches the second sort
+    sig = Signature.make(
+        ["s", "t"],
+        [("c", [], "s"), ("u", ["s"], "s"), ("f", ["s", "s"], "s"), ("g", ["t", "s"], "t")],
+    )
+    n = data.draw(st.integers(1, 5), label="n")
+    m = data.draw(st.integers(0, 3), label="m")
+    elem = st.integers(0, n - 1)
+    if data.draw(st.booleans(), label="successor"):
+        u = {(x,): (x + 1) % n for x in range(n)}
+    else:
+        u = {(x,): data.draw(elem) for x in range(n)}
+    # "diagonal" is the left projection except on f(x, x), so only the
+    # entries that repeat an argument tell elements apart
+    f_kind = data.draw(st.sampled_from(["random", "diagonal", "left", "constant"]), label="f")
+    f = {}
+    for x, y in itertools.product(range(n), repeat=2):
+        if f_kind == "random" or (f_kind == "diagonal" and x == y):
+            f[x, y] = data.draw(elem)
+        else:
+            f[x, y] = x if f_kind != "constant" else 0
+    g = {(i, x): data.draw(st.integers(0, m - 1)) for i in range(m) for x in range(n)}
+    c, u_op, f_op, g_op = sig.ops
+    a = FiniteAlgebra(sig, (n, m), {c.id: {(): data.draw(elem)}, u_op.id: u, f_op.id: f, g_op.id: g})
+    perms = [data.draw(st.permutations(range(k)), label=f"perm{s}") for s, k in enumerate(a.sizes)]
+    b = relabeled(a, perms)
+    if data.draw(st.booleans(), label="move the constant"):
+        # usually a clash: the constant's chain meets an image already taken
+        b.tables[c.id][()] = data.draw(elem, label="constant of b")
+    mine = find_isomorphism(a, b)
+    brute = exhaustive_isos(a, b)
+    assert (mine is not None) == bool(brute)
+    if mine is not None:
+        assert mine.maps == min(t.maps for t in brute)
+
+
+def relabeled(alg: FiniteAlgebra, perms) -> FiniteAlgebra:
+    """The algebra with element e of sort s renamed perms[s][e]."""
+    return FiniteAlgebra(alg.sig, alg.sizes, {
+        op.id: {
+            tuple(perms[s][x] for x, s in zip(args, op.arg_sorts)): perms[op.result_sort][res]
+            for args, res in alg.tables[op.id].items()
+        }
+        for op in alg.sig.ops
+    })
+
+
+# (corpus entry, generator counts): free algebras of 16 to 27 elements
+PINNED_SEARCHES = (
+    ("boolean-groups", (4,)),
+    ("elem-abelian-3", (3,)),
+    ("f3-vector-spaces", (3,)),
+    ("lie-reps-null-f2", (0, 3)),
+)
+
+
+def test_iso_search_returns_the_pinned_maps_on_corpus_algebras():
+    # the canonical-first isomorphism from each free algebra to seeded
+    # relabelings of it; the digest was taken from the full-scan closure
+    digest = hashlib.sha256()
+    for name, counts in PINNED_SEARCHES:
+        v = load_entry_variety(name)
+        prof = GeneratorProfile.from_counts(v.sig, {s.name: k for s, k in zip(v.sig.sorts, counts)})
+        a = build_free_algebra(v, prof).algebra
+        for r in range(4):
+            rng = random.Random(f"{name} {counts} {r}")
+            iso = find_isomorphism(a, relabeled(a, [rng.sample(range(k), k) for k in a.sizes]))
+            digest.update(repr(iso.maps).encode())
+    assert digest.hexdigest() == "6fe1eac1d79966c7c216cdc25683981e66565b3adbbb50ea47ad50770ca22d02"
 
 
 def test_iso_search_depth_is_not_bounded_by_the_recursion_limit(sets_variety):
