@@ -11,13 +11,18 @@ Four routes are checked:
   non-isomorphic.  The quotient functor then transports an isomorphism of
   the parent's free algebras down to the extension, so equal ranks follow.
 * ``per-sort``: one fujiwara-style witness per sort, swept along that
-  sort's axis of profiles.
+  sort's axis of profiles, with the same appeal to the quotient functor.
 * ``action-split``: the two-sorted route for signatures with a single
   cross-sort action.  The first sort is handled by a one-sorted witness
   covering the variety's sort-1-pure axioms; the second by the
   trivial-action subvariety, a declared one-sorted axiom set whose
   consequence status is machine-checked and whose completeness is recorded
   as an explicit assumption in the verdict.
+
+The package does not run the quotient functor that the fujiwara and
+per-sort routes appeal to.  ``tests/functor.py`` builds it, and the tests
+(acceptance criterion 8 among them) check its laws over every morphism
+between small free algebras.
 
 All certification is bounded: the report always names the rank, and a
 budget exhaustion is an Unknown status, never a refutation.

@@ -272,6 +272,10 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # a term or JSON value nested past the interpreter's recursion limit
+        print("error: the input nests too deeply", file=sys.stderr)
+        return 1
 
 
 def entry():

@@ -1,5 +1,5 @@
-"""Named example varieties with certificates, expected free-algebra sizes,
-and small concrete models.
+"""Named example varieties with certificates and expected free-algebra
+sizes, and the sort-swap demo on couples of sets.
 
 Each entry's definition and certificate live as ordinary text files under
 ``data/corpus`` and double as format documentation.  Expected sizes are
@@ -15,15 +15,15 @@ not finitely presentable at desk scale.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .certify import run_certificate
-from .dfunctor import enumerate_homs
-from .egraph import Budget, BudgetExceeded, VarietyDef, build_free_algebra
+from .egraph import Budget, BudgetExceeded, FreeAlgebraResult, VarietyDef, build_free_algebra
 from .files import parse_certificate_document, parse_variety_document
-from .finalg import FiniteAlgebra, MorphismTable, find_isomorphism
-from .terms import GeneratorProfile, term_profile_iso
+from .finalg import Evaluator, MorphismTable, find_isomorphism
+from .terms import GeneratorProfile, SortedVar, term_profile_iso
 
 INFINITE = "infinite"
 
@@ -151,102 +151,6 @@ def load_entry(name: str):
     v = parse_variety_document(_data_text(f"{name}.var"))
     cert = parse_certificate_document(_data_text(f"{name}.cert"), v)
     return v, cert
-
-
-def load_entry_variety(name: str) -> VarietyDef:
-    return load_entry(name)[0]
-
-
-def _xor(x, y):
-    return x ^ y
-
-
-_MODEL_SPECS: dict[str, list] = {
-    "sets": [({"elem": 2}, {})],
-    "graphs": [({"edge": 1, "vertex": 2}, {"h": lambda e: 0, "t": lambda e: 1})],
-    "automata": [
-        ({"in": 1, "state": 1, "out": 1}, {"step": lambda i, s: 0, "emit": lambda i, s: 0})
-    ],
-    "left-zero": [({"elem": 2}, {"mul": lambda x, y: x})],
-    "comm-idem-semigroups": [({"elem": 2}, {"mul": min})],
-    "boolean-groups": [
-        ({"elem": 2}, {"mul": _xor, "inv": lambda x: x, "e": lambda: 0}),
-    ],
-    "elem-abelian-3": [
-        ({"elem": 3}, {"mul": lambda x, y: (x + y) % 3, "inv": lambda x: (-x) % 3, "e": lambda: 0}),
-    ],
-    "f2-vector-spaces": [
-        ({"v": 2}, {"plus": _xor, "zero": lambda: 0, "s0": lambda x: 0, "s1": lambda x: x}),
-    ],
-    "f3-vector-spaces": [
-        (
-            {"v": 3},
-            {
-                "plus": lambda x, y: (x + y) % 3,
-                "zero": lambda: 0,
-                "s0": lambda x: 0,
-                "s1": lambda x: x,
-                "s2": lambda x: (2 * x) % 3,
-            },
-        ),
-    ],
-    "null-mul-f2": [
-        (
-            {"v": 2},
-            {
-                "plus": _xor,
-                "zero": lambda: 0,
-                "s0": lambda x: 0,
-                "s1": lambda x: x,
-                "mul": lambda x, y: 0,
-            },
-        ),
-    ],
-    "semigroup-actions-trivial": [
-        ({"s": 1, "el": 2}, {"mul": lambda x, y: 0, "act": lambda x, u: u}),
-    ],
-    "group-reps-trivial-f2": [
-        (
-            {"g": 1, "v": 2},
-            {
-                "mul": lambda x, y: 0,
-                "inv": lambda x: 0,
-                "e": lambda: 0,
-                "plus": _xor,
-                "zero": lambda: 0,
-                "s0": lambda x: 0,
-                "s1": lambda x: x,
-                "act": lambda x, u: u,
-            },
-        ),
-    ],
-    "lie-reps-null-f2": [
-        (
-            {"L": 1, "v": 2},
-            {
-                "ladd": lambda x, y: 0,
-                "lzero": lambda: 0,
-                "l0": lambda x: 0,
-                "l1": lambda x: x,
-                "br": lambda x, y: 0,
-                "plus": _xor,
-                "zero": lambda: 0,
-                "s0": lambda x: 0,
-                "s1": lambda x: x,
-                "act": lambda x, u: 0,
-            },
-        ),
-    ],
-    "setcoup": [({"a": 2, "b": 1}, {})],
-}
-
-
-def entry_models(name: str, v: VarietyDef) -> list[FiniteAlgebra]:
-    """Small concrete algebras of the entry's variety, for spot checks."""
-    out = []
-    for sizes, tables in _MODEL_SPECS.get(name, []):
-        out.append(FiniteAlgebra.make(v.sig, sizes, tables))
-    return out
 
 
 @dataclass
@@ -383,6 +287,28 @@ def run_corpus(names=None, budget: Budget | None = None) -> CorpusReport:
     return CorpusReport(results, swap)
 
 
+def hom_from_gen_images(
+    src: FreeAlgebraResult, dst: FreeAlgebraResult, images: dict[SortedVar, int]
+) -> MorphismTable:
+    """Materialize the unique homomorphism extending a generator map.
+
+    Each source class is sent to the evaluation of its representative term;
+    freeness of the source makes this a homomorphism.
+    """
+    ev = Evaluator(src.profile, images, dst.algebra)
+    maps = tuple(tuple(ev(rep) for rep in src.reps[s.id]) for s in src.variety.sig.sorts)
+    table = MorphismTable(src.algebra, dst.algebra, maps)
+    assert table.is_homomorphism(), "universal property violated"
+    return table
+
+
+def enumerate_homs(src: FreeAlgebraResult, dst: FreeAlgebraResult) -> list[MorphismTable]:
+    """All homomorphisms src -> dst, one per sort-respecting generator map."""
+    vs = src.profile.variables()
+    pools = [range(dst.algebra.sizes[v.sort]) for v in vs]
+    return [hom_from_gen_images(src, dst, dict(zip(vs, c))) for c in itertools.product(*pools)]
+
+
 def setcoup_swap_demo(budget: Budget | None = None, max_count: int = 3) -> SwapReport:
     """The sort-swap functor on couples of sets: an involution that still
     moves the one-generator free algebra to a non-isomorphic one."""
@@ -408,9 +334,7 @@ def setcoup_swap_demo(budget: Budget | None = None, max_count: int = 3) -> SwapR
         if frees[swap(p)].algebra.sizes != res.algebra.sizes[::-1]:
             violations.append(f"swap did not exchange the carriers of {p}")
 
-    homs = {
-        (a, c): [t for _, t in enumerate_homs(frees[a], frees[c])] for a in frees for c in frees
-    }
+    homs = {(a, c): enumerate_homs(frees[a], frees[c]) for a in frees for c in frees}
 
     def apply_swap(table, a, c):
         return MorphismTable(

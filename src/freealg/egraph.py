@@ -132,9 +132,6 @@ class BudgetExceeded:
     limit: str  # 'classes' or 'rounds'
     stats: BuildStats
 
-    def __bool__(self) -> bool:
-        return False
-
 
 @dataclass
 class FreeAlgebraResult:

@@ -44,7 +44,7 @@ from .signature import (
     restrict_to_part,
     validate_signature,
 )
-from .terms import GeneratorProfile, Identity, SortedVar, parse_term, term_to_text
+from .terms import GeneratorProfile, Identity, SortedVar, parse_term
 
 
 def parse_axiom(form, sig: Signature) -> Identity:
@@ -88,20 +88,6 @@ def parse_variety_document(text: str) -> VarietyDef:
 
 def load_variety(path) -> VarietyDef:
     return parse_variety_document(Path(path).read_text())
-
-
-def serialize_axiom(ident: Identity) -> str:
-    decls = " ".join(
-        f"({v.name} {ident.vars.sig.sorts[v.sort].name})" for v in ident.vars.variables()
-    )
-    return f"(axiom ({decls}) (= {term_to_text(ident.lhs)} {term_to_text(ident.rhs)}))"
-
-
-def serialize_variety(v: VarietyDef) -> str:
-    lines = [v.sig.to_sexpr_text(), f"(variety {v.name}"]
-    for ax in v.axioms:
-        lines.append("  " + serialize_axiom(ax))
-    return "\n".join(lines) + ")\n"
 
 
 def _parse_witness(forms, sig: Signature, where: str) -> tuple[int, tuple[Identity, ...]]:

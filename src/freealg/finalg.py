@@ -62,44 +62,20 @@ class FiniteAlgebra:
                 if not (0 <= res < limit):
                     raise AlgebraError(f"table for '{op.name}' maps {args} outside the carrier")
 
-    @classmethod
-    def make(cls, sig: Signature, sizes: dict[str, int], tables: dict[str, object]) -> "FiniteAlgebra":
-        """Build from names; each table is a callable on element indices."""
-        size_vec = [0] * len(sig.sorts)
-        for name, n in sizes.items():
-            size_vec[sig.sort_named(name).id] = n
-        out: dict[int, dict[tuple, int]] = {}
-        for op in sig.ops:
-            spec = tables.get(op.name)
-            if spec is None:
-                raise AlgebraError(f"missing table for operation '{op.name}'")
-            table: dict[tuple, int] = {}
-            pools = [range(size_vec[s]) for s in op.arg_sorts]
-            for args in itertools.product(*pools):
-                table[args] = spec(*args)
-            out[op.id] = table
-        return cls(sig, tuple(size_vec), out)
-
     def total_size(self) -> int:
         return sum(self.sizes)
 
-    def to_json_dict(self, reps: dict[str, list[str]] | None = None) -> dict:
-        tables = {}
-        for op in self.sig.ops:
-            tables[op.name] = [
-                {"args": list(k), "result": v} for k, v in sorted(self.tables[op.id].items())
-            ]
-        out = {
-            "carriers": {s.name: self.sizes[s.id] for s in self.sig.sorts},
-            "tables": tables,
-        }
-        if reps is not None:
-            out["representatives"] = reps
-        return out
-
     @classmethod
     def from_json_dict(cls, sig: Signature, data) -> "FiniteAlgebra":
-        """Read the ``to_json_dict`` layout; any other shape is an AlgebraError."""
+        """Read the JSON object of an algebra file; any other shape is an
+        AlgebraError.  The layout is::
+
+            {"carriers": {SORT: SIZE, ...},
+             "tables": {OP: [{"args": [ELEMENT, ...], "result": ELEMENT}, ...], ...}}
+
+        A sort left out of ``carriers`` has an empty carrier, and each op's
+        table lists every argument tuple exactly once.
+        """
         if not isinstance(data, dict):
             raise AlgebraError("an algebra must be a JSON object")
         carriers = _json_object(data, "carriers")
@@ -238,8 +214,7 @@ def satisfies_identity(alg: FiniteAlgebra, ident: Identity):
 
 
 def satisfies_all(alg: FiniteAlgebra, axioms):
-    """Conjunction over axioms in order; accepts a VarietyDef or an iterable."""
-    axioms = getattr(axioms, "axioms", axioms)
+    """Conjunction over a sequence of axioms, in order."""
     for ident in axioms:
         verdict = satisfies_identity(alg, ident)
         if verdict is not True:
@@ -260,13 +235,6 @@ class MorphismTable:
             if any(not (0 <= v < target.sizes[s.id]) for v in self.maps[s.id]):
                 raise SortViolation(f"map for sort '{s.name}' leaves the target carrier")
 
-    @classmethod
-    def identity(cls, alg: FiniteAlgebra) -> "MorphismTable":
-        return cls(alg, alg, tuple(tuple(range(n)) for n in alg.sizes))
-
-    def __call__(self, sort: int, elem: int) -> int:
-        return self.maps[sort][elem]
-
     def is_homomorphism(self) -> bool:
         """Commutes with every operation, table entry by table entry."""
         for op in self.source.sig.ops:
@@ -281,20 +249,6 @@ class MorphismTable:
             len(set(m)) == len(m) == self.target.sizes[i] for i, m in enumerate(self.maps)
         )
 
-    def is_surjective(self) -> bool:
-        return all(
-            set(m) == set(range(self.target.sizes[i])) for i, m in enumerate(self.maps)
-        )
-
-    def after(self, inner: "MorphismTable") -> "MorphismTable":
-        """Composition self . inner (apply inner first)."""
-        if inner.target is not self.source:
-            raise AlgebraError("morphisms are not composable")
-        maps = tuple(
-            tuple(self.maps[s][v] for v in inner.maps[s]) for s in range(len(inner.maps))
-        )
-        return MorphismTable(inner.source, self.target, maps)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MorphismTable)
@@ -302,9 +256,6 @@ class MorphismTable:
             and self.target is other.target
             and self.maps == other.maps
         )
-
-    def __hash__(self):
-        return hash(self.maps)
 
     def to_json_dict(self) -> dict:
         return {

@@ -111,13 +111,10 @@ def parse_one(text: str):
 
 
 def unparse(form) -> str:
-    """Render a form (or plain nested lists/strings) back to text."""
+    """Render a form back to text."""
     if isinstance(form, Atom):
         return form.text
-    if isinstance(form, str):
-        return form
-    items = form.items if isinstance(form, SList) else form
-    return "(" + " ".join(unparse(x) for x in items) + ")"
+    return "(" + " ".join(unparse(x) for x in form.items) + ")"
 
 
 def head(form) -> str:

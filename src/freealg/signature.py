@@ -78,18 +78,6 @@ class Signature:
         except KeyError:
             raise SignatureError(f"unknown operation '{name}'") from None
 
-    def constants(self) -> tuple[Op, ...]:
-        return tuple(o for o in self.ops if o.arity == 0)
-
-    def to_sexpr_text(self) -> str:
-        lines = ["(signature"]
-        for s in self.sorts:
-            lines.append(f"  (sort {s.name})")
-        for o in self.ops:
-            args = " ".join(self.sorts[a].name for a in o.arg_sorts)
-            lines.append(f"  (op {o.name} ({args}) {self.sorts[o.result_sort].name})")
-        return "\n".join(lines) + ")"
-
     def same_shape(self, other: "Signature") -> bool:
         return (
             [s.name for s in self.sorts] == [s.name for s in other.sorts]

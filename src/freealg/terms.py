@@ -1,5 +1,5 @@
 """Well-sorted terms over a signature: hash-consed construction, parsing,
-the height-style length function, substitution, and generator profiles.
+the height-style length of each term, and generator profiles.
 
 Terms are interned per signature: two structurally equal terms are the
 same object, so identity comparison and dict keys are cheap everywhere
@@ -9,7 +9,6 @@ once issued.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -229,10 +228,6 @@ def free_vars(t: Term):
     return tuple(seen)
 
 
-def term_length(t: Term) -> int:
-    return t.length
-
-
 def term_key(t: Term):
     """Canonical ordering key: (length, kind, symbol, children)."""
     if t._key is None:
@@ -279,18 +274,6 @@ def parse_term(text_or_form, sig: Signature, vars: GeneratorProfile) -> Term:
     return build(form)
 
 
-def substitute(t: Term, mapping: dict[SortedVar, Term], arena: TermArena) -> Term:
-    """Homomorphic extension of a variable assignment into a term algebra."""
-    if t.is_var():
-        try:
-            return mapping[t.var]
-        except KeyError:
-            raise UnboundVariable(f"no image for variable '{t.var.name}'") from None
-    if not t.children:
-        return arena.apply(t.op, ())
-    return arena.apply(t.op, tuple(substitute(c, mapping, arena) for c in t.children))
-
-
 def is_sort1_pure(t: Term, split: ActionSplit) -> bool:
     """Whether a term uses only first-class ops and first-sort variables.
 
@@ -307,38 +290,6 @@ def is_sort1_pure(t: Term, split: ActionSplit) -> bool:
         return all(walk(c) for c in u.children)
 
     return walk(t)
-
-
-def enumerate_terms(sig: Signature, vars: GeneratorProfile, max_length: int, cap: int | None = None):
-    """All well-sorted terms of length <= max_length, grouped level by level."""
-    arena = arena_of(sig)
-    terms: list[Term] = [arena.var(v) for v in vars.variables()]
-    terms += [arena.apply(o, ()) for o in sig.constants()]
-    seen = set(terms)
-    frontier_max = 0
-    while frontier_max < max_length:
-        by_sort: dict[int, list[Term]] = {}
-        for t in terms:
-            by_sort.setdefault(t.sort, []).append(t)
-        new: list[Term] = []
-        for op in sig.ops:
-            if op.arity == 0:
-                continue
-            pools = [by_sort.get(s, []) for s in op.arg_sorts]
-            for tup in itertools.product(*pools):
-                if max(c.length for c in tup) != frontier_max:
-                    continue
-                t = arena.apply(op, tup)
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-                    if cap is not None and len(terms) + len(new) > cap:
-                        return terms + new
-        if not new:
-            break
-        terms += new
-        frontier_max += 1
-    return terms
 
 
 def alpha_key(ident: Identity):

@@ -29,7 +29,39 @@ from dataclasses import dataclass
 
 from freealg.egraph import VarietyDef
 from freealg.finalg import eval_term
-from freealg.terms import GeneratorProfile, Term, arena_of, substitute, term_key
+from freealg.terms import GeneratorProfile, Term, arena_of, term_key
+
+
+def substitute(t: Term, mapping: dict, arena) -> Term:
+    """Homomorphic extension of a variable assignment into a term algebra."""
+    if t.is_var():
+        return mapping[t.var]
+    return arena.apply(t.op, tuple(substitute(c, mapping, arena) for c in t.children))
+
+
+def enumerate_terms(sig, vars: GeneratorProfile, max_length: int) -> list[Term]:
+    """All well-sorted terms of length <= max_length, level by level.
+
+    A term of length ``level + 1`` is an op applied to terms of at most
+    ``level``, one of them of exactly ``level``, so each level's terms are
+    new and distinct.
+    """
+    arena = arena_of(sig)
+    terms = [arena.var(v) for v in vars.variables()]
+    terms += [arena.apply(o, ()) for o in sig.ops if o.arity == 0]
+    for level in range(max_length):
+        pools = [[t for t in terms if t.sort == s.id] for s in sig.sorts]
+        new = [
+            arena.apply(op, args)
+            for op in sig.ops
+            if op.arity
+            for args in itertools.product(*(pools[s] for s in op.arg_sorts))
+            if max(c.length for c in args) == level
+        ]
+        if not new:
+            break
+        terms += new
+    return terms
 
 
 @dataclass
@@ -43,9 +75,6 @@ class OraclePartition:
         for t, c in self.class_of.items():
             seen[t.sort].add(c)
         return tuple(len(s) for s in seen)
-
-    def same_class(self, a: Term, b: Term) -> bool:
-        return self.class_of[a] == self.class_of[b]
 
 
 def bruteforce_free_algebra(
@@ -134,8 +163,9 @@ def _close(variety, profile, bound, max_terms, max_iters):
     try:
         for v in profile.variables():
             add(arena.var(v))
-        for op in sig.constants():
-            add(arena.apply(op, ()))
+        for op in sig.ops:
+            if op.arity == 0:
+                add(arena.apply(op, ()))
 
         for _ in range(max_iters):
             size_before = len(terms)

@@ -1,22 +1,32 @@
+import itertools
 import sys
+from operator import xor
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from freealg.corpus import load_entry_variety
+from freealg.corpus import load_entry
+from freealg.egraph import VarietyDef
 from freealg.finalg import FiniteAlgebra
 from freealg.signature import Signature
-from freealg.terms import GeneratorProfile, Identity, SortedVar, parse_term
+from freealg.terms import GeneratorProfile, Identity, SortedVar, parse_term, term_to_text
+
+
+def load_entry_variety(name):
+    return load_entry(name)[0]
 
 
 def make_variety(sorts, ops, name, axiom_specs):
     """axiom_specs: [ ([(var, sort), ...], lhs_text, rhs_text), ... ]"""
-    from freealg.egraph import VarietyDef
-
     sig = Signature.make(sorts, ops)
     return VarietyDef(sig, name, tuple(make_axioms(sig, axiom_specs)))
+
+
+def profile_of(v, counts):
+    """The generator profile with ``counts[i]`` generators of sort ``i``."""
+    return GeneratorProfile.from_counts(v.sig, {s.name: c for s, c in zip(v.sig.sorts, counts)})
 
 
 def make_axioms(sig, axiom_specs):
@@ -73,23 +83,105 @@ def action_sig():
     )
 
 
+def make_algebra(sig, sizes, tables):
+    """An algebra from carrier sizes and one callable on element indices per
+    op, both keyed by name."""
+    size_vec = [0] * len(sig.sorts)
+    for name, n in sizes.items():
+        size_vec[sig.sort_named(name).id] = n
+    out = {}
+    for op in sig.ops:
+        pools = [range(size_vec[s]) for s in op.arg_sorts]
+        out[op.id] = {args: tables[op.name](*args) for args in itertools.product(*pools)}
+    return FiniteAlgebra(sig, tuple(size_vec), out)
+
+
+def algebra_json(alg):
+    """The JSON object of an algebra file for ``alg``."""
+    return {
+        "carriers": {s.name: alg.sizes[s.id] for s in alg.sig.sorts},
+        "tables": {
+            op.name: [{"args": list(k), "result": v} for k, v in sorted(alg.tables[op.id].items())]
+            for op in alg.sig.ops
+        },
+    }
+
+
+def serialize_variety(v):
+    """A variety document that parses back to ``v``."""
+    sorts = v.sig.sorts
+    lines = ["(signature"] + [f"  (sort {s.name})" for s in sorts]
+    for o in v.sig.ops:
+        args = " ".join(sorts[a].name for a in o.arg_sorts)
+        lines.append(f"  (op {o.name} ({args}) {sorts[o.result_sort].name})")
+    lines[-1] += ")"
+    lines.append(f"(variety {v.name}")
+    for ax in v.axioms:
+        decls = " ".join(f"({x.name} {sorts[x.sort].name})" for x in ax.vars.variables())
+        lines.append(f"  (axiom ({decls}) (= {term_to_text(ax.lhs)} {term_to_text(ax.rhs)}))")
+    return "\n".join(lines) + ")\n"
+
+
+# vector-space ops over the two-element field, on bit vectors of any width
+F2 = {"plus": xor, "zero": lambda: 0, "s0": lambda x: 0, "s1": lambda x: x}
+
+# one small model of each corpus entry's variety: carrier sizes and op tables
+MODELS = {
+    "sets": ({"elem": 2}, {}),
+    "graphs": ({"edge": 1, "vertex": 2}, {"h": lambda e: 0, "t": lambda e: 1}),
+    "automata": ({"in": 1, "state": 1, "out": 1}, {"step": lambda i, s: 0, "emit": lambda i, s: 0}),
+    "left-zero": ({"elem": 2}, {"mul": lambda x, y: x}),
+    "comm-idem-semigroups": ({"elem": 2}, {"mul": min}),
+    "boolean-groups": ({"elem": 2}, {"mul": xor, "inv": lambda x: x, "e": lambda: 0}),
+    "elem-abelian-3": (
+        {"elem": 3},
+        {"mul": lambda x, y: (x + y) % 3, "inv": lambda x: (-x) % 3, "e": lambda: 0},
+    ),
+    "f2-vector-spaces": ({"v": 2}, F2),
+    "f3-vector-spaces": (
+        {"v": 3},
+        {
+            "plus": lambda x, y: (x + y) % 3,
+            "zero": lambda: 0,
+            "s0": lambda x: 0,
+            "s1": lambda x: x,
+            "s2": lambda x: (2 * x) % 3,
+        },
+    ),
+    "null-mul-f2": ({"v": 2}, {**F2, "mul": lambda x, y: 0}),
+    "semigroup-actions-trivial": ({"s": 1, "el": 2}, {"mul": lambda x, y: 0, "act": lambda x, u: u}),
+    "group-reps-trivial-f2": (
+        {"g": 1, "v": 2},
+        {**F2, "mul": lambda x, y: 0, "inv": lambda x: 0, "e": lambda: 0, "act": lambda x, u: u},
+    ),
+    "lie-reps-null-f2": (
+        {"L": 1, "v": 2},
+        {
+            **F2,
+            "ladd": lambda x, y: 0,
+            "lzero": lambda: 0,
+            "l0": lambda x: 0,
+            "l1": lambda x: x,
+            "br": lambda x, y: 0,
+            "act": lambda x, u: 0,
+        },
+    ),
+    "setcoup": ({"a": 2, "b": 1}, {}),
+}
+
+
+def entry_models(name, v):
+    """Small concrete algebras of the entry's variety, for spot checks."""
+    return [make_algebra(v.sig, *MODELS[name])]
+
+
 def cyclic_group(sig, n):
-    return FiniteAlgebra.make(
+    return make_algebra(
         sig,
         {"elem": n},
         {"mul": lambda x, y: (x + y) % n, "inv": lambda x: (-x) % n, "e": lambda: 0},
     )
 
 
-def klein_four(sig, relabel=None):
-    relabel = relabel or (0, 1, 2, 3)
-    inv = {v: k for k, v in enumerate(relabel)}
-    return FiniteAlgebra.make(
-        sig,
-        {"elem": 4},
-        {
-            "mul": lambda x, y: relabel[inv[x] ^ inv[y]],
-            "inv": lambda x: x,
-            "e": lambda: relabel[0],
-        },
-    )
+def klein_four(sig):
+    return make_algebra(sig, {"elem": 4}, {"mul": xor, "inv": lambda x: x, "e": lambda: 0})

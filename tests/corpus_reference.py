@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 
 from freealg.certify import run_certificate
-from freealg.corpus import ENTRIES, INFINITE, load_entry, load_entry_variety, setcoup_swap_demo
+from freealg.corpus import ENTRIES, INFINITE, load_entry, setcoup_swap_demo
 from freealg.egraph import BudgetExceeded, build_free_algebra
 from freealg.terms import GeneratorProfile
 
@@ -39,7 +39,7 @@ def rows():
 
 def row_result(name: str, counts, infinite: bool) -> dict:
     """What the reference holds for one row, as the engine builds it now."""
-    v = load_entry_variety(name)
+    v, _ = load_entry(name)
     prof = GeneratorProfile.from_counts(v.sig, {s.name: c for s, c in zip(v.sig.sorts, counts)})
     res = build_free_algebra(v, prof, ENTRIES[name].infinite_budget if infinite else None)
     if isinstance(res, BudgetExceeded):

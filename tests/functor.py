@@ -1,42 +1,43 @@
 """The quotient functor between the free-algebra categories of a variety
-and one of its subvarieties.
+and one of its subvarieties, and the morphism helpers it needs.
 
 A subvariety is given syntactically: its axiom list extends the parent's.
 The functor sends the free algebra on a profile to the subvariety's free
 algebra on the same profile, and a morphism to the unique morphism
-commuting with the two natural projections.
+commuting with the two natural projections.  The fujiwara and per-sort
+certificate routes appeal to it; the tests build it here and check its
+laws.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .egraph import Budget, BudgetExceeded, FreeAlgebraResult, VarietyDef, build_free_algebra
-from .finalg import Evaluator, MorphismTable
-from .terms import GeneratorProfile, SortedVar
+from freealg.corpus import enumerate_homs, hom_from_gen_images
+from freealg.egraph import BudgetExceeded, FreeAlgebraResult, VarietyDef, build_free_algebra
+from freealg.finalg import AlgebraError, FiniteAlgebra, MorphismTable
+from freealg.terms import GeneratorProfile
 
 
 class SubvarietyError(Exception):
     pass
 
 
-class SaturationBudgetError(Exception):
-    """A required free algebra did not saturate within the budget."""
-
-    def __init__(self, variety: str, profile: str, outcome: BudgetExceeded):
-        super().__init__(
-            f"free algebra of '{variety}' on [{profile}] exceeded the budget "
-            f"({outcome.limit}: {outcome.classes} classes, round {outcome.rounds})"
-        )
-        self.outcome = outcome
+def identity_morphism(alg: FiniteAlgebra) -> MorphismTable:
+    return MorphismTable(alg, alg, tuple(tuple(range(n)) for n in alg.sizes))
 
 
-def build_or_raise(v: VarietyDef, profile: GeneratorProfile, budget: Budget) -> FreeAlgebraResult:
-    res = build_free_algebra(v, profile, budget)
-    if isinstance(res, BudgetExceeded):
-        raise SaturationBudgetError(v.name, profile.describe(), res)
-    return res
+def compose(outer: MorphismTable, inner: MorphismTable) -> MorphismTable:
+    """outer . inner (apply inner first)."""
+    if inner.target is not outer.source:
+        raise AlgebraError("morphisms are not composable")
+    maps = tuple(tuple(outer.maps[s][v] for v in m) for s, m in enumerate(inner.maps))
+    return MorphismTable(inner.source, outer.target, maps)
+
+
+def is_surjective(table: MorphismTable) -> bool:
+    return all(set(m) == set(range(n)) for m, n in zip(table.maps, table.target.sizes))
 
 
 @dataclass(frozen=True)
@@ -58,54 +59,25 @@ class SubvarietyPair:
         return cls(theta, theta.extended(extra, name))
 
 
-def hom_from_gen_images(
-    src: FreeAlgebraResult, dst: FreeAlgebraResult, images: dict[SortedVar, int]
-) -> MorphismTable:
-    """Materialize the unique homomorphism extending a generator map.
-
-    Each source class is sent to the evaluation of its representative term;
-    freeness of the source makes this a homomorphism.
-    """
-    ev = Evaluator(src.profile, images, dst.algebra)
-    maps = tuple(tuple(ev(rep) for rep in src.reps[s.id]) for s in src.variety.sig.sorts)
-    table = MorphismTable(src.algebra, dst.algebra, maps)
-    assert table.is_homomorphism(), "universal property violated"
-    return table
-
-
-def enumerate_homs(src: FreeAlgebraResult, dst: FreeAlgebraResult):
-    """All homomorphisms src -> dst, via all sort-respecting generator maps."""
-    vs = src.profile.variables()
-    pools = [range(dst.algebra.sizes[v.sort]) for v in vs]
-    out = []
-    for combo in itertools.product(*pools):
-        images = dict(zip(vs, combo))
-        out.append((images, hom_from_gen_images(src, dst, images)))
-    return out
-
-
-@dataclass
-class NaturalEpi:
+class NaturalEpi(NamedTuple):
     theta_free: FreeAlgebraResult
     delta_free: FreeAlgebraResult
     table: MorphismTable
 
 
-def natural_epimorphism(
-    pair: SubvarietyPair, profile: GeneratorProfile, budget: Budget | None = None
-) -> NaturalEpi:
+def natural_epimorphism(pair: SubvarietyPair, profile: GeneratorProfile) -> NaturalEpi:
     """Projection of the free theta-algebra onto the free delta-algebra.
 
     Sends each class to the delta-class of its representative term, i.e. the
     homomorphism extending the delta generator images.
     """
-    budget = budget or Budget()
-    ftheta = build_or_raise(pair.theta, profile, budget)
-    fdelta = build_or_raise(pair.delta, profile, budget)
+    ftheta = build_free_algebra(pair.theta, profile)
+    fdelta = build_free_algebra(pair.delta, profile)
+    assert not isinstance(ftheta, BudgetExceeded) and not isinstance(fdelta, BudgetExceeded)
     table = hom_from_gen_images(ftheta, fdelta, fdelta.gen_images)
-    assert table.is_surjective(), "projection is not onto"
+    assert is_surjective(table), "projection is not onto"
     for v, e in ftheta.gen_images.items():
-        assert table(v.sort, e) == fdelta.gen_images[v]
+        assert table.maps[v.sort][e] == fdelta.gen_images[v]
     return NaturalEpi(ftheta, fdelta, table)
 
 
@@ -116,16 +88,15 @@ class DFunctor:
     literally identical generator names, so cached results interchange.
     """
 
-    def __init__(self, pair: SubvarietyPair, budget: Budget | None = None):
+    def __init__(self, pair: SubvarietyPair):
         self.pair = pair
-        self.budget = budget or Budget()
         self._epis: dict[tuple[int, ...], NaturalEpi] = {}
 
     def epi(self, profile: GeneratorProfile) -> NaturalEpi:
         key = profile.counts()
         got = self._epis.get(key)
         if got is None:
-            got = natural_epimorphism(self.pair, profile, self.budget)
+            got = natural_epimorphism(self.pair, profile)
             self._epis[key] = got
         return got
 
@@ -143,8 +114,8 @@ class DFunctor:
         for s in sig.sorts:
             col = [-1] * ex.delta_free.algebra.sizes[s.id]
             for e in range(ex.theta_free.algebra.sizes[s.id]):
-                d = ex.table(s.id, e)
-                val = ey.table(s.id, phi(s.id, e))
+                d = ex.table.maps[s.id][e]
+                val = ey.table.maps[s.id][phi.maps[s.id][e]]
                 if col[d] < 0:
                     col[d] = val
                 elif col[d] != val:
@@ -159,7 +130,6 @@ class DFunctor:
 
 @dataclass
 class FunctorialityReport:
-    profiles: tuple[tuple[int, ...], ...]
     hom_counts: dict
     identity_checks: int
     composition_checks: int
@@ -169,57 +139,42 @@ class FunctorialityReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {
-            "profiles": [list(p) for p in self.profiles],
-            "hom_counts": {str(k): v for k, v in self.hom_counts.items()},
-            "identity_checks": self.identity_checks,
-            "composition_checks": self.composition_checks,
-            "violations": list(self.violations),
-        }
 
-
-def check_functoriality(
-    pair: SubvarietyPair, profiles, budget: Budget | None = None
-) -> FunctorialityReport:
+def check_functoriality(pair: SubvarietyPair, profiles) -> FunctorialityReport:
     """Verify the functor laws pointwise over every generator-map morphism
     among the free algebras on the given profiles."""
-    functor = DFunctor(pair, budget)
+    functor = DFunctor(pair)
     violations: list[str] = []
     identity_checks = 0
     composition_checks = 0
-    hom_counts: dict[tuple, int] = {}
 
     for p in profiles:
         epi = functor.epi(p)
-        d_id = functor.morphism(p, p, MorphismTable.identity(epi.theta_free.algebra))
+        d_id = functor.morphism(p, p, identity_morphism(epi.theta_free.algebra))
         identity_checks += 1
-        if d_id != MorphismTable.identity(epi.delta_free.algebra):
+        if d_id != identity_morphism(epi.delta_free.algebra):
             violations.append(f"D(id) != id on profile [{p.describe()}]")
 
-    homs: dict[tuple[int, int], list[MorphismTable]] = {}
-    for i, a in enumerate(profiles):
-        for j, b in enumerate(profiles):
-            fa, fb = functor.epi(a).theta_free, functor.epi(b).theta_free
-            homs[(i, j)] = [t for _, t in enumerate_homs(fa, fb)]
-            hom_counts[(a.counts(), b.counts())] = len(homs[(i, j)])
-
-    for i, a in enumerate(profiles):
-        for j, b in enumerate(profiles):
-            for k, c in enumerate(profiles):
-                for f in homs[(i, j)]:
+    homs = {
+        (a.counts(), b.counts()): enumerate_homs(functor.epi(a).theta_free, functor.epi(b).theta_free)
+        for a in profiles
+        for b in profiles
+    }
+    for a in profiles:
+        for b in profiles:
+            for c in profiles:
+                for f in homs[(a.counts(), b.counts())]:
                     df = functor.morphism(a, b, f)
-                    for g in homs[(j, k)]:
+                    for g in homs[(b.counts(), c.counts())]:
                         dg = functor.morphism(b, c, g)
                         composition_checks += 1
-                        if functor.morphism(a, c, g.after(f)) != dg.after(df):
+                        if functor.morphism(a, c, compose(g, f)) != compose(dg, df):
                             violations.append(
                                 f"D(g.f) != D(g).D(f) between profiles "
                                 f"[{a.describe()}] -> [{b.describe()}] -> [{c.describe()}]"
                             )
     return FunctorialityReport(
-        profiles=tuple(p.counts() for p in profiles),
-        hom_counts=hom_counts,
+        hom_counts={key: len(tables) for key, tables in homs.items()},
         identity_checks=identity_checks,
         composition_checks=composition_checks,
         violations=tuple(violations),

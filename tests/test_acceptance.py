@@ -10,8 +10,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from bruteforce import agrees_with_engine, bruteforce_free_algebra
-from conftest import make_axioms, make_variety
+from bruteforce import agrees_with_engine, bruteforce_free_algebra, enumerate_terms, substitute
+from conftest import make_axioms, make_variety, profile_of
 from freealg.certify import (
     CERTIFIED,
     CERTIFIED_CONDITIONAL,
@@ -24,17 +24,10 @@ from freealg.certify import (
 )
 from freealg.cli import main
 from freealg.corpus import ENTRIES, load_entry, setcoup_swap_demo
-from freealg.dfunctor import SubvarietyPair, check_functoriality
 from freealg.egraph import Budget, BudgetExceeded, build_free_algebra
 from freealg.finalg import MorphismTable
-from freealg.terms import (
-    GeneratorProfile,
-    SortedVar,
-    arena_of,
-    enumerate_terms,
-    substitute,
-    term_length,
-)
+from freealg.terms import GeneratorProfile, SortedVar, arena_of
+from functor import SubvarietyPair, check_functoriality
 
 
 @contextmanager
@@ -50,14 +43,8 @@ def criterion(num, label, limit):
     assert elapsed < limit, f"criterion {num} exceeded its {limit}s budget"
 
 
-def entry_profile(v, counts):
-    return GeneratorProfile.from_counts(
-        v.sig, {s.name: c for s, c in zip(v.sig.sorts, counts)}
-    )
-
-
 def sizes_of(v, counts, budget=None):
-    res = build_free_algebra(v, entry_profile(v, counts), budget or Budget())
+    res = build_free_algebra(v, profile_of(v, counts), budget or Budget())
     assert not isinstance(res, BudgetExceeded)
     return res.algebra.sizes
 
@@ -81,7 +68,7 @@ def test_criterion_03_left_zero_sizes_and_homs():
         v, _ = load_entry("left-zero")
         frees = {}
         for n in range(1, 7):
-            res = build_free_algebra(v, entry_profile(v, (n,)))
+            res = build_free_algebra(v, profile_of(v, (n,)))
             assert res.algebra.sizes == (n,)
             frees[n] = res
         for n in range(1, 4):
@@ -100,7 +87,7 @@ def test_criterion_04_comm_idem_sizes_with_oracle():
         for n in range(1, 6):
             assert sizes_of(v, (n,)) == (2**n - 1,)
         for n in range(1, 4):
-            prof = entry_profile(v, (n,))
+            prof = profile_of(v, (n,))
             res = build_free_algebra(v, prof)
             oracle = bruteforce_free_algebra(v, prof)
             assert oracle.stabilized
@@ -113,7 +100,7 @@ def test_criterion_05_f2_spaces_and_null_multiplication():
         for name in ("f2-vector-spaces", "null-mul-f2"):
             v, _ = load_entry(name)
             for n in range(1, 4):
-                prof = entry_profile(v, (n,))
+                prof = profile_of(v, (n,))
                 res = build_free_algebra(v, prof)
                 assert res.algebra.sizes == (2**n,)
                 if n <= 2:
@@ -128,7 +115,7 @@ def test_criterion_06_graph_sizes_by_term_enumeration():
         v, _ = load_entry("graphs")
         for e in range(4):
             for n in range(4):
-                prof = entry_profile(v, (e, n))
+                prof = profile_of(v, (e, n))
                 res = build_free_algebra(v, prof)
                 assert res.algebra.sizes == (e, n + 2 * e)
                 # independent count: no axioms, so distinct terms are elements
@@ -227,7 +214,7 @@ def test_criterion_09_length_monotone_under_homomorphisms():
                 if not ok:
                     continue
                 image = substitute(t, mapping, arena)
-                assert term_length(t) <= term_length(image)
+                assert t.length <= image.length
                 done += 1
                 checked += 1
         assert checked >= 10_000
@@ -241,7 +228,7 @@ def test_criterion_10_oracle_equivalence():
             for counts in entry.oracle_profiles:
                 if any(c > 2 for c in counts):
                     continue
-                prof = entry_profile(v, counts)
+                prof = profile_of(v, counts)
                 res = build_free_algebra(v, prof)
                 assert not isinstance(res, BudgetExceeded), (name, counts)
                 oracle = bruteforce_free_algebra(v, prof)

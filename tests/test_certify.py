@@ -22,9 +22,10 @@ from freealg.certify import (
 )
 from freealg.corpus import load_entry
 from freealg.egraph import Budget, build_free_algebra
-from freealg.finalg import MorphismTable, find_isomorphism
+from freealg.finalg import find_isomorphism
 from freealg.signature import classify_action_signature, restrict_to_part
 from freealg.terms import GeneratorProfile
+from functor import identity_morphism
 
 
 def test_empty_theory_routes(sets_variety, graphs_variety):
@@ -306,7 +307,7 @@ def test_sweep_stops_at_the_first_isomorphism(boolean_groups, monkeypatch):
     # no honest route finds an isomorphism between free algebras on
     # different profiles; a search that always answers reaches the branch
     monkeypatch.setattr(
-        "freealg.certify.find_isomorphism", lambda a, b: MorphismTable.identity(a)
+        "freealg.certify.find_isomorphism", lambda a, b: identity_morphism(a)
     )
     report = certify_fujiwara(boolean_groups, [], 2)
     assert report.status == REFUTED

@@ -5,11 +5,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import cyclic_group
+from conftest import algebra_json, cyclic_group, load_entry_variety, make_algebra, serialize_variety
 from freealg.cli import main
-from freealg.corpus import load_entry_variety
-from freealg.files import serialize_variety
-from freealg.finalg import FiniteAlgebra
 from freealg.signature import classify_action_signature, restrict_to_part
 
 
@@ -126,6 +123,28 @@ def test_certify_degenerate_witness(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+def test_certify_per_sort(tmp_path, capsys):
+    # general semigroup actions: left-zero witness for the semigroup sort,
+    # trivial action witness for the set sort
+    var, cert, out = tmp_path / "actions.var", tmp_path / "actions.cert", tmp_path / "r.json"
+    var.write_text(
+        "(signature (sort s) (sort el) (op mul (s s) s) (op act (s el) el))\n"
+        "(variety semigroup-actions\n"
+        "  (axiom ((x s) (y s) (z s)) (= (mul (mul x y) z) (mul x (mul y z))))\n"
+        "  (axiom ((x s) (y s) (u el)) (= (act (mul x y) u) (act x (act y u)))))\n"
+    )
+    cert.write_text(
+        "(certificate per-sort\n"
+        "  (sort s (rank 2) (axiom ((x s) (y s)) (= (mul x y) x)))\n"
+        "  (sort el (rank 2) (axiom ((x s) (u el)) (= (act x u) u))))\n"
+    )
+    assert main(["certify", str(var), str(cert), "--json", str(out)]) == 0
+    assert "semigroup-actions: certified (rank 2)" in capsys.readouterr().out
+    data = validate_report(out)
+    assert (data["status"], data["route"], data["rank"]) == ("certified", "per-sort", 2)
+    assert data["nondegeneracy"] == {"s": "nondegenerate", "el": "nondegenerate"}
+
+
 def test_certify_action_split(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(
@@ -148,10 +167,10 @@ def test_certify_action_split(tmp_path, capsys):
 def test_check_z2_and_z4(tmp_path, capsys):
     v = load_entry_variety("boolean-groups")
     z2 = tmp_path / "z2.alg.json"
-    z2.write_text(json.dumps(cyclic_group(v.sig, 2).to_json_dict()))
+    z2.write_text(json.dumps(algebra_json(cyclic_group(v.sig, 2))))
     assert main(["check", corpus_path("boolean-groups.var"), str(z2)]) == 0
     z4 = tmp_path / "z4.alg.json"
-    z4.write_text(json.dumps(cyclic_group(v.sig, 4).to_json_dict()))
+    z4.write_text(json.dumps(algebra_json(cyclic_group(v.sig, 4))))
     out = tmp_path / "r.json"
     code = main(["check", corpus_path("boolean-groups.var"), str(z4), "--json", str(out)])
     assert code == 3
@@ -185,7 +204,7 @@ def test_check_rejects_malformed_algebra(tmp_path, capsys, shape):
 def test_check_takes_json_but_no_budget_flags(tmp_path, capsys):
     v = load_entry_variety("boolean-groups")
     z2 = tmp_path / "z2.alg.json"
-    z2.write_text(json.dumps(cyclic_group(v.sig, 2).to_json_dict()))
+    z2.write_text(json.dumps(algebra_json(cyclic_group(v.sig, 2))))
     with pytest.raises(SystemExit) as refused:
         main(["check", corpus_path("boolean-groups.var"), str(z2), "--budget-rounds", "0"])
     assert refused.value.code == 2
@@ -264,7 +283,7 @@ def test_certify_action_split_with_sample_h1(tmp_path, capsys, sample, code, sta
     split = classify_action_signature(v.sig)
     sub1, _ = restrict_to_part(v.sig, split, 1)
     (tmp_path / "h1.alg.json").write_text(
-        json.dumps(FiniteAlgebra.make(sub1, {"s": 2}, {"mul": mul}).to_json_dict())
+        json.dumps(algebra_json(make_algebra(sub1, {"s": 2}, {"mul": mul})))
     )
     cert = tmp_path / "sample.cert"
     cert.write_text(_with_section("semigroup-actions-trivial.cert", "(sample-h1 h1.alg.json)"))
@@ -282,7 +301,7 @@ def test_certify_action_split_with_sample_h1(tmp_path, capsys, sample, code, sta
 
 
 def _algebra_with_repeated_entry() -> str:
-    data = cyclic_group(load_entry_variety("boolean-groups").sig, 2).to_json_dict()
+    data = algebra_json(cyclic_group(load_entry_variety("boolean-groups").sig, 2))
     data["tables"]["mul"].append({"args": [0, 0], "result": 1})
     return json.dumps(data)
 
@@ -325,7 +344,7 @@ def test_repeated_entry_is_an_error(tmp_path, capsys, case):
 
 def _algebra_with_repeated_carrier_key() -> str:
     # boolean-groups has one sort; the JSON names its carrier twice
-    text = json.dumps(cyclic_group(load_entry_variety("boolean-groups").sig, 2).to_json_dict())
+    text = json.dumps(algebra_json(cyclic_group(load_entry_variety("boolean-groups").sig, 2)))
     return text.replace('"carriers": {"elem": 2}', '"carriers": {"elem": 1, "elem": 2}', 1)
 
 
@@ -379,6 +398,34 @@ def test_unreadable_input_is_an_error(tmp_path, capsys, case):
     assert main([command, corpus_path(variety), str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+DEEP_TERM = "(f " * 1200 + "x" + ")" * 1200
+
+# inputs nested past the interpreter's recursion limit
+DEEP_INPUTS = {
+    "term": (
+        "deep.var",
+        "(signature (sort elem) (op f (elem) elem))\n"
+        f"(variety deep (axiom ((x elem)) (= {DEEP_TERM} x)))\n",
+        lambda path: ["free", path, "elem=1"],
+    ),
+    "json": (
+        "deep.alg.json",
+        "[" * 100_000,
+        lambda path: ["check", corpus_path("boolean-groups.var"), path],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_INPUTS))
+def test_deeply_nested_input_is_an_error(tmp_path, capsys, case):
+    filename, text, args = DEEP_INPUTS[case]
+    path = tmp_path / filename
+    path.write_text(text)
+    assert main(args(str(path))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nests too deeply" in err
 
 
 def test_env_budget(monkeypatch, capsys):

@@ -1,12 +1,17 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and every
+definition in ``src/freealg`` runs for the ``freealg`` command or the
+benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from perfbench.trace import HOOKS
+
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "freealg").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "freealg").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,3 +36,111 @@ def test_every_import_is_read(path):
 def test_scan_finds_an_unread_import():
     source = "import os\nfrom x import y as z, w\nprint(w)\n"
     assert unused_imports(source) == ["os (line 1)", "z (line 2)"]
+
+
+def reads(node) -> set[tuple[str | None, str]]:
+    """What the code under ``node`` reads: ``(None, name)`` for a bare name,
+    ``(owner, attr)`` for ``owner.attr``, with ``owner`` empty unless the
+    attribute is read from a bare name."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add((None, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add((getattr(n.value, "id", ""), n.attr))
+    return out
+
+
+def _bound(stmt) -> list[str]:
+    """The names a top-level statement defines; none for one that only runs."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and all(isinstance(t, ast.Name) for t in targets):
+        return [t.id for t in targets]
+    return []
+
+
+def unreached(sources: dict[str, str], roots) -> list[str]:
+    """The definitions in the modules that nothing reachable from ``roots``
+    (reads, as ``reads`` gives them) reads: top-level ones as ``module.name``,
+    and methods of reached classes as ``module.Class.method``.
+
+    A module-level statement that defines nothing runs on import, so its
+    reads are roots too.  Resolution is by name: a name, bare or as an
+    attribute, reaches every top-level definition so named.  A method of a
+    reached class is reached by ``Class.method``, by ``x.method`` for any
+    ``x`` that is no class of the modules, or, as a dunder, implicitly.
+    """
+    defs: dict[str, tuple[str, str | None, set]] = {}  # key -> (name, class, reads)
+    read = set(roots)
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, ast.ClassDef):
+                rest = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                for n in stmt.body:
+                    if isinstance(n, ast.FunctionDef):
+                        defs[f"{module}.{stmt.name}.{n.name}"] = (n.name, stmt.name, reads(n))
+                    else:
+                        rest.append(n)
+                defs[f"{module}.{stmt.name}"] = (stmt.name, None, set().union(*map(reads, rest)))
+            elif _bound(stmt):
+                defs.update((f"{module}.{name}", (name, None, reads(stmt))) for name in _bound(stmt))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                read |= reads(stmt)
+    classes = {cls for _, cls, _ in defs.values() if cls}
+    reached: set[str] = set()
+
+    def of_reached_class(key: str, cls: str | None) -> bool:
+        return cls is None or key.rsplit(".", 1)[0] in reached
+
+    while True:
+        names = {n for _, n in read}
+        loose = {n for owner, n in read if owner is not None and owner not in classes}
+
+        def read_by_name(name: str, cls: str | None) -> bool:
+            if name.startswith("__"):
+                return True
+            return name in names if cls is None else name in loose or (cls, name) in read
+
+        new = {
+            key
+            for key, (name, cls, _) in defs.items()
+            if key not in reached and of_reached_class(key, cls) and read_by_name(name, cls)
+        }
+        if not new:
+            return sorted(k for k, (_, cls, _) in defs.items() if k not in reached and of_reached_class(k, cls))
+        reached |= new
+        for key in new:
+            read |= defs[key][2]
+
+
+def benchmark_reads() -> set:
+    """What the benchmark's modules read, and the attribute paths that its
+    tracer hooks by name."""
+    out = {r for _, path, _ in HOOKS for r in reads(ast.parse(path, mode="eval"))}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        out |= reads(ast.parse(path.read_text()))
+    return out
+
+
+def test_every_definition_runs_for_the_cli_or_the_benchmark():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert unreached(sources, {(None, "entry")} | benchmark_reads()) == []
+
+
+def test_scan_finds_an_unreached_definition():
+    source = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def setup(): pass\n"
+        "setup()\n"
+        "class C:\n"
+        "    def m(self): pass\n"
+        "    def n(self): pass\n"
+        "    def __repr__(self): pass\n"
+        "def entry():\n"
+        "    used()\n"
+        "    C.n(C())\n"
+    )
+    assert unreached({"mod": source}, {(None, "entry")}) == ["mod.C.m", "mod.unused"]

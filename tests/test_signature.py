@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import load_entry_variety
 from freealg.sexpr import parse_one
 from freealg.signature import (
     ActionSplit,
@@ -97,8 +98,6 @@ def test_classify_rejects_wrong_action_shape():
 
 
 def test_split_partitions_ops():
-    from freealg.corpus import load_entry_variety
-
     for name in ("semigroup-actions-trivial", "group-reps-trivial-f2", "lie-reps-null-f2"):
         sig = load_entry_variety(name).sig
         split = classify_action_signature(sig)
@@ -124,11 +123,3 @@ def test_restrict_to_part_shares_objects():
     assert [o.name for o in sub_a.ops] == ["mul"]
     sub2, _ = restrict_to_part(sig, split, 2)
     assert sub2.ops == ()
-
-
-def test_signature_serialization_roundtrip():
-    sig = Signature.make(
-        ["a", "b"], [("f", ["a", "b"], "b"), ("c", [], "a")]
-    )
-    back = validate_signature(parse_one(sig.to_sexpr_text()))
-    assert back.same_shape(sig)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_axioms
-from freealg.corpus import load_entry_variety
-from freealg.finalg import Evaluator, FiniteAlgebra
+from bruteforce import enumerate_terms, substitute
+from conftest import load_entry_variety, make_algebra, make_axioms
+from freealg.finalg import Evaluator
 from freealg.signature import Signature, classify_action_signature
 from freealg.terms import (
     GeneratorProfile,
@@ -17,12 +17,9 @@ from freealg.terms import (
     UnboundVariable,
     alpha_key,
     arena_of,
-    enumerate_terms,
     is_sort1_pure,
     parse_term,
-    substitute,
     term_key,
-    term_length,
     term_profile_iso,
     term_to_text,
     transport_identity,
@@ -81,17 +78,17 @@ def test_lengths(semigroup_sig, xy):
     x = parse_term("x1", semigroup_sig, xy)
     mul = parse_term("(mul x1 x2)", semigroup_sig, xy)
     nested = parse_term("(mul (mul x1 x2) x2)", semigroup_sig, xy)
-    assert term_length(x) == 0
-    assert term_length(mul) == 1
-    assert term_length(nested) == 2
+    assert x.length == 0
+    assert mul.length == 1
+    assert nested.length == 2
     for t in (x, mul, nested):
-        assert term_length(t) == naive_length(t)
+        assert t.length == naive_length(t)
 
 
 def test_constant_has_length_zero(boolean_groups):
     prof = GeneratorProfile.from_counts(boolean_groups.sig, {"elem": 0})
     e = parse_term("(e)", boolean_groups.sig, prof)
-    assert term_length(e) == 0
+    assert e.length == 0
 
 
 def test_hash_consing_identity(semigroup_sig, xy):
@@ -129,7 +126,7 @@ def test_substitute_identity_is_identity(semigroup_sig, xy):
 
 
 def test_extend_assignment_left_zero(left_zero):
-    alg = FiniteAlgebra.make(left_zero.sig, {"elem": 2}, {"mul": lambda x, y: x})
+    alg = make_algebra(left_zero.sig, {"elem": 2}, {"mul": lambda x, y: x})
     prof = GeneratorProfile.from_counts(left_zero.sig, {"elem": 2})
     ev = Evaluator(prof, dict(zip(prof.variables(), [0, 1])), alg)
     assert ev(parse_term("(mul x1 x2)", left_zero.sig, prof)) == 0
@@ -241,14 +238,7 @@ def test_length_monotone_under_substitution(comm_idem):
     for _ in range(500):
         t = rand_term(xvars, 3)
         mapping = {v.var: rand_term(yvars, 2) for v in xvars}
-        assert term_length(t) <= term_length(substitute(t, mapping, arena))
-
-
-def test_enumerate_terms_graphs(graphs_variety):
-    prof = GeneratorProfile.from_counts(graphs_variety.sig, {"edge": 1, "vertex": 1})
-    terms = enumerate_terms(graphs_variety.sig, prof, max_length=4)
-    # e, v, h(e), t(e): unary ops on edges cannot nest
-    assert len(terms) == 4
+        assert t.length <= substitute(t, mapping, arena).length
 
 
 def test_alpha_key_quotient_by_renaming(semigroup_sig):
