@@ -33,7 +33,6 @@ class CorpusEntry:
     name: str
     expected: tuple  # ((counts, sizes-or-INFINITE), ...)
     oracle_profiles: tuple = ()
-    notes: str = ""
     # cap applied when reproducing an expected-infinite profile, so the
     # corpus run stays fast; the default budget trips too, just slower
     infinite_budget: Budget = field(default=Budget(max_classes=4000, max_rounds=64))
@@ -42,97 +41,96 @@ class CorpusEntry:
 ENTRIES: dict[str, CorpusEntry] = {}
 
 
-def _entry(name, expected, oracle_profiles=(), notes=""):
+def _entry(name, expected, oracle_profiles=()):
     ENTRIES[name] = CorpusEntry(
         name=name,
         expected=tuple(expected),
         oracle_profiles=tuple(oracle_profiles),
-        notes=notes,
     )
 
 
+# free algebra on n generators is the n-element set
 _entry(
     "sets",
     [((1,), (1,)), ((3,), (3,)), ((5,), (5,))],
     oracle_profiles=[(1,), (2,)],
-    notes="free algebra on n generators is the n-element set",
 )
+# edge sort keeps its generators; vertex sort gains a head and a tail per edge
 _entry(
     "graphs",
     [((1, 1), (1, 3)), ((2, 1), (2, 5)), ((3, 3), (3, 9))],
     oracle_profiles=[(1, 1), (2, 2)],
-    notes="edge sort keeps its generators; vertex sort gains a head and a tail per edge",
 )
+# state terms nest without bound once an input generator exists
 _entry(
     "automata",
     [((0, 2, 0), (0, 2, 0)), ((1, 1, 0), INFINITE), ((1, 1, 1), INFINITE)],
-    notes="state terms nest without bound once an input generator exists",
 )
+# free algebra is the generator set; every set map is a homomorphism
 _entry(
     "left-zero",
     [((n,), (n,)) for n in range(1, 7)],
     oracle_profiles=[(2,), (3,)],
-    notes="free algebra is the generator set; every set map is a homomorphism",
 )
+# elements are nonempty generator subsets: 2^n - 1
 _entry(
     "comm-idem-semigroups",
     [((n,), (2**n - 1,)) for n in range(1, 6)],
     oracle_profiles=[(1,), (2,), (3,)],
-    notes="elements are nonempty generator subsets: 2^n - 1",
 )
+# free algebra on n generators is the elementary abelian 2-group of rank n
 _entry(
     "boolean-groups",
     [((n,), (2**n,)) for n in range(1, 5)],
     oracle_profiles=[(1,), (2,)],
-    notes="free algebra on n generators is the elementary abelian 2-group of rank n",
 )
+# free algebra on n generators is the elementary abelian 3-group of rank n
 _entry(
     "elem-abelian-3",
     [((n,), (3**n,)) for n in range(1, 4)],
     oracle_profiles=[(1,), (2,)],
-    notes="free algebra on n generators is the elementary abelian 3-group of rank n",
 )
+# free algebra on n generators is the n-dimensional space: 2^n vectors
 _entry(
     "f2-vector-spaces",
     [((n,), (2**n,)) for n in range(1, 4)],
     oracle_profiles=[(1,), (2,)],
-    notes="free algebra on n generators is the n-dimensional space: 2^n vectors",
 )
+# free algebra on n generators has 3^n vectors
 _entry(
     "f3-vector-spaces",
     [((n,), (3**n,)) for n in range(1, 4)],
     oracle_profiles=[(1,), (2,)],
-    notes="free algebra on n generators has 3^n vectors",
 )
+# null multiplication adds nothing: plain 2^n vector spaces
 _entry(
     "null-mul-f2",
     [((n,), (2**n,)) for n in range(1, 4)],
     oracle_profiles=[(1,), (2,)],
-    notes="null multiplication adds nothing: plain 2^n vector spaces",
 )
+# set sort stays free under the trivial action; semigroup sort is a free semigroup
 _entry(
     "semigroup-actions-trivial",
     [((0, 1), (0, 1)), ((0, 3), (0, 3)), ((1, 1), INFINITE)],
     oracle_profiles=[(0, 1), (0, 2)],
-    notes="set sort stays free under the trivial action; semigroup sort is a free semigroup",
 )
+# with no group generators the vector sort is the free vector space: 2^n
 _entry(
     "group-reps-trivial-f2",
     [((0, 1), (1, 2)), ((0, 2), (1, 4)), ((0, 3), (1, 8)), ((1, 0), INFINITE)],
     oracle_profiles=[(0, 1), (0, 2)],
-    notes="with no group generators the vector sort is the free vector space: 2^n",
 )
+# null action keeps the vector sort free; one Lie generator spans a 2-element line
 _entry(
     "lie-reps-null-f2",
     [((0, 1), (1, 2)), ((0, 2), (1, 4)), ((0, 3), (1, 8)), ((1, 0), (2, 1)), ((2, 0), INFINITE)],
     oracle_profiles=[(0, 1), (1, 0)],
-    notes="null action keeps the vector sort free; one Lie generator spans a 2-element line",
 )
+# free couple of sets is the pair of generator sets
 _entry(
     "setcoup",
     [((1, 0), (1, 0)), ((0, 1), (0, 1)), ((2, 3), (2, 3))],
     oracle_profiles=[(1, 1)],
-    notes="free couple of sets is the pair of generator sets",
 )
 
 
@@ -309,17 +307,18 @@ def enumerate_homs(src: FreeAlgebraResult, dst: FreeAlgebraResult) -> list[Morph
     return [hom_from_gen_images(src, dst, dict(zip(vs, c))) for c in itertools.product(*pools)]
 
 
-def setcoup_swap_demo(budget: Budget | None = None, max_count: int = 3) -> SwapReport:
+def setcoup_swap_demo(budget: Budget | None = None) -> SwapReport:
     """The sort-swap functor on couples of sets: an involution that still
-    moves the one-generator free algebra to a non-isomorphic one."""
+    moves the one-generator free algebra to a non-isomorphic one.  It checks
+    the free couples F(m, n) with m, n <= 3."""
     budget = budget or Budget()
     v, cert = load_entry("setcoup")
     sig = v.sig
     violations: list[str] = []
 
     frees = {}
-    for m in range(max_count + 1):
-        for n in range(max_count + 1):
+    for m in range(4):
+        for n in range(4):
             prof = _profile_for(v, (m, n))
             res = build_free_algebra(v, prof, budget)
             assert not isinstance(res, BudgetExceeded)

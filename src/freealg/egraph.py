@@ -764,8 +764,8 @@ class NondegeneracyReport:
     detail: str
 
 
-def nondegeneracy_check(variety: VarietyDef, sort, budget: Budget | None = None) -> NondegeneracyReport:
-    """Whether the variety forces two sort-i generators together.
+def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None = None) -> NondegeneracyReport:
+    """Whether the variety forces two generators of sort ``sort_id`` together.
 
     Builds on two generators of the sort and watches their classes: a merge
     is immediately sound (merges only ever follow from the congruence), a
@@ -774,7 +774,6 @@ def nondegeneracy_check(variety: VarietyDef, sort, budget: Budget | None = None)
     """
     budget = budget or Budget()
     sig = variety.sig
-    sort_id = sort if isinstance(sort, int) else sig.sort_named(sort).id
     name = sig.sorts[sort_id].name
     profile = GeneratorProfile.from_counts(sig, {name: 2})
     v1, v2 = profile.variables()

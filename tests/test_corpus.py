@@ -74,9 +74,9 @@ def test_setcoup_swap_demo(full_report):
 
 
 def test_swap_demo_standalone():
-    demo = setcoup_swap_demo(max_count=2)
+    demo = setcoup_swap_demo()
     assert demo.ok
-    assert demo.objects_checked == 9
+    assert demo.objects_checked == 16
 
 
 def test_unknown_entry_name():

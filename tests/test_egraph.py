@@ -80,16 +80,16 @@ def test_automata_budget_exceeded():
 
 
 def test_nondegeneracy_sets(sets_variety):
-    assert nondegeneracy_check(sets_variety, "elem").verdict == NONDEGENERATE
+    assert nondegeneracy_check(sets_variety, 0).verdict == NONDEGENERATE
 
 
 def test_nondegeneracy_collapse():
     v = collapse_variety()
-    assert nondegeneracy_check(v, "elem").verdict == DEGENERATE
+    assert nondegeneracy_check(v, 0).verdict == DEGENERATE
 
 
 def test_nondegeneracy_boolean(boolean_groups):
-    assert nondegeneracy_check(boolean_groups, "elem").verdict == NONDEGENERATE
+    assert nondegeneracy_check(boolean_groups, 0).verdict == NONDEGENERATE
 
 
 def test_nondegeneracy_unknown_on_budget():
@@ -99,7 +99,7 @@ def test_nondegeneracy_unknown_on_budget():
         "semigroups",
         [([("x", "elem"), ("y", "elem"), ("z", "elem")], "(mul (mul x y) z)", "(mul x (mul y z))")],
     )
-    report = nondegeneracy_check(semigroups, "elem", Budget(max_classes=500, max_rounds=8))
+    report = nondegeneracy_check(semigroups, 0, Budget(max_classes=500, max_rounds=8))
     assert report.verdict == UNKNOWN
 
 
