@@ -3,20 +3,12 @@
 Carrier elements of sort s are the integers 0..size-1.  Tables are total
 maps from argument tuples to results and are checked at construction.
 Empty carriers are legal; identity satisfaction over them is vacuous.
-
-An algebra is frozen at construction: it copies the tables it is given,
-exposes them read-only, and refuses attribute assignment, so what is
-derived from it once (the isomorphism search's index of its table
-entries) stays valid for its lifetime.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 
 from .signature import ActionSplit, Signature
 from .terms import GeneratorProfile, Identity, SortedVar, Term, free_vars
@@ -39,32 +31,11 @@ class EmptyCarrier(AlgebraError):
 
 
 class FiniteAlgebra:
-    """An algebra of ``sig`` with per-sort carrier ``sizes`` and, per op id,
-    a table from argument tuples to results.
-
-    ``tables`` is a read-only view of the algebra's own copy of the tables
-    it was given.  Code in this module reads the copy, ``_tables``, directly,
-    which spares the search and term evaluation the view's indirection.
-    """
-
-    def __init__(self, sig: Signature, sizes: tuple[int, ...], tables: Mapping[int, Mapping[tuple, int]]):
-        own = {op_id: dict(table) for op_id, table in tables.items()}
-        view = MappingProxyType({op_id: MappingProxyType(table) for op_id, table in own.items()})
-        for name, value in (("sig", sig), ("sizes", tuple(sizes)), ("_tables", own), ("tables", view)):
-            object.__setattr__(self, name, value)
+    def __init__(self, sig: Signature, sizes: tuple[int, ...], tables: dict[int, dict[tuple, int]]):
+        self.sig = sig
+        self.sizes = tuple(sizes)
+        self.tables = tables
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a FiniteAlgebra cannot change after construction ('{name}')")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"a FiniteAlgebra cannot change after construction ('{name}')")
-
-    @cached_property
-    def _search_index(self):
-        """``_use_lists`` of this algebra, built the first time it is the
-        source of an isomorphism search and freed with it."""
-        return _use_lists(self)
 
     def _validate(self):
         if len(self.sizes) != len(self.sig.sorts):
@@ -72,7 +43,7 @@ class FiniteAlgebra:
         if any(n < 0 for n in self.sizes):
             raise AlgebraError("negative carrier size")
         for op in self.sig.ops:
-            table = self._tables.get(op.id)
+            table = self.tables.get(op.id)
             if table is None:
                 raise AlgebraError(f"missing table for operation '{op.name}'")
             domain = 1
@@ -168,7 +139,7 @@ def eval_term(alg: FiniteAlgebra, t: Term, asg: dict[SortedVar, int]) -> int:
             raise AlgebraError(f"variable '{t.var.name}' has no assigned value")
         return asg[t.var]
     args = tuple(eval_term(alg, c, asg) for c in t.children)
-    return alg._tables[t.op.id][args]
+    return alg.tables[t.op.id][args]
 
 
 class Evaluator:
@@ -204,7 +175,7 @@ class Evaluator:
         if t.is_var():
             val = self.images[t.var]
         else:
-            val = self.target._tables[t.op.id][tuple(self(c) for c in t.children)]
+            val = self.target.tables[t.op.id][tuple(self(c) for c in t.children)]
         memo[t] = val
         return val
 
@@ -267,9 +238,9 @@ class MorphismTable:
     def is_homomorphism(self) -> bool:
         """Commutes with every operation, table entry by table entry."""
         for op in self.source.sig.ops:
-            for args, res in self.source._tables[op.id].items():
+            for args, res in self.source.tables[op.id].items():
                 mapped = tuple([self.maps[s][a] for a, s in zip(args, op.arg_sorts)])
-                if self.target._tables[op.id][mapped] != self.maps[op.result_sort][res]:
+                if self.target.tables[op.id][mapped] != self.maps[op.result_sort][res]:
                     return False
         return True
 
@@ -311,7 +282,7 @@ def _use_lists(a: FiniteAlgebra) -> tuple[list[list[list[_Entry]]], tuple[_Entry
     uses: list[list[list[_Entry]]] = [[[] for _ in range(n)] for n in a.sizes]
     constants: list[_Entry] = []
     for op in a.sig.ops:
-        for args, res in a._tables[op.id].items():
+        for args, res in a.tables[op.id].items():
             pairs = tuple(zip(op.arg_sorts, args))
             entry = (op.id, pairs, op.result_sort, res)
             for s, e in pairs:
@@ -397,10 +368,9 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     canonical order, recorded the first time the search reaches that depth,
     and the search ends when every element is mapped.
 
-    Each closure visits only the table entries of the elements mapped since
-    the last one, through use lists of ``a`` (``_use_lists``) that are built
-    after the size check the first time ``a`` is the source of a search and
-    kept on ``a``, which cannot change.  The trail of mapped elements is
+    After the size check, ``a`` is indexed once into use lists
+    (``_use_lists``), so each closure visits only the table entries of the
+    elements mapped since the last one; the trail of mapped elements is
     both the worklist and the undo log.  The search keeps an explicit
     stack, one frame per placed generator, so its depth is not bounded by
     Python's recursion limit.
@@ -409,8 +379,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
         raise AlgebraError("isomorphism search needs a shared signature")
     if a.sizes != b.sizes:
         return None
-    uses, constants = a._search_index
-    tables = b._tables
+    uses, constants = _use_lists(a)
     maps = [[-1] * n for n in a.sizes]
     used = [set() for _ in a.sizes]
     trail: list[tuple[int, int]] = []
@@ -421,7 +390,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
             used[s].remove(maps[s][e])
             maps[s][e] = -1
 
-    if not _close(tables, uses, maps, used, trail, 0, constants):
+    if not _close(b.tables, uses, maps, used, trail, 0, constants):
         return None
     gens: list[tuple[int, int]] = []
     # one frame per placed generator: the trail length before it, its image
@@ -449,7 +418,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
         maps[s][e] = cand
         used[s].add(cand)
         trail.append((s, e))
-        if _close(tables, uses, maps, used, trail, mark):
+        if _close(b.tables, uses, maps, used, trail, mark):
             frames.append((mark, cand))
             cand = 0
         else:
@@ -479,7 +448,7 @@ def assemble_trivial_action(
     for ops, side in ((split.ops1, h1), (split.ops2, h2)):
         for op in ops:
             sub_op = side.sig.op_named(op.name)
-            tables[op.id] = side._tables[sub_op.id]
+            tables[op.id] = dict(side.tables[sub_op.id])
     act_table: dict[tuple, int] = {}
     for j in range(h2.sizes[0]):
         val = eval_term(h2, s_term, {s_var: j})

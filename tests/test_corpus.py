@@ -9,7 +9,6 @@ from freealg.corpus import (
     load_entry,
     run_corpus,
     run_entry,
-    setcoup_swap_demo,
 )
 from freealg.files import parse_variety_document
 from freealg.finalg import satisfies_all
@@ -71,12 +70,6 @@ def test_setcoup_swap_demo(full_report):
     assert demo.asymmetry_noniso
     assert demo.certificate_status == "certified"
     assert demo.ok
-
-
-def test_swap_demo_standalone():
-    demo = setcoup_swap_demo()
-    assert demo.ok
-    assert demo.objects_checked == 16
 
 
 def test_unknown_entry_name():

@@ -1,10 +1,8 @@
-import gc
 import hashlib
 import itertools
 import json
 import math
 import random
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,6 @@ from conftest import (
     profile_of,
 )
 from corpus_reference import rows
-from freealg import finalg
 from freealg.egraph import build_free_algebra
 from freealg.finalg import (
     AlgebraError,
@@ -45,32 +42,6 @@ def test_tables_must_be_total(boolean_groups):
     sig = boolean_groups.sig
     with pytest.raises(AlgebraError):
         FiniteAlgebra(sig, (2,), {sig.op_named("mul").id: {(0, 0): 0}})
-
-
-def test_tables_are_read_only(boolean_groups):
-    z2 = cyclic_group(boolean_groups.sig, 2)
-    mul = boolean_groups.sig.op_named("mul").id
-    with pytest.raises(TypeError):
-        z2.tables[mul][(1, 1)] = 1
-    with pytest.raises(TypeError):
-        z2.tables[mul] = {}
-    with pytest.raises(AttributeError):
-        z2.tables = {}
-    with pytest.raises(AttributeError):
-        z2.sizes = (3,)
-    assert z2.tables[mul][(1, 1)] == 0 and z2.sizes == (2,)
-
-
-def test_algebra_keeps_its_own_copy_of_the_tables(boolean_groups):
-    z2 = cyclic_group(boolean_groups.sig, 2)
-    tables = {op_id: dict(table) for op_id, table in z2.tables.items()}
-    alg = FiniteAlgebra(boolean_groups.sig, (2,), tables)
-    mul = boolean_groups.sig.op_named("mul").id
-    tables[mul][(1, 1)] = 1
-    tables[mul][(2, 2)] = 0
-    del tables[boolean_groups.sig.op_named("inv").id]
-    assert alg.tables == z2.tables
-    assert find_isomorphism(alg, z2) == MorphismTable(alg, z2, ((0, 1),))
 
 
 def test_constant_needs_nonempty_carrier(boolean_groups):
@@ -329,38 +300,13 @@ def test_iso_search_depth_is_not_bounded_by_the_recursion_limit(sets_variety):
     assert find_isomorphism(a, a) == identity_morphism(a)
 
 
-def test_search_index_is_built_once_per_source(boolean_groups, monkeypatch):
-    built = []
-    use_lists = finalg._use_lists
-    monkeypatch.setattr(finalg, "_use_lists", lambda alg: built.append(alg) or use_lists(alg))
-    a = klein_four(boolean_groups.sig)
-    # the size guard answers before anything is indexed
-    assert find_isomorphism(a, cyclic_group(boolean_groups.sig, 2)) is None
-    assert built == []
-    for perm in [(0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)]:
-        b = relabeled(a, [perm])
-        assert find_isomorphism(a, b).maps == min(t.maps for t in exhaustive_isos(a, b))
-    assert built == [a]
-
-
-def test_search_index_is_freed_with_its_source(boolean_groups):
-    a = klein_four(boolean_groups.sig)
-    found = find_isomorphism(a, relabeled(a, [(2, 0, 3, 1)])) is not None
-    assert found and "_search_index" in vars(a)
-    source = weakref.ref(a)
-    del a
-    gc.collect()
-    assert source() is None
-
-
 FINITE_ROWS = {label: (name, counts) for label, name, counts, infinite in rows() if not infinite}
 
 
 @pytest.mark.parametrize("name, counts", list(FINITE_ROWS.values()), ids=list(FINITE_ROWS))
-def test_repeated_searches_from_one_source_agree_with_fresh_ones(name, counts):
-    # every finite corpus algebra: the searches from one source (indexed by
-    # the first) agree with searches from an unsearched copy, and on small
-    # carriers with the canonical-first map of the exhaustive search
+def test_iso_search_finds_relabelings_of_every_finite_corpus_algebra(name, counts):
+    # every finite corpus algebra: each seeded relabeling is found, and on
+    # small carriers the map is the canonical-first one of the exhaustive search
     v = load_entry_variety(name)
     a = build_free_algebra(v, profile_of(v, counts)).algebra
     few_maps = math.prod(math.factorial(n) for n in a.sizes) <= 720
@@ -368,8 +314,7 @@ def test_repeated_searches_from_one_source_agree_with_fresh_ones(name, counts):
         rng = random.Random(f"{name} {counts} {r}")
         b = relabeled(a, [rng.sample(range(k), k) for k in a.sizes])
         iso = find_isomorphism(a, b)
-        fresh = FiniteAlgebra(a.sig, a.sizes, a.tables)
-        assert iso.maps == find_isomorphism(fresh, b).maps
+        assert iso is not None
         if few_maps:
             assert iso.maps == min(t.maps for t in exhaustive_isos(a, b))
 
