@@ -51,6 +51,7 @@ from .finalg import (
     one_element_algebra,
     satisfies_all,
 )
+from .report import Report
 from .signature import NotActionSeparable, classify_action_signature, restrict_to_part
 from .terms import (
     GeneratorProfile,
@@ -78,14 +79,13 @@ class CertificateError(Exception):
 
 @dataclass(frozen=True)
 class EmptyTheoryCert:
-    route = "empty-theory"
+    """The empty-theory route takes no parameters."""
 
 
 @dataclass(frozen=True)
 class FujiwaraCert:
     extra_axioms: tuple[Identity, ...]
     rank: int
-    route = "fujiwara"
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,6 @@ class PerSortWitness:
 @dataclass(frozen=True)
 class PerSortCert:
     witnesses: dict  # sort name -> PerSortWitness
-    route = "per-sort"
 
 
 @dataclass(frozen=True)
@@ -109,47 +108,32 @@ class ActionSplitCert:
     sort2_axioms: tuple[Identity, ...]  # over the sort-2 sub-signature
     sort2_rank: int
     sample_h1: FiniteAlgebra | None = None
-    route = "action-split"
 
 
 @dataclass
-class ProfileEvidence:
+class ProfileEvidence(Report):
     counts: tuple[int, ...]
     sizes: tuple[int, ...] | None
     status: str  # 'ok' or 'budget'
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "sizes": None if self.sizes is None else list(self.sizes),
-            "status": self.status,
-            "detail": self.detail,
-        }
-
 
 @dataclass
-class IsoCheck:
+class IsoCheck(Report):
     left: tuple[int, ...]
     right: tuple[int, ...]
     isomorphic: bool
 
-    def to_json_dict(self) -> dict:
-        return {"left": list(self.left), "right": list(self.right), "isomorphic": self.isomorphic}
-
 
 @dataclass
-class RefutedEvidence:
+class RefutedEvidence(Report):
     left: tuple[int, ...]
     right: tuple[int, ...]
-    morphism_json: dict
-
-    def to_json_dict(self) -> dict:
-        return {"left": list(self.left), "right": list(self.right), "isomorphism": self.morphism_json}
+    isomorphism: dict  # sort name -> the image of each element
 
 
 @dataclass
-class CertReport:
+class CertReport(Report):
     status: str
     rank: object  # int, or the string 'unbounded'
     variety: str
@@ -157,7 +141,7 @@ class CertReport:
     sorts: tuple[str, ...]
     nondegeneracy: dict = field(default_factory=dict)
     profiles: tuple[ProfileEvidence, ...] = ()
-    iso_checks: tuple[IsoCheck, ...] = ()
+    iso_matrix: tuple[IsoCheck, ...] = ()
     assumptions: tuple[str, ...] = ()
     refuted: RefutedEvidence | None = None
     detail: str = ""
@@ -165,21 +149,6 @@ class CertReport:
     @property
     def certified(self) -> bool:
         return self.status in (CERTIFIED, CERTIFIED_CONDITIONAL)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "rank": self.rank,
-            "variety": self.variety,
-            "route": self.route,
-            "sorts": list(self.sorts),
-            "nondegeneracy": dict(self.nondegeneracy),
-            "profiles": [p.to_json_dict() for p in self.profiles],
-            "iso_matrix": [c.to_json_dict() for c in self.iso_checks],
-            "assumptions": list(self.assumptions),
-            "refuted": None if self.refuted is None else self.refuted.to_json_dict(),
-            "detail": self.detail,
-        }
 
 
 def _axis_profiles(nsorts: int, sort: int, rank: int):
@@ -236,7 +205,7 @@ def _sweep(
         report.profiles += (ProfileEvidence(counts, res.algebra.sizes, "ok"),)
     for p, q in itertools.combinations(builds, 2):
         iso = find_isomorphism(builds[p], builds[q])
-        report.iso_checks += (IsoCheck(p, q, iso is not None),)
+        report.iso_matrix += (IsoCheck(p, q, iso is not None),)
         if iso is not None:
             assert iso.is_homomorphism() and iso.is_bijective()
             report.refuted = RefutedEvidence(p, q, iso.to_json_dict())
@@ -344,8 +313,8 @@ def certify_action_split(
     if cert.sort1_rank < 2 or cert.sort2_rank < 2:
         raise CertificateError("action-split certificates need rank >= 2")
     sig = v.sig
-    sub1, _ = restrict_to_part(sig, split, 1)
-    sub2, _ = restrict_to_part(sig, split, 2)
+    sub1 = restrict_to_part(sig, split, 1)
+    sub2 = restrict_to_part(sig, split, 2)
     sort_names = tuple(s.name for s in sig.sorts)
     report = CertReport(
         status=CERTIFIED_CONDITIONAL,

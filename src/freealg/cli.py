@@ -26,7 +26,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .certify import CERTIFIED, CERTIFIED_CONDITIONAL, REFUTED, CertificateError
 from .certify import run_certificate
-from .egraph import Budget, BudgetExceeded, build_free_algebra
+from .egraph import Budget, BudgetExceeded, BuildStats, build_free_algebra
 from .files import (
     load_algebra_json,
     load_certificate,
@@ -36,7 +36,7 @@ from .files import (
 from .finalg import AlgebraError, satisfies_all
 from .sexpr import SexprError
 from .signature import SignatureError
-from .terms import TermError
+from .terms import GeneratorProfile, TermError
 
 SCHEMA_VERSION = "1"
 
@@ -61,9 +61,12 @@ def _budget(args) -> Budget:
     def limit(flag, env, fallback):
         if flag is not None:
             return flag
-        if env in os.environ:
+        if env not in os.environ:
+            return fallback
+        try:
             return int(os.environ[env])
-        return fallback
+        except ValueError:
+            raise ValueError(f"{env} must be an integer, not {os.environ[env]!r}") from None
 
     return Budget(
         max_classes=limit(args.budget_classes, "VF_BUDGET_CLASSES", default.max_classes),
@@ -71,13 +74,12 @@ def _budget(args) -> Budget:
     )
 
 
-def _emit(report: dict, timings: dict, json_path: str | None):
+def _emit(report: dict, timings: dict, json_path: str | None) -> None:
     report = dict(report)
     report["schema_version"] = SCHEMA_VERSION
     report["timings"] = {k: round(v, 6) for k, v in timings.items()}
     if json_path:
         Path(json_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
 
 
 def cmd_free(args) -> int:
@@ -85,32 +87,35 @@ def cmd_free(args) -> int:
     if args.max_reps is not None and args.max_reps < 0:
         raise ValueError("--max-reps must not be negative")
     v = load_variety(args.variety)
-    profile = parse_profile_spec(args.profile, v.sig)
+    counts = parse_profile_spec(args.profile, v.sig)
+    described = ",".join(f"{name}={n}" for name, n in counts.items())
+    generators = sum(counts.values())
     t0 = time.perf_counter()
-    res = build_free_algebra(v, profile, budget)
+    if generators > budget.max_classes:
+        # each generator is a class: trip before making a single one
+        res = BudgetExceeded(generators, 0, "classes", BuildStats())
+    else:
+        res = build_free_algebra(v, GeneratorProfile.from_counts(v.sig, counts), budget)
     elapsed = time.perf_counter() - t0
     if isinstance(res, BudgetExceeded):
         report = {
             "command": "free",
             "variety": v.name,
-            "profile": profile.describe(),
+            "profile": described,
             "status": "budget_exceeded",
-            "limit": res.limit,
-            "classes": res.classes,
-            "rounds": res.rounds,
-            "stats": res.stats.to_json_dict(),
+            **res.to_json_dict(),
         }
         _emit(report, {"build_seconds": elapsed}, args.json)
-        print(f"{v.name} on [{profile.describe()}]: budget exceeded ({res.limit})")
+        print(f"{v.name} on [{described}]: budget exceeded ({res.limit})")
         print(f"  classes: {res.classes}, rounds: {res.rounds}")
         return 2
     sizes = {s.name: res.algebra.sizes[s.id] for s in v.sig.sorts}
     reps = res.rep_strings(cap=args.max_reps)
-    gen_images = {var.name: res.gen_images[var] for var in profile.variables()}
+    gen_images = {var.name: res.gen_images[var] for var in res.profile.variables()}
     report = {
         "command": "free",
         "variety": v.name,
-        "profile": profile.describe(),
+        "profile": described,
         "status": "saturated",
         "sizes": sizes,
         "total_size": res.algebra.total_size(),
@@ -119,7 +124,7 @@ def cmd_free(args) -> int:
         "stats": res.stats.to_json_dict(),
     }
     _emit(report, {"build_seconds": elapsed}, args.json)
-    print(f"{v.name} on [{profile.describe()}]: saturated in {len(res.stats.rounds)} rounds")
+    print(f"{v.name} on [{described}]: saturated in {len(res.stats.rounds)} rounds")
     for s in v.sig.sorts:
         print(f"  |{s.name}| = {res.algebra.sizes[s.id]}")
     shown = 0
@@ -207,15 +212,16 @@ def cmd_corpus(args) -> int:
             + ("" if r.ok else f" (expected {r.expected})")
             for r in entry.sizes
         )
-        print(f"[{mark}] {entry.name}: {sizes}; certificate {entry.cert_status}")
+        print(f"[{mark}] {entry.name}: {sizes}; certificate {entry.certificate_status}")
         for msg in entry.messages:
             print(f"       {msg}")
-    if report.swap is not None:
-        mark = "ok" if report.swap.ok else "FAIL"
+    demo = report.setcoup_demo
+    if demo is not None:
+        mark = "ok" if demo.ok else "FAIL"
         print(
-            f"[{mark}] setcoup swap demo: {report.swap.objects_checked} objects, "
-            f"{report.swap.morphisms_checked} morphisms, "
-            f"asymmetry {'held' if report.swap.asymmetry_noniso else 'FAILED'}"
+            f"[{mark}] setcoup swap demo: {demo.objects_checked} objects, "
+            f"{demo.morphisms_checked} morphisms, "
+            f"asymmetry {'held' if demo.asymmetry_noniso else 'FAILED'}"
         )
     print("corpus: " + ("all entries pass" if report.ok else "FAILURES PRESENT"))
     return 0 if report.ok else 3

@@ -23,6 +23,7 @@ from .certify import run_certificate
 from .egraph import Budget, BudgetExceeded, FreeAlgebraResult, VarietyDef, build_free_algebra
 from .files import parse_certificate_document, parse_variety_document
 from .finalg import Evaluator, MorphismTable, find_isomorphism
+from .report import Report, encode
 from .terms import GeneratorProfile, SortedVar, term_profile_iso
 
 INFINITE = "infinite"
@@ -152,46 +153,28 @@ def load_entry(name: str):
 
 
 @dataclass
-class SizeRow:
+class SizeRow(Report):
     counts: tuple
     expected: object
     got: object
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "expected": self.expected if self.expected == INFINITE else list(self.expected),
-            "got": self.got if isinstance(self.got, str) else list(self.got),
-            "ok": self.ok,
-        }
-
 
 @dataclass
-class EntryResult:
+class EntryResult(Report):
     name: str
     sizes: list[SizeRow]
-    cert_status: str
-    cert_ok: bool
+    certificate_status: str
+    certificate_ok: bool
     messages: list[str]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.cert_ok and all(r.ok for r in self.sizes) and not self.messages
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "sizes": [r.to_json_dict() for r in self.sizes],
-            "certificate_status": self.cert_status,
-            "certificate_ok": self.cert_ok,
-            "messages": list(self.messages),
-            "ok": self.ok,
-        }
+    def __post_init__(self):
+        self.ok = self.certificate_ok and all(r.ok for r in self.sizes) and not self.messages
 
 
 @dataclass
-class SwapReport:
+class SwapReport(Report):
     objects_checked: int
     morphisms_checked: int
     involution_ok: bool
@@ -199,42 +182,34 @@ class SwapReport:
     asymmetry_noniso: bool
     certificate_status: str
     violations: list[str]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return (
+    def __post_init__(self):
+        self.ok = (
             self.involution_ok
             and self.asymmetry_noniso
             and self.certificate_status == "certified"
             and not self.violations
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "objects_checked": self.objects_checked,
-            "morphisms_checked": self.morphisms_checked,
-            "involution_ok": self.involution_ok,
-            "asymmetry_profiles": [list(p) for p in self.asymmetry_profiles],
-            "asymmetry_noniso": self.asymmetry_noniso,
-            "certificate_status": self.certificate_status,
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
 
 @dataclass
 class CorpusReport:
     entries: list[EntryResult]
-    swap: SwapReport | None = None
+    setcoup_demo: SwapReport | None = None
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries) and (self.swap is None or self.swap.ok)
+        return all(e.ok for e in self.entries) and (
+            self.setcoup_demo is None or self.setcoup_demo.ok
+        )
 
     def to_json_dict(self) -> dict:
-        out = {"entries": [e.to_json_dict() for e in self.entries], "ok": self.ok}
-        if self.swap is not None:
-            out["setcoup_demo"] = self.swap.to_json_dict()
+        """The demo is left out, not written as null, when it did not run:
+        the schema allows ``setcoup_demo`` to be absent but not null."""
+        out = {"entries": encode(self.entries), "ok": self.ok}
+        if self.setcoup_demo is not None:
+            out["setcoup_demo"] = self.setcoup_demo.to_json_dict()
         return out
 
 
@@ -268,10 +243,9 @@ def run_entry(name: str, budget: Budget | None = None) -> EntryResult:
                 got = res.algebra.sizes
                 rows.append(SizeRow(counts, expected, got, got == tuple(expected)))
     report = run_certificate(v, cert, budget)
-    cert_ok = report.certified
-    if not cert_ok:
+    if not report.certified:
         messages.append(f"certificate: {report.status}: {report.detail}")
-    return EntryResult(name, rows, report.status, cert_ok, messages)
+    return EntryResult(name, rows, report.status, report.certified, messages)
 
 
 def run_corpus(names=None, budget: Budget | None = None) -> CorpusReport:

@@ -51,6 +51,7 @@ from operator import itemgetter
 from dataclasses import dataclass, field
 
 from .finalg import FiniteAlgebra
+from .report import Report
 from .signature import Signature
 from .terms import (
     GeneratorProfile,
@@ -74,13 +75,9 @@ class VarietyDef:
             if ax.vars.sig is not self.sig:
                 raise ValueError(f"axiom {ax!r} is not over this signature")
 
-    def extended(self, extra, name: str | None = None) -> "VarietyDef":
+    def extended(self, extra, name: str) -> "VarietyDef":
         """Subvariety defined by these axioms plus extra ones (list extension)."""
-        return VarietyDef(
-            self.sig,
-            name or f"{self.name}+",
-            self.axioms + tuple(extra),
-        )
+        return VarietyDef(self.sig, name, self.axioms + tuple(extra))
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ class Budget:
 
 
 @dataclass(frozen=True)
-class RoundStats:
+class RoundStats(Report):
     round: int
     nodes_created: int
     merges: int
@@ -104,27 +101,12 @@ class RoundStats:
 
 
 @dataclass
-class BuildStats:
+class BuildStats(Report):
     rounds: list[RoundStats] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": [
-                {
-                    "round": r.round,
-                    "nodes_created": r.nodes_created,
-                    "merges": r.merges,
-                    "instances": r.instances,
-                    "classes_after_grow": r.classes_after_grow,
-                    "classes_end": r.classes_end,
-                }
-                for r in self.rounds
-            ]
-        }
 
 
 @dataclass
-class BudgetExceeded:
+class BudgetExceeded(Report):
     """Distinct non-error status: the free algebra may be infinite."""
 
     classes: int
@@ -645,6 +627,8 @@ def _run(
 
     if watching():
         return _WatchMerged(0), state, stats
+    if state.n_live > budget.max_classes:  # each generator is a class
+        return BudgetExceeded(state.n_live, 0, "classes", stats), state, stats
     rnd = 0
     while True:
         rnd += 1

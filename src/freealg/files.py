@@ -150,8 +150,8 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
         split = classify_action_signature(variety.sig)
         if isinstance(split, NotActionSeparable):
             raise CertificateError(f"signature is not action-separated: {split.reason}")
-        sub1, _ = restrict_to_part(variety.sig, split, 1)
-        sub2, _ = restrict_to_part(variety.sig, split, 2)
+        sub1 = restrict_to_part(variety.sig, split, 1)
+        sub2 = restrict_to_part(variety.sig, split, 2)
         s_var = s_term = None
         w1 = w2 = None
         rank1 = rank2 = None
@@ -222,8 +222,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def parse_profile_spec(spec: str, sig: Signature) -> GeneratorProfile:
-    """Profile syntax: 'elem=3' or 'sort1=2,sort2=1'; omitted sorts get 0."""
+def parse_profile_spec(spec: str, sig: Signature) -> dict[str, int]:
+    """Profile syntax: 'elem=3' or 'sort1=2,sort2=1'; omitted sorts get 0.
+
+    Returns the generator count of every sort, in signature order.  The
+    caller makes the profile, so that it can check the counts first.
+    """
     counts: dict[str, int] = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -239,6 +243,8 @@ def parse_profile_spec(spec: str, sig: Signature) -> GeneratorProfile:
             counts[name] = int(num)
         except ValueError:
             raise SignatureError(f"bad generator count in '{chunk}'") from None
+        if counts[name] < 0:
+            raise SignatureError(f"negative generator count for sort '{name}'")
     for name in counts:
         sig.sort_named(name)  # raises UnknownSort for typos
-    return GeneratorProfile.from_counts(sig, counts)
+    return {s.name: counts.get(s.name, 0) for s in sig.sorts}

@@ -218,11 +218,11 @@ def classify_action_signature(sig: Signature):
 _RESTRICTIONS: "weakref.WeakKeyDictionary[Signature, dict]" = weakref.WeakKeyDictionary()
 
 
-def restrict_to_part(sig: Signature, split: ActionSplit, part: int) -> tuple[Signature, dict[int, int]]:
-    """One-sorted signature for one side of a split; returns (sub, op id map).
+def restrict_to_part(sig: Signature, split: ActionSplit, part: int) -> Signature:
+    """One-sorted signature for one side of a split.
 
-    The map sends full-signature op ids to sub-signature op ids.  Memoized
-    per parent signature so repeated calls share one sub-signature object.
+    Memoized per parent signature so repeated calls share one sub-signature
+    object.
     """
     cache = _RESTRICTIONS.setdefault(sig, {})
     key = (split.sort1, split.sort2, part)
@@ -234,6 +234,5 @@ def restrict_to_part(sig: Signature, split: ActionSplit, part: int) -> tuple[Sig
         sort, ops = split.sort2, split.ops2
     name = sig.sorts[sort].name
     sub = Signature.make([name], [(o.name, [name] * o.arity, name) for o in ops])
-    op_map = {o.id: sub.op_named(o.name).id for o in ops}
-    cache[key] = (sub, op_map)
-    return sub, op_map
+    cache[key] = sub
+    return sub

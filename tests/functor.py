@@ -56,7 +56,7 @@ class SubvarietyPair:
 
     @classmethod
     def extend(cls, theta: VarietyDef, extra, name: str | None = None) -> "SubvarietyPair":
-        return cls(theta, theta.extended(extra, name))
+        return cls(theta, theta.extended(extra, name or f"{theta.name}+"))
 
 
 class NaturalEpi(NamedTuple):

@@ -61,7 +61,7 @@ def test_fujiwara_even_exponent_groups():
     assert report.rank == 3
     sizes = {tuple(p.counts): p.sizes for p in report.profiles}
     assert sizes == {(0,): (1,), (1,): (2,), (2,): (4,), (3,): (8,)}
-    assert all(not c.isomorphic for c in report.iso_checks)
+    assert all(not c.isomorphic for c in report.iso_matrix)
 
 
 def test_fujiwara_exponent_three_abelian():
@@ -111,7 +111,7 @@ def test_fujiwara_budget_unknown():
     # the watched two-generator run trips first, so nothing is built
     assert report.nondegeneracy == {"elem": "unknown"}
     assert "undecided" in report.detail
-    assert report.profiles == () and report.iso_checks == ()
+    assert report.profiles == () and report.iso_matrix == ()
 
 
 def test_fujiwara_sweep_build_budget_unknown(boolean_groups):
@@ -123,7 +123,7 @@ def test_fujiwara_sweep_build_budget_unknown(boolean_groups):
     assert [p.counts for p in report.profiles] == [(0,), (1,), (2,), (3,)]
     assert report.profiles[-1].status == "budget"
     assert report.profiles[-1].sizes is None
-    assert report.iso_checks == ()
+    assert report.iso_matrix == ()
 
 
 def test_fujiwara_rank_monotone(boolean_groups):
@@ -180,7 +180,7 @@ def test_per_sort_semigroup_actions():
     assert report.rank == 2
     assert report.nondegeneracy == {"s": "nondegenerate", "el": "nondegenerate"}
     # each sort's sweep compares every pair on its own axis, and only those
-    pairs = [(c.left, c.right) for c in report.iso_checks]
+    pairs = [(c.left, c.right) for c in report.iso_matrix]
     assert pairs == [
         ((0, 0), (1, 0)),
         ((0, 0), (2, 0)),
@@ -233,7 +233,7 @@ def test_action_split_unconfirmed_sort2_axiom():
     # an axiom that is not a consequence of the trivial-action extension
     v, cert = load_entry("semigroup-actions-trivial")
     split = classify_action_signature(v.sig)
-    sub2, _ = restrict_to_part(v.sig, split, 2)
+    sub2 = restrict_to_part(v.sig, split, 2)
     fake = make_axioms(sub2, [([("u", "el"), ("w", "el")], "u", "w")])
     bad = ActionSplitCert(
         s_var=cert.s_var,
@@ -312,7 +312,7 @@ def test_sweep_stops_at_the_first_isomorphism(boolean_groups, monkeypatch):
     report = certify_fujiwara(boolean_groups, [], 2)
     assert report.status == REFUTED
     assert (report.refuted.left, report.refuted.right) == ((0,), (1,))
-    assert [(c.left, c.right, c.isomorphic) for c in report.iso_checks] == [((0,), (1,), True)]
+    assert [(c.left, c.right, c.isomorphic) for c in report.iso_matrix] == [((0,), (1,), True)]
     data = report.to_json_dict()["refuted"]
     assert data["left"] == [0] and data["right"] == [1]
     assert "isomorphism" in data

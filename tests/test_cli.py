@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -61,6 +62,28 @@ def test_free_budget_exceeded(tmp_path, capsys):
     data = validate_report(out)
     assert data["status"] == "budget_exceeded"
     assert data["limit"] == "rounds"
+
+
+def test_free_generators_above_the_class_cap_trip_at_once(tmp_path, capsys):
+    # no generator is made: a profile this large would take hours to make
+    out = tmp_path / "r.json"
+    args = ["free", corpus_path("sets.var"), "elem=99999999999999999999999"]
+    t0 = time.perf_counter()
+    code = main(args + ["--budget-classes", "10", "--json", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    data = validate_report(out)
+    assert data["status"] == "budget_exceeded"
+    assert (data["limit"], data["rounds"], data["stats"]) == ("classes", 0, {"rounds": []})
+    assert data["classes"] == 99999999999999999999999
+    assert data["profile"] == "elem=99999999999999999999999"
+    assert "rounds: 0" in capsys.readouterr().out
+
+
+def test_free_negative_count_is_an_error_above_the_class_cap(capsys):
+    code = main(["free", corpus_path("setcoup.var"), "a=-1,b=20", "--budget-classes", "10"])
+    assert code == 1
+    assert "negative generator count for sort 'a'" in capsys.readouterr().err
 
 
 def test_free_bad_profile(capsys):
@@ -281,7 +304,7 @@ def test_certify_action_split_with_sample_h1(tmp_path, capsys, sample, code, sta
     mul = {"left-zero": lambda x, y: x, "not-associative": lambda x, y: 1 - x}[sample]
     v = load_entry_variety("semigroup-actions-trivial")
     split = classify_action_signature(v.sig)
-    sub1, _ = restrict_to_part(v.sig, split, 1)
+    sub1 = restrict_to_part(v.sig, split, 1)
     (tmp_path / "h1.alg.json").write_text(
         json.dumps(algebra_json(make_algebra(sub1, {"s": 2}, {"mul": mul})))
     )
@@ -450,6 +473,13 @@ def test_zero_budget_flag_is_rejected(capsys):
     )
     assert code == 1
     assert "budget limits must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["VF_BUDGET_CLASSES", "VF_BUDGET_ROUNDS"])
+def test_non_integer_budget_env_names_the_variable(monkeypatch, capsys, env):
+    monkeypatch.setenv(env, "x")
+    assert main(["corpus", "sets"]) == 1
+    assert capsys.readouterr().err == f"error: {env} must be an integer, not 'x'\n"
 
 
 def test_zero_budget_env_is_rejected(monkeypatch, capsys):

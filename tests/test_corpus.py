@@ -47,9 +47,9 @@ def test_certificates_reach_declared_status(full_report):
     conditional = {"semigroup-actions-trivial", "group-reps-trivial-f2", "lie-reps-null-f2"}
     for entry in full_report.entries:
         if entry.name in conditional:
-            assert entry.cert_status == "certified_conditional"
+            assert entry.certificate_status == "certified_conditional"
         else:
-            assert entry.cert_status == "certified"
+            assert entry.certificate_status == "certified"
 
 
 def test_models_satisfy_their_varieties():
@@ -62,7 +62,7 @@ def test_models_satisfy_their_varieties():
 
 
 def test_setcoup_swap_demo(full_report):
-    demo = full_report.swap
+    demo = full_report.setcoup_demo
     assert demo is not None
     assert demo.objects_checked == 16
     assert demo.morphisms_checked == 3600
@@ -80,7 +80,7 @@ def test_unknown_entry_name():
 def test_single_entry_run():
     res = run_entry("sets")
     assert res.ok
-    assert res.cert_status == "certified"
+    assert res.certificate_status == "certified"
 
 
 def test_entry_documents_roundtrip():

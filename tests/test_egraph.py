@@ -395,6 +395,21 @@ def test_budget_class_flag(boolean_groups):
     assert res.classes > 20
 
 
+@pytest.mark.parametrize("name", ["sets", "boolean-groups"])
+def test_more_generators_than_the_class_cap_trip_at_round_zero(name):
+    # each generator is a class: the build trips before its first round,
+    # whether or not the signature has an operation to grow with
+    v = load_entry_variety(name)
+    res = build_free_algebra(v, profile_of(v, (11,)), Budget(max_classes=10))
+    assert isinstance(res, BudgetExceeded)
+    assert (res.limit, res.classes, res.rounds, res.stats.rounds) == ("classes", 11, 0, [])
+
+
+def test_as_many_generators_as_the_class_cap_still_build(sets_variety):
+    res = build_free_algebra(sets_variety, profile_of(sets_variety, (10,)), Budget(max_classes=10))
+    assert res.algebra.sizes == (10,)
+
+
 def test_free_algebra_satisfies_axioms_everywhere():
     for name in ("boolean-groups", "f3-vector-spaces", "graphs"):
         v = load_entry_variety(name)

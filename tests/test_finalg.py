@@ -337,8 +337,8 @@ def test_iso_search_respects_sorts(graphs_variety):
 def action_parts():
     v = load_entry_variety("semigroup-actions-trivial")
     split = classify_action_signature(v.sig)
-    sub1, _ = restrict_to_part(v.sig, split, 1)
-    sub2, _ = restrict_to_part(v.sig, split, 2)
+    sub1 = restrict_to_part(v.sig, split, 1)
+    sub2 = restrict_to_part(v.sig, split, 2)
     return v, split, sub1, sub2
 
 
@@ -359,8 +359,8 @@ def test_assemble_projection_action(action_parts):
 def test_assemble_null_action():
     v = load_entry_variety("lie-reps-null-f2")
     split = classify_action_signature(v.sig)
-    sub1, _ = restrict_to_part(v.sig, split, 1)
-    sub2, _ = restrict_to_part(v.sig, split, 2)
+    sub1 = restrict_to_part(v.sig, split, 1)
+    sub2 = restrict_to_part(v.sig, split, 2)
     h1 = one_element_algebra(sub1)
     # the 2-dimensional space over the two-element field
     h2 = make_algebra(sub2, {"v": 4}, F2)
