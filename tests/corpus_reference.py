@@ -6,8 +6,10 @@ writes ``tests/corpus_reference.json``: for every finite ``expected`` row
 of the corpus, the sizes, generator images, representatives and op tables
 of its free algebra, and for every ``INFINITE`` row, built under the
 entry's ``infinite_budget``, the ``(limit, classes, rounds)`` of its trip;
-for every entry, the JSON report of its certificate; and the report of
-the setcoup sort-swap demo.
+for every row, the per-round work counters (``BuildStats``) of its build or
+its trip, so that an engine change which keeps the results but does other
+work shows too; for every entry, the JSON report of its certificate; and
+the report of the setcoup sort-swap demo.
 ``test_corpus_reference.py`` compares the engine against that file.
 Rewrite it only for a change that is meant to alter results, and review
 the diff.
@@ -43,9 +45,10 @@ def row_result(name: str, counts, infinite: bool) -> dict:
     prof = GeneratorProfile.from_counts(v.sig, {s.name: c for s, c in zip(v.sig.sorts, counts)})
     res = build_free_algebra(v, prof, ENTRIES[name].infinite_budget if infinite else None)
     if isinstance(res, BudgetExceeded):
-        return {"trip": [res.limit, res.classes, res.rounds]}
+        return {"trip": [res.limit, res.classes, res.rounds], "stats": res.stats.to_json_dict()}
     tables = res.algebra.tables
     return {
+        "stats": res.stats.to_json_dict(),
         "sizes": list(res.algebra.sizes),
         "generator_images": {v.name: res.gen_images[v] for v in prof.variables()},
         "representatives": res.rep_strings(),
