@@ -181,28 +181,29 @@ def cmd_check(args) -> int:
     return 3
 
 
+def _corpus_error(message: str, available) -> int:
+    """Reject the named entries before any of them runs."""
+    print(f"error: {message}; available: {', '.join(available)}", file=sys.stderr)
+    return 1
+
+
 def cmd_corpus(args) -> int:
     budget = _budget(args)
+    available = corpus_mod.entry_names()
     names = list(args.names or [])
     if args.filter:
-        matched = [n for n in corpus_mod.entry_names() if args.filter in n]
+        matched = [n for n in available if args.filter in n]
         if not matched:
-            avail = ", ".join(corpus_mod.entry_names())
-            print(
-                f"error: no corpus entry matches '{args.filter}'; available: {avail}",
-                file=sys.stderr,
-            )
-            return 1
+            return _corpus_error(f"no corpus entry matches '{args.filter}'", available)
         names += matched
     names = list(dict.fromkeys(names))  # each entry once, in first-named order
-    try:
-        t0 = time.perf_counter()
-        report = corpus_mod.run_corpus(names or None, budget)
-        elapsed = time.perf_counter() - t0
-    except KeyError as e:
-        avail = ", ".join(corpus_mod.entry_names())
-        print(f"unknown corpus entry {e}; available: {avail}", file=sys.stderr)
-        return 1
+    unknown = [n for n in names if n not in available]
+    if unknown:
+        noun = "entries" if len(unknown) > 1 else "entry"
+        return _corpus_error(f"unknown corpus {noun} {', '.join(map(repr, unknown))}", available)
+    t0 = time.perf_counter()
+    report = corpus_mod.run_corpus(names or None, budget)
+    elapsed = time.perf_counter() - t0
     body = {"command": "corpus", **report.to_json_dict()}
     _emit(body, {"corpus_seconds": elapsed}, args.json)
     for entry in report.entries:

@@ -23,21 +23,25 @@ POPL 2022).  The hash-cons table is the relation: each canonical key
 ``(op, children...)`` with its class is one tuple of that op's table.
 Each axiom's matched side is a conjunctive query, one atom per operation
 node over integer slots, and its other side a slot-indexed build plan.
-Every key carries a stamp: the generation (the count of rebuilds) closed
-after its canonical form or its class's root last changed, so a query
-joins only from the keys stamped after its own last pass: the first new
-atom is the seed, the atoms before it must be old, and the join extends up
-through the use lists and down through ``class_nodes``.  A match made of
-old keys alone existed at the last pass and was instantiated then.
-Queries whose other side has a variable the matched side lacks, and
-bare-variable patterns, join in full on every pass.
+Every key carries a stamp, kept as its value in its op's index: the
+generation (the count of rebuilds) closed after its canonical form or its
+class's root last changed, so a query joins only from the keys stamped
+after its own last pass: the first new atom is the seed, the atoms before
+it must be old, and the join extends up through the use lists and down
+through ``class_nodes``.  An atom whose arguments are all bound when the
+join reaches it is a membership test: one hash-cons lookup, not a loop.
+A match made of old keys alone existed at the last pass and was
+instantiated then.  Queries whose other side has a variable the matched
+side lacks, and bare-variable patterns, join in full on every pass.
 
 Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
 Scholz and Subotić, CAV 2016), into the Python source of one match kernel
-that runs the join as nested loops and builds every instance in
-straight-line code (see ``_Query``).  The source holds only op ids, sort
-ids and slot numbers, and kernels are cached by source, so every axiom
-shape is compiled once per process.
+that runs the join as nested loops and lookups and builds every instance
+in straight-line code (see ``_Query``).  The queries are made once per
+variety and shared by every saturation state over it, which keeps only the
+generation each query last matched at.  The source holds only op ids,
+sort ids and slot numbers, and kernels are cached by source, so every
+axiom shape is compiled once per process.
 
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.
@@ -78,6 +82,20 @@ class VarietyDef:
     def extended(self, extra, name: str) -> "VarietyDef":
         """Subvariety defined by these axioms plus extra ones (list extension)."""
         return VarietyDef(self.sig, name, self.axioms + tuple(extra))
+
+    @functools.cached_property
+    def _queries(self) -> tuple[_Query, ...]:
+        """The axioms' match plans, made once per variety and shared by
+        every saturation state over it: each axiom matches its side with
+        more structure and merges it with the other side."""
+        queries = []
+        for ax in self.axioms:
+            if ax.rhs.length > ax.lhs.length:
+                pat, other = ax.rhs, ax.lhs
+            else:
+                pat, other = ax.lhs, ax.rhs
+            queries.append(_Query(pat, other, ax.vars.variables()))
+        return tuple(queries)
 
 
 @dataclass(frozen=True)
@@ -193,16 +211,24 @@ class _Query:
     source of one function, ``kernel(state, since, max_classes, pools)``,
     that makes a whole pass of the axiom:
 
-    * The join.  For each atom as the seed, nested loops bind every atom,
-      breadth first from it: the seed's loop runs over its op's keys, and
-      each further loop runs down from a bound out slot through
-      ``class_nodes`` or up from a bound argument slot through the use
-      lists.  The seed takes only keys stamped after ``since``, the atoms
-      before it only older keys and the atoms after it any key, so each
-      match comes from exactly one seed; with ``since`` at -1 every key is
-      new, and seed 0 alone finds every match.  The matches are collected,
-      as tuples of the slots the instances read, before the first instance
-      builds, so no index changes while a loop reads it.
+    * The join.  For each atom as the seed, nested levels bind every
+      atom, breadth first from it: the seed's loop runs over its op's keys
+      and their stamps, and each further atom is reached down from a bound
+      out slot or up from a bound argument slot.  An atom whose argument
+      slots are all bound by then is one lookup of its key in the
+      hash-cons table: down, the key must map to the bound out slot; up,
+      its value binds the out slot.  Any other atom is a loop, down
+      through ``class_nodes`` or up through the use lists.  The kernel runs
+      right after ``rebuild``, so the table is canonical, its values are
+      roots and at most one key can match a fully bound atom: the lookup
+      finds the key the loop would, at the same point of the join.  The
+      seed takes only keys stamped after ``since``, the atoms before it
+      only older keys (their stamps are read from the op index) and the
+      atoms after it any key, so each match comes from exactly one seed;
+      with ``since`` at -1 every key is new, and seed 0 alone finds every
+      match.  The matches are collected, as tuples of the slots the
+      instances read, before the first instance builds, so no index
+      changes while a loop reads it.
     * The instances.  Each match, with each combination of classes from
       ``pools`` for the missing variables, is one instance: the kernel
       looks the other side's nodes up in the hash-cons table, has
@@ -214,8 +240,8 @@ class _Query:
     kernel.  A bare-variable pattern has no atom: its matches are the
     classes of its sort, the first of ``pools``.  ``pools`` holds the sorts
     whose classes ``match_pass`` passes; ``full`` queries, which a stamp
-    cannot filter, join in full on every pass; ``seen`` is the rebuild
-    generation the query last matched at.
+    cannot filter, join in full on every pass.  A query holds nothing of
+    any one state, so a variety's queries serve every state over it.
     """
 
     def __init__(self, pat: Term, other: Term, declared):
@@ -237,7 +263,6 @@ class _Query:
         # a bare-variable pattern has no atom to take a delta from, and a
         # missing variable ranges over classes that no stamp tracks
         self.full = bool(ranged)
-        self.seen = -1
         self.source = self._source(atoms, root, ranged, steps, top)
         self.kernel = _compile(self.source)
 
@@ -266,7 +291,6 @@ class _Query:
         body = ["table = state.key2class"]
         if atoms:
             body += [
-                "stamp = state._stamp",
                 "by_op = state._by_op",
                 "nodes = state.class_nodes",
                 "uses = state._uses",
@@ -325,10 +349,12 @@ class _Query:
         ]
 
     @staticmethod
-    def _join_order(atoms, seed: int) -> list[tuple[str, list[str], set]]:
-        """One loop per atom, breadth first from the seed atom: its header,
-        the lines of its body and the slots it binds.  Atoms before the
-        seed must be old, so no match is found twice."""
+    def _join_order(atoms, seed: int) -> list[tuple[list[str], list[str], set]]:
+        """One level per atom, breadth first from the seed atom: the lines
+        that open its block, the lines of its body and the slots it binds.
+        An atom whose argument slots are all bound when it is reached is
+        one lookup in the table, an ``if``; any other atom is a loop.  Atoms
+        before the seed must be old, so no match is found twice."""
         parent_of = {
             j: p
             for p, (_, _, args) in enumerate(atoms)
@@ -341,10 +367,24 @@ class _Query:
         def level(j: int, header: str, down: bool):
             op, out, args = atoms[j]
             k = f"k{j}"
+            old = f"by_op[{op}][{k}]"  # the key's stamp, for an atom before the seed
+            if j != seed and bound.issuperset(args):
+                # the table is canonical and its values are roots, so the
+                # one key the loop could find is (op, args) in class out
+                key = ", ".join([str(op), *(f"v{a}" for a in args)])
+                head = [f"{k} = ({key}{',' if not args else ''})"]
+                if down:
+                    test = f"table.get({k}) == v{out}"
+                else:
+                    head.append(f"v{out} = table.get({k})")
+                    test = f"v{out} is not None"
+                if j < seed:
+                    test += f" and {old} <= since"
+                bound.add(out)
+                levels.append((head + [f"if {test}:"], [], {out}))
+                return
             # the seed's loop runs over its op's keys alone
-            checks = [f"stamp[{k}] <= since"] if j == seed else [f"{k}[0] != {op}"]
-            if j < seed:
-                checks.append(f"stamp[{k}] > since")
+            checks = ["gen <= since"] if j == seed else [f"{k}[0] != {op}"]
             binds, mine = [], {}
             for pos, slot in enumerate(args, 1):
                 if slot in mine:
@@ -354,13 +394,16 @@ class _Query:
                 else:
                     binds.append(f"v{slot} = {k}[{pos}]")
                     mine[slot] = pos
+            if j < seed:
+                checks.append(f"{old} > since")
             if not down:
                 binds.append(f"v{out} = table[{k}]")
             bound.update(mine, (out,))
-            body = [f"if {' or '.join(checks)}:", "    continue"] if checks else []
-            levels.append((f"for {k} in {header}:", body + binds, set(mine) | {out}))
+            body = [f"if {' or '.join(checks)}:", "    continue"]
+            target = f"{k}, gen" if j == seed else k
+            levels.append(([f"for {target} in {header}:"], body + binds, set(mine) | {out}))
 
-        level(seed, f"by_op[{atoms[seed][0]}]", False)
+        level(seed, f"by_op[{atoms[seed][0]}].items()", False)
         queue, done = [seed], {seed}
         while queue:
             a = queue.pop(0)
@@ -380,11 +423,11 @@ class _Query:
 
     @staticmethod
     def _nest(levels, bound: set, emit: str, helpers: list) -> list[str]:
-        """Nest the levels' loops around ``emit``; past ``_NEST`` loops the
-        rest goes into a helper function that ``helpers`` collects."""
+        """Nest the levels' blocks around ``emit``; past ``_NEST`` blocks
+        the rest goes into a helper function that ``helpers`` collects."""
         lines = []
-        for depth, (header, body, binds) in enumerate(levels[:_NEST]):
-            lines.append("    " * depth + header)
+        for depth, (head, body, binds) in enumerate(levels[:_NEST]):
+            lines += ["    " * depth + line for line in head]
             lines += ["    " * (depth + 1) + line for line in body]
             bound = bound | binds
         depth = min(len(levels), _NEST)
@@ -393,7 +436,7 @@ class _Query:
             return lines
         i = len(helpers)
         helpers.append("")  # this helper's place, ahead of those it calls
-        params = f"since, table, stamp, nodes, uses, add, {_names(sorted(bound))}"
+        params = f"since, table, by_op, nodes, uses, add, {_names(sorted(bound))}"
         lines.append("    " * depth + f"join{i}({params})")
         inner = _Query._nest(levels[_NEST:], bound, emit, helpers)
         helpers[i] = "\n".join([f"def join{i}({params}):"] + ["    " + line for line in inner])
@@ -417,23 +460,17 @@ class SaturationState:
         self.instances = 0  # axiom instances instantiated
         self.generation = 0  # rebuilds so far
         self._losers: list[int] = []  # classes merged away, not yet repaired
-        self._stamp: dict[tuple, int] = {}
         # the indexes are dicts used as ordered sets, for O(1) removal;
-        # class_nodes maps each key of a class to its position in the table
+        # class_nodes maps each key of a class to its position in the table,
+        # and _by_op each key of an op to its stamp
         self._entered = 0  # keys entered into the table so far
         self.class_nodes: dict[int, dict[tuple, int]] = {}
         self._uses: dict[int, dict[tuple, None]] = {}
-        self._by_op: dict[int, dict[tuple, None]] = {op.id: {} for op in self.sig.ops}
+        self._by_op: dict[int, dict[tuple, int]] = {op.id: {} for op in self.sig.ops}
         self._sort_classes: dict[int, dict[int, None]] = {s.id: {} for s in self.sig.sorts}
         self.round = 0
-        # match the side with more structure, merge with the other side
-        self._queries = []
-        for ax in variety.axioms:
-            if ax.rhs.length > ax.lhs.length:
-                pat, other = ax.rhs, ax.lhs
-            else:
-                pat, other = ax.lhs, ax.rhs
-            self._queries.append(_Query(pat, other, ax.vars.variables()))
+        self._queries = variety._queries
+        self._seen = [-1] * len(self._queries)  # the generation each query last matched at
         for v in profile.variables():
             self.gen_class[v] = self._new_class(v.sort)
 
@@ -503,13 +540,12 @@ class SaturationState:
         """Put a canonical key of root ``cls`` at the end of the table and of
         every index, stamped new for the next rebuild's generation."""
         self.key2class[key] = cls
-        self._stamp[key] = self.generation + 1
         self._entered += 1
         nodes = self.class_nodes.get(cls)
         if nodes is None:
             nodes = self.class_nodes[cls] = {}
         nodes[key] = self._entered
-        self._by_op[key[0]][key] = None
+        self._by_op[key[0]][key] = self.generation + 1
         for c in set(key[1:]):
             uses = self._uses.get(c)
             if uses is None:
@@ -519,7 +555,6 @@ class SaturationState:
     def _unindex(self, key: tuple) -> int:
         """Take a key out of the table and every index; returns its class."""
         cls = self.key2class.pop(key)
-        del self._stamp[key]
         del self.class_nodes[cls][key]
         del self._by_op[key[0]][key]
         for c in set(key[1:]):
@@ -545,7 +580,7 @@ class SaturationState:
         its class's root changed, and a match all of whose keys are stamped
         at or before an earlier generation already existed then.
         """
-        find, table, stamp = self.find, self.key2class, self._stamp
+        find, table, by_op = self.find, self.key2class, self._by_op
         losers = self._losers
         while losers:
             loser = losers.pop()
@@ -563,7 +598,7 @@ class SaturationState:
                 root = find(loser)
                 for key in members:
                     table[key] = root
-                    stamp[key] = self.generation + 1
+                    by_op[key[0]][key] = self.generation + 1
                 mine = self.class_nodes.get(root)
                 if mine:
                     # both are in table order: merge them by position
@@ -598,10 +633,11 @@ class SaturationState:
         """
         merges = 0
         created0 = self.nodes_created
-        for q in self._queries:
+        seen = self._seen
+        for i, q in enumerate(self._queries):
             self.rebuild()
-            since = -1 if q.full else q.seen
-            q.seen = self.generation
+            since = -1 if q.full else seen[i]
+            seen[i] = self.generation
             merges0 = self.merges_done
             q.kernel(self, since, budget.max_classes, [self.classes_of_sort(s) for s in q.pools])
             merges += self.merges_done - merges0

@@ -251,7 +251,8 @@ def test_corpus_single_entry(tmp_path, capsys):
 def test_corpus_unknown_entry(capsys):
     code = main(["corpus", "no-such-thing"])
     assert code == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and out == ""
     assert "available" in err and "boolean-groups" in err
 
 

@@ -2,6 +2,7 @@ import ast
 import gc
 import itertools
 import random
+import re
 
 import pytest
 
@@ -164,7 +165,6 @@ def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts,
         for key, cls in state.key2class.items():
             root = state.find(cls)
             assert key == (key[0],) + tuple(state.find(c) for c in key[1:])
-            assert key in state._stamp
             nodes.setdefault(root, []).append(key)
             by_op[key[0]].append(key)
             for c in set(key[1:]):
@@ -176,6 +176,9 @@ def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts,
         assert {c: list(keys) for c, keys in state.class_nodes.items()} == nodes
         assert {c: list(keys) for c, keys in state._uses.items()} == uses
         assert {op: list(keys) for op, keys in state._by_op.items()} == by_op
+        # every key's stamp is a generation that has been closed
+        stamps = [g for keys in state._by_op.values() for g in keys.values()]
+        assert all(type(g) is int and 0 < g <= state.generation for g in stamps)
         for sort, roots in by_sort.items():
             assert state.classes_of_sort(sort) == sorted(roots)
         checked.append(state.round)
@@ -201,7 +204,11 @@ def test_rebuild_restamps_exactly_the_changed_keys():
     state._union(x3, hx1)  # (h x1) keeps its form, its class's root becomes x3
     state.rebuild()
     assert state.generation == before + 1
-    assert state._stamp == {(f, x1): before + 1, (h, x1): before + 1, (h, x3): before}
+    # the stamps live in the op index; a restamp keeps the key's place
+    assert {op: list(keys.items()) for op, keys in state._by_op.items()} == {
+        f: [((f, x1), before + 1)],
+        h: [((h, x1), before + 1), ((h, x3), before)],
+    }
 
 
 def test_one_union_closes_a_two_level_congruence_cascade():
@@ -294,16 +301,33 @@ def test_budget_trip_is_pinned(name, counts, limit, classes, rounds):
     assert (res.limit, res.classes, res.rounds) == (limit, classes, rounds)
 
 
-def test_kernels_compile_once_per_axiom_shape():
-    # every state compiles its axioms; a second build of the same variety
-    # must reuse each kernel rather than compile it again
+def test_kernels_compile_once_per_axiom_shape(monkeypatch):
+    # the match plans belong to the variety: a second build of the same
+    # variety reuses the first build's queries and neither compiles nor
+    # looks up a kernel; a fresh copy of the variety plans its queries
+    # again but reuses each kernel rather than compile it again
+    states = []
+    init = SaturationState.__init__
+
+    def init_and_keep(state, *args):
+        init(state, *args)
+        states.append(state)
+
+    monkeypatch.setattr(SaturationState, "__init__", init_and_keep)
     v = load_entry_variety("boolean-groups")
     build_free_algebra(v, profile_of(v, (2,)))
     before = _compile.cache_info()
     build_free_algebra(v, profile_of(v, (2,)))
     after = _compile.cache_info()
-    assert after.misses == before.misses
-    assert after.hits == before.hits + len(v.axioms)
+    assert (after.misses, after.hits) == (before.misses, before.hits)
+    first, second = states
+    assert len(first._queries) == len(v.axioms)
+    assert all(a is b for a, b in zip(first._queries, second._queries, strict=True))
+    copy = load_entry_variety("boolean-groups")
+    build_free_algebra(copy, profile_of(copy, (2,)))
+    again = _compile.cache_info()
+    assert again.misses == after.misses
+    assert again.hits == after.hits + len(v.axioms)
 
 
 def test_a_build_leaves_no_cyclic_garbage():
@@ -363,6 +387,27 @@ def test_kernel_source_holds_no_name_from_the_variety():
         assert not words & names
     # renaming every sort and op leaves every kernel as it was
     assert sources(clash) == sources(plain)
+
+
+def test_fully_bound_atoms_are_one_lookup():
+    # in (mul (e) x) = x and (mul x (inv x)) = (e), once the mul key is
+    # bound every argument of the e and inv atoms is bound: each is one
+    # hash-cons lookup, never a loop over a class or a use list
+    v = named_groups("elem", "mul", "inv", "e")
+    mul, inv, e = (op.id for op in v.sig.ops)
+    queries = SaturationState(v, profile_of(v, (2,)))._queries
+    unit, inverse = queries[1].source, queries[2].source
+
+    def looped_ops(source):
+        # each loop over a class or a use list first checks its key's op
+        loops = re.findall(r"for (k\d+) in (?:nodes|uses)\.get\(.*\n\s+if \1\[0\] != (\d+)", source)
+        return {int(op) for _, op in loops}
+
+    assert looped_ops(unit) <= {mul} and looped_ops(inverse) <= {mul}
+    assert f"= ({e},)\n" in unit
+    assert f"= ({inv}, v" in inverse
+    # the stamps live in the op index; no kernel keeps a map of its own
+    assert all("stamp" not in q.source for q in queries)
 
 
 def test_patterns_deeper_than_one_generated_function():
