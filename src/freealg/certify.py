@@ -39,6 +39,7 @@ from .egraph import (
     CONSEQUENCE_YES,
     DEGENERATE,
     NONDEGENERATE,
+    FreeAlgebraResult,
     VarietyDef,
     build_free_algebra,
     is_consequence,
@@ -172,7 +173,14 @@ def _sweep(
 ) -> dict[tuple[int, ...], FiniteAlgebra] | None:
     """Nondegeneracy plus builds plus pairwise non-isomorphism evidence,
     written into the report.  Returns the free algebras it built, keyed by
-    profile counts, or None once that evidence settles the verdict."""
+    profile counts, or None once that evidence settles the verdict.
+
+    Each nondegeneracy run saturates the free algebra on two generators of
+    its sort, under the same budget, and that algebra is the sweep's on the
+    same profile (see ``nondegeneracy_check``), so the sweep takes it
+    instead of building it again.  Ranks are at least 2, so every one of
+    these profiles is swept."""
+    done: dict[tuple[int, ...], FreeAlgebraResult] = {}
     for s in check_sorts:
         nondeg = nondegeneracy_check(variety, s, budget)
         report.nondegeneracy[variety.sig.sorts[s].name] = nondeg.verdict
@@ -184,13 +192,16 @@ def _sweep(
             return _settle(
                 report, UNKNOWN, f"nondegeneracy of '{variety.name}' undecided: {nondeg.detail}"
             )
+        done[nondeg.build.profile.counts()] = nondeg.build
     sig = variety.sig
     builds: dict[tuple[int, ...], FiniteAlgebra] = {}
     for counts in profiles:
-        prof = GeneratorProfile.from_counts(
-            sig, {s.name: c for s, c in zip(sig.sorts, counts)}
-        )
-        res = build_free_algebra(variety, prof, budget)
+        res = done.get(counts)
+        if res is None:
+            prof = GeneratorProfile.from_counts(
+                sig, {s.name: c for s, c in zip(sig.sorts, counts)}
+            )
+            res = build_free_algebra(variety, prof, budget)
         if isinstance(res, BudgetExceeded):
             report.profiles += (
                 ProfileEvidence(counts, None, "budget", f"{res.limit} limit at round {res.rounds}"),

@@ -49,7 +49,6 @@ _INPUT_ERRORS = (
     OSError,
     json.JSONDecodeError,
     ValueError,
-    KeyError,
 )
 
 

@@ -782,6 +782,7 @@ class NondegeneracyReport:
     verdict: str
     sort: int
     detail: str
+    build: FreeAlgebraResult | None = None  # the frozen run, when nondegenerate
 
 
 def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None = None) -> NondegeneracyReport:
@@ -791,6 +792,12 @@ def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None
     is immediately sound (merges only ever follow from the congruence), a
     saturated run with distinct classes is a proof of nondegeneracy, and a
     budget trip leaves the question open.
+
+    A nondegenerate report carries the frozen free algebra of its run, which
+    is the one ``build_free_algebra`` gives on the same profile and budget:
+    the watched generators are classes already, so watching makes no node,
+    and as they never merge the run does the same rounds as an unwatched
+    build.
     """
     budget = budget or Budget()
     sig = variety.sig
@@ -798,7 +805,7 @@ def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None
     profile = GeneratorProfile.from_counts(sig, {name: 2})
     v1, v2 = profile.variables()
     arena = arena_of(sig)
-    outcome, state, _ = _run(variety, profile, budget, watch=(arena.var(v1), arena.var(v2)))
+    outcome, state, stats = _run(variety, profile, budget, watch=(arena.var(v1), arena.var(v2)))
     if isinstance(outcome, _WatchMerged):
         return NondegeneracyReport(
             DEGENERATE, sort_id, f"generators of sort '{name}' merged in round {outcome.round}"
@@ -810,7 +817,10 @@ def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None
             f"budget exhausted ({outcome.limit}) with the generators still distinct",
         )
     return NondegeneracyReport(
-        NONDEGENERATE, sort_id, f"saturated with distinct sort-'{name}' generators"
+        NONDEGENERATE,
+        sort_id,
+        f"saturated with distinct sort-'{name}' generators",
+        freeze(state, stats),
     )
 
 

@@ -7,7 +7,9 @@ Empty carriers are legal; identity satisfaction over them is vacuous.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .signature import ActionSplit, Signature
@@ -192,25 +194,99 @@ class Counterexample:
         return f"{self.identity!r} fails at [{asg}]: {self.lhs_value} != {self.rhs_value}"
 
 
-def all_assignments(alg: FiniteAlgebra, vars: GeneratorProfile):
-    """Sort-respecting assignments in lexicographic order over the profile."""
-    vs = vars.variables()
-    pools = [range(alg.sizes[v.sort]) for v in vs]
-    for combo in itertools.product(*pools):
-        yield dict(zip(vs, combo))
+_NEST = 16  # loops per check; CPython nests at most 20 blocks
+# identity -> its check, and the op ids of the tables it takes in order
+_checks: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+@functools.cache
+def _compile_check(source: str):
+    """The check that ``source`` defines.  Identities of one shape share a
+    source, whatever their ops, so each shape compiles once."""
+    namespace = {"product": itertools.product}
+    exec(compile(source, "<identity check>", "exec"), namespace)
+    return namespace["check"]
+
+
+def _tuple(names: list[str]) -> str:
+    """Source of the tuple of ``names``."""
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+
+def _check_source(ident: Identity) -> tuple[str, tuple[int, ...]]:
+    """Source of ``check(sizes, t0, t1, ...)``: the identity as one loop
+    nest, and the op ids whose tables ``t0, t1, ...`` are.
+
+    Slot ``i`` below the number of declared variables holds variable ``i``
+    in profile order, which ranges over ``range(sizes[i])``; each further
+    slot holds one subterm, computed in the loop of its last variable, or
+    before the loops when it is closed.  From the ``_NEST``-th variable on,
+    the variables share one ``product`` loop, which keeps their order.  The
+    check returns the first failing assignment with both sides' values, or
+    None.
+    """
+    vs = ident.vars.variables()
+    slot_of = {v: i for i, v in enumerate(vs)}
+    loops = min(len(vs), _NEST)
+    steps: list[list[str]] = [[] for _ in range(loops + 1)]  # closed terms, then by loop
+    ops: dict[int, int] = {}  # op id -> its table's argument number
+    made: dict[Term, tuple[int, int]] = {}  # subterm -> (slot, index into steps)
+
+    def plan(t: Term) -> tuple[int, int]:
+        if t.is_var():
+            i = slot_of[t.var]
+            return i, min(i + 1, loops)
+        got = made.get(t)
+        if got is None:
+            args = [plan(c) for c in t.children]
+            at = max((a for _, a in args), default=0)
+            slot = len(vs) + len(made)
+            table = ops.setdefault(t.op.id, len(ops))
+            key = _tuple([f"v{i}" for i, _ in args])
+            steps[at].append(f"v{slot} = t{table}[{key}]")
+            got = made[t] = slot, at
+        return got
+
+    lhs, _ = plan(ident.lhs)
+    rhs, _ = plan(ident.rhs)
+    lines = [f"def check({', '.join(['sizes'] + [f't{k}' for k in range(len(ops))])}):"]
+    lines += ["    " + line for line in steps[0]]
+    for i in range(loops):
+        pad = "    " * (i + 1)
+        if i + 1 < loops or loops == len(vs):
+            lines.append(f"{pad}for v{i} in range(sizes[{i}]):")
+        else:
+            rest = range(i, len(vs))
+            ranges = ", ".join(f"range(sizes[{j}])" for j in rest)
+            lines.append(f"{pad}for {', '.join(f'v{j}' for j in rest)} in product({ranges}):")
+        lines += [pad + "    " + line for line in steps[i + 1]]
+    pad = "    " * (loops + 1)
+    values = _tuple([f"v{i}" for i in range(len(vs))])
+    lines.append(f"{pad}if v{lhs} != v{rhs}:")
+    lines.append(f"{pad}    return {values}, v{lhs}, v{rhs}")
+    return "\n".join(lines) + "\n", tuple(ops)
 
 
 def satisfies_identity(alg: FiniteAlgebra, ident: Identity):
     """True, or the lexicographically first failing assignment.
 
     Vacuously true when a declared variable's sort has an empty carrier.
+    The identity runs as one compiled loop nest (``_check_source``), one
+    loop per declared variable in profile order, so the first failing
+    iteration is the first failing assignment in that order.  Each identity
+    is planned once and each shape compiled once.
     """
-    for asg in all_assignments(alg, ident.vars):
-        l = eval_term(alg, ident.lhs, asg)
-        r = eval_term(alg, ident.rhs, asg)
-        if l != r:
-            return Counterexample(ident, asg, l, r)
-    return True
+    got = _checks.get(ident)
+    if got is None:
+        source, ops = _check_source(ident)
+        got = _checks[ident] = _compile_check(source), ops
+    check, ops = got
+    vs = ident.vars.variables()
+    failed = check([alg.sizes[v.sort] for v in vs], *[alg.tables[op] for op in ops])
+    if failed is None:
+        return True
+    values, l, r = failed
+    return Counterexample(ident, dict(zip(vs, values)), l, r)
 
 
 def satisfies_all(alg: FiniteAlgebra, axioms):

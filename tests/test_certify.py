@@ -20,7 +20,8 @@ from freealg.certify import (
     certify_per_sort,
     run_certificate,
 )
-from freealg.corpus import load_entry
+from freealg import certify, egraph
+from freealg.corpus import ENTRIES, load_entry
 from freealg.egraph import Budget, build_free_algebra
 from freealg.finalg import find_isomorphism
 from freealg.signature import classify_action_signature, restrict_to_part
@@ -325,3 +326,51 @@ def test_report_json_shape(boolean_groups):
         assert key in data
     assert data["status"] == "certified"
     assert all(set(c) == {"left", "right", "isomorphic"} for c in data["iso_matrix"])
+
+
+@pytest.mark.parametrize("name, states", [("elem-abelian-3", 3), ("lie-reps-null-f2", 13)])
+def test_each_free_algebra_is_built_once_per_certificate(name, states, monkeypatch):
+    # elem-abelian-3 (rank 2): one nondegeneracy run on (2,), whose algebra
+    # the sweep takes, and builds of (0,) and (1,); lie-reps-null-f2: each
+    # of its two witnesses' sweeps takes the algebra of its nondegeneracy run
+    made = []
+    init = egraph.SaturationState.__init__
+
+    def counting(self, *args):
+        made.append(args[1].counts())
+        init(self, *args)
+
+    monkeypatch.setattr(egraph.SaturationState, "__init__", counting)
+    v, cert = load_entry(name)
+    assert run_certificate(v, cert).certified
+    assert len(made) == states
+    if name == "elem-abelian-3":
+        assert made == [(2,), (0,), (1,)]
+
+
+def test_nondegeneracy_runs_return_the_sweeps_build(monkeypatch):
+    runs = []
+    check = certify.nondegeneracy_check
+
+    def recording(variety, sort, budget):
+        report = check(variety, sort, budget)
+        runs.append((variety, sort, budget, report))
+        return report
+
+    monkeypatch.setattr(certify, "nondegeneracy_check", recording)
+    for name in ENTRIES:
+        v, cert = load_entry(name)
+        assert run_certificate(v, cert).certified
+    assert len(runs) == 13  # every witness of every bundled certificate
+    for variety, sort, budget, report in runs:
+        got = report.build
+        assert got is not None
+        counts = [0] * len(variety.sig.sorts)
+        counts[sort] = 2
+        assert got.profile.counts() == tuple(counts)
+        fresh = build_free_algebra(variety, got.profile, budget)
+        assert got.algebra.sizes == fresh.algebra.sizes
+        assert got.algebra.tables == fresh.algebra.tables
+        assert got.gen_images == fresh.gen_images
+        assert got.reps == fresh.reps
+        assert got.stats == fresh.stats

@@ -6,8 +6,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import algebra_json, cyclic_group, load_entry_variety, make_algebra, serialize_variety
+from conftest import (
+    algebra_json,
+    cyclic_group,
+    load_entry_variety,
+    make_algebra,
+    make_variety,
+    serialize_variety,
+)
 from freealg.cli import main
+from freealg.finalg import one_element_algebra
 from freealg.signature import classify_action_signature, restrict_to_part
 
 
@@ -254,6 +262,35 @@ def test_corpus_unknown_entry(capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error:") and out == ""
     assert "available" in err and "boolean-groups" in err
+
+
+def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):
+    def broken(name, budget):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("freealg.corpus.run_entry", broken)
+    with pytest.raises(KeyError):
+        main(["corpus", "sets"])
+    assert "error: 'internal'" not in capsys.readouterr().err
+
+
+def test_check_identity_with_24_variables(tmp_path):
+    names = [f"x{i}" for i in range(1, 25)]
+
+    def chain(xs):
+        return xs[-1] if len(xs) == 1 else f"(mul {xs[0]} {chain(xs[1:])})"
+
+    v = make_variety(
+        ["elem"],
+        [("mul", ["elem", "elem"], "elem")],
+        "reversed-chains",
+        [([(x, "elem") for x in names], chain(names), chain(names[::-1]))],
+    )
+    var = tmp_path / "chains.var"
+    var.write_text(serialize_variety(v))
+    alg = tmp_path / "one.alg.json"
+    alg.write_text(json.dumps(algebra_json(one_element_algebra(v.sig))))
+    assert main(["check", str(var), str(alg)]) == 0
 
 
 def test_corpus_filter(capsys):

@@ -93,6 +93,15 @@ def test_nondegeneracy_boolean(boolean_groups):
     assert nondegeneracy_check(boolean_groups, 0).verdict == NONDEGENERATE
 
 
+def test_only_a_nondegenerate_run_returns_its_build(boolean_groups):
+    report = nondegeneracy_check(boolean_groups, 0)
+    assert report.build.algebra.sizes == (4,)
+    assert report.build.stats.rounds[-1].nodes_created == 0
+    degenerate = nondegeneracy_check(collapse_variety(), 0)
+    assert degenerate.verdict == DEGENERATE and degenerate.build is None
+    assert degenerate.detail.endswith("merged in round 1")  # stopped at the watched merge
+
+
 def test_nondegeneracy_unknown_on_budget():
     semigroups = make_variety(
         ["elem"],

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
 import random
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from conftest import (
     profile_of,
 )
 from corpus_reference import rows
+from freealg import finalg
 from freealg.egraph import build_free_algebra
 from freealg.finalg import (
     AlgebraError,
@@ -34,7 +38,7 @@ from freealg.finalg import (
     satisfies_identity,
 )
 from freealg.signature import Signature, classify_action_signature, restrict_to_part
-from freealg.terms import GeneratorProfile, SortedVar, parse_term
+from freealg.terms import GeneratorProfile, Identity, SortedVar, Term, arena_of, parse_term
 from functor import identity_morphism
 
 
@@ -113,6 +117,115 @@ def test_satisfies_all_first_counterexample(left_zero):
     assert isinstance(cex, Counterexample)
     assert list(cex.assignment.values()) == [0, 1]
     assert (cex.lhs_value, cex.rhs_value) == (0, 1)
+
+
+def interpreted_check(alg, ident):
+    """Every assignment in lexicographic order, both sides interpreted: the
+    first failing assignment with both values, or True."""
+    vs = ident.vars.variables()
+    for combo in itertools.product(*(range(alg.sizes[v.sort]) for v in vs)):
+        asg = dict(zip(vs, combo))
+        lhs, rhs = eval_term(alg, ident.lhs, asg), eval_term(alg, ident.rhs, asg)
+        if lhs != rhs:
+            return asg, lhs, rhs
+    return True
+
+
+def assert_same_verdict(got, want):
+    if want is True:
+        assert got is True
+    else:
+        asg, lhs, rhs = want
+        assert isinstance(got, Counterexample)
+        assert list(got.assignment.items()) == list(asg.items())
+        assert (got.lhs_value, got.rhs_value) == (lhs, rhs)
+
+
+# two sorts, the first possibly empty: a binary op, an op across the sorts
+# each way round, and a constant of the second sort
+CHECK_SIG = Signature.make(
+    ["a", "b"],
+    [("f", ["a", "a"], "a"), ("g", ["a"], "b"), ("h", ["b", "a"], "b"), ("c", [], "b")],
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_compiled_check_matches_interpreted_check(data):
+    sig = CHECK_SIG
+    sizes = (data.draw(st.integers(0, 3), label="a"), data.draw(st.integers(1, 3), label="b"))
+    tables = {}
+    for op in sig.ops:
+        keys = itertools.product(*(range(sizes[s]) for s in op.arg_sorts))
+        res = st.integers(0, sizes[op.result_sort] - 1)
+        tables[op.id] = {k: data.draw(res) for k in keys}
+    alg = FiniteAlgebra(sig, sizes, tables)
+    sorts = data.draw(st.lists(st.sampled_from([0, 1]), max_size=5), label="variables")
+    vs = [SortedVar(f"x{i}", s) for i, s in enumerate(sorts)]
+    arena = arena_of(sig)
+
+    def term(sort, depth):
+        # declared variables may go unused: each is only one of the choices
+        options = [arena.var(v) for v in vs if v.sort == sort]
+        options += [op for op in sig.ops if op.result_sort == sort and not op.arity]
+        if depth and 0 in sorts:  # every op with arguments reads the first sort
+            options += [op for op in sig.ops if op.result_sort == sort and op.arity]
+        pick = data.draw(st.sampled_from(options))
+        if isinstance(pick, Term):
+            return pick
+        return arena.apply(pick, tuple(term(s, depth - 1) for s in pick.arg_sorts))
+
+    sort = data.draw(st.sampled_from([0, 1] if 0 in sorts else [1]), label="sort")
+    ident = Identity(GeneratorProfile.of_vars(sig, vs), term(sort, 3), term(sort, 3))
+    assert_same_verdict(satisfies_identity(alg, ident), interpreted_check(alg, ident))
+
+
+def test_identities_of_one_shape_share_one_check_and_stay_collectable():
+    v = make_variety(
+        ["elem"],
+        [("f", ["elem", "elem"], "elem"), ("g", ["elem", "elem"], "elem")],
+        "two-semigroups",
+        [
+            ([("x", "elem"), ("y", "elem"), ("z", "elem")], "(f (f x y) z)", "(f x (f y z))"),
+            ([("x", "elem"), ("y", "elem"), ("z", "elem")], "(g (g x y) z)", "(g x (g y z))"),
+        ],
+    )
+    assert satisfies_all(one_element_algebra(v.sig), v.axioms) is True
+    f_assoc, g_assoc = v.axioms
+    assert finalg._checks[f_assoc][0] is finalg._checks[g_assoc][0]
+    assert finalg._checks[f_assoc][1] != finalg._checks[g_assoc][1]
+    source, _ = finalg._check_source(f_assoc)
+    assert not re.search(r"\bf\b|\bx\b|elem", source)  # slots and table numbers only
+    dead = weakref.ref(f_assoc)
+    del v, f_assoc, g_assoc
+    gc.collect()
+    assert dead() is None
+
+
+def right_chain(arena, op, terms):
+    """``op(t1, op(t2, ... op(t_{n-1}, t_n)))``."""
+    out = terms[-1]
+    for t in reversed(terms[:-1]):
+        out = arena.apply(op, (t, out))
+    return out
+
+
+def test_identity_with_24_variables(left_zero):
+    sig = left_zero.sig
+    mul = sig.op_named("mul")
+    arena = arena_of(sig)
+    vs = [SortedVar(f"x{i}", 0) for i in range(1, 25)]
+    prof = GeneratorProfile.of_vars(sig, vs)
+    xs = [arena.var(v) for v in vs]
+    reversed_chain = Identity(prof, right_chain(arena, mul, xs), right_chain(arena, mul, xs[::-1]))
+    assert satisfies_identity(one_element_algebra(sig), reversed_chain) is True
+    # in the two-element left-zero band a chain is its first variable, so
+    # the first failure sets x17, which the shared innermost loop ranges over
+    band = make_algebra(sig, {"elem": 2}, {"mul": lambda x, y: x})
+    moved = Identity(prof, xs[0], right_chain(arena, mul, [xs[16]] + xs[:16] + xs[17:]))
+    cex = satisfies_identity(band, moved)
+    assert list(cex.assignment.values()) == [0] * 16 + [1] + [0] * 7
+    assert_same_verdict(cex, interpreted_check(band, moved))
 
 
 def test_free_algebra_satisfies_own_axioms(comm_idem):
