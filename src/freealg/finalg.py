@@ -75,8 +75,9 @@ class FiniteAlgebra:
             {"carriers": {SORT: SIZE, ...},
              "tables": {OP: [{"args": [ELEMENT, ...], "result": ELEMENT}, ...], ...}}
 
-        A sort left out of ``carriers`` has an empty carrier, and each op's
-        table lists every argument tuple exactly once.
+        A sort left out of ``carriers`` has an empty carrier, each op's table
+        lists every argument tuple exactly once, and a table for an op that
+        the signature lacks is an error.
         """
         if not isinstance(data, dict):
             raise AlgebraError("an algebra must be a JSON object")
@@ -85,6 +86,9 @@ class FiniteAlgebra:
         for name, n in carriers.items():
             sizes[sig.sort_named(name).id] = _json_int(n, f"carrier size of '{name}'")
         all_tables = _json_object(data, "tables")
+        for name in all_tables:
+            if name not in sig.op_by_name:
+                raise AlgebraError(f"table for unknown operation '{name}'")
         tables: dict[int, dict[tuple, int]] = {}
         for op in sig.ops:
             entries = all_tables.get(op.name)
@@ -312,12 +316,29 @@ class MorphismTable:
                 raise SortViolation(f"map for sort '{s.name}' leaves the target carrier")
 
     def is_homomorphism(self) -> bool:
-        """Commutes with every operation, table entry by table entry."""
+        """Commutes with every operation, table entry by table entry.
+
+        Unary and binary ops index the argument maps straight into the
+        target's table; other arities build each mapped key as a tuple.
+        """
+        maps = self.maps
         for op in self.source.sig.ops:
-            for args, res in self.source.tables[op.id].items():
-                mapped = tuple([self.maps[s][a] for a, s in zip(args, op.arg_sorts)])
-                if self.target.tables[op.id][mapped] != self.maps[op.result_sort][res]:
-                    return False
+            src, dst = self.source.tables[op.id], self.target.tables[op.id]
+            res_map = maps[op.result_sort]
+            if op.arity == 2:
+                m0, m1 = maps[op.arg_sorts[0]], maps[op.arg_sorts[1]]
+                for (x, y), res in src.items():
+                    if dst[m0[x], m1[y]] != res_map[res]:
+                        return False
+            elif op.arity == 1:
+                m0 = maps[op.arg_sorts[0]]
+                for (x,), res in src.items():
+                    if dst[m0[x],] != res_map[res]:
+                        return False
+            else:
+                for args, res in src.items():
+                    if dst[tuple([maps[s][x] for x, s in zip(args, op.arg_sorts)])] != res_map[res]:
+                        return False
         return True
 
     def is_bijective(self) -> bool:
@@ -342,75 +363,83 @@ class MorphismTable:
         return f"MorphismTable({self.maps})"
 
 
-# A table entry of the source algebra: op id, the (sort, element) of each
-# argument, and the (sort, element) of its result.
-_Entry = tuple[int, tuple[tuple[int, int], ...], int, int]
-
-
-def _use_lists(a: FiniteAlgebra) -> tuple[list[list[list[_Entry]]], tuple[_Entry, ...]]:
-    """Index the table entries of ``a`` by the elements they read.
-
-    ``uses[s][e]`` lists, once each, the entries with element ``e`` of sort
-    ``s`` among their arguments (``mul(x, x)`` is listed once under ``x``);
-    the tuple beside them holds the entries of nullary ops, which no use
-    list reaches.
-    """
-    uses: list[list[list[_Entry]]] = [[[] for _ in range(n)] for n in a.sizes]
-    constants: list[_Entry] = []
+def _steps(a: FiniteAlgebra, b: FiniteAlgebra) -> list[list[tuple]]:
+    """Per sort ``s``, one step per op argument position of sort ``s``:
+    ``(position, argument sorts, result sort, a's table, b's table)``."""
+    steps: list[list[tuple]] = [[] for _ in a.sizes]
     for op in a.sig.ops:
-        for args, res in a.tables[op.id].items():
-            pairs = tuple(zip(op.arg_sorts, args))
-            entry = (op.id, pairs, op.result_sort, res)
-            for s, e in pairs:
-                use = uses[s][e]
-                if not use or use[-1] is not entry:
-                    use.append(entry)
-            if not pairs:
-                constants.append(entry)
-    return uses, tuple(constants)
+        for i, s in enumerate(op.arg_sorts):
+            steps[s].append((i, op.arg_sorts, op.result_sort, a.tables[op.id], b.tables[op.id]))
+    return steps
 
 
 def _close(
-    tables: dict[int, dict[tuple, int]],
-    uses: list[list[list[_Entry]]],
+    steps: list[list[tuple]],
     maps: list[list[int]],
     used: list[set[int]],
+    taken: list[list[int]],
     trail: list[tuple[int, int]],
     head: int,
-    seeds: tuple[_Entry, ...] = (),
+    seeds: tuple[tuple[int, tuple[int], tuple[int]], ...] = (),
 ) -> bool:
     """Extend a closed partial map a -> b (-1 = unmapped) to a fixed point.
 
-    ``tables`` are ``b``'s tables and ``uses`` the ``_use_lists`` of ``a``.
-    The map was closed before ``trail[head:]`` was mapped, so only entries
-    that read one of those elements, and the ``seeds``, can fire.  The
-    trail is the worklist: each ``(sort, element)`` is taken from it once,
-    and each of its entries whose arguments are all mapped sends its result
-    to ``b``'s value at their images; each result so mapped is appended to
-    ``trail`` in turn.  False on a clash: a result already mapped
-    elsewhere, or an image another element already took.  The fixed point,
-    and whether there is a clash, do not depend on the visiting order.
+    The map was closed before ``trail[head:]`` was mapped: every element
+    before ``head`` has been taken, and every entry over them has fired.
+    The trail is the worklist: each ``(sort, element)`` is taken from it
+    once, from ``trail[head]`` on, and appended to ``taken[sort]``, so the
+    taken elements are the prefix of the trail before ``head``, per sort in
+    trail order.  Taking ``(s, e)`` fires, for each op argument position of
+    sort ``s`` (``steps[s]``, from ``_steps``), the table entries of ``a``
+    with ``e`` there and taken elements at every other position, each entry
+    once: the positions before it hold elements taken before ``e``, those
+    after it any taken element.  A firing sends the entry's result to
+    ``b``'s value at the images of its arguments, and each result so mapped
+    is appended to ``trail`` in turn.  The ``seeds`` fire first, as
+    ``(result sort, results in a, values in b)``.  False on a clash: a
+    result already mapped elsewhere, or an image another element already
+    took.  On True every mapped element has been taken, so every entry
+    whose arguments are all mapped has fired.  The fixed point, and whether
+    there is a clash, do not depend on the visiting order.
     """
     batch = seeds
     while True:
-        for op_id, pairs, rs, res in batch:
-            img = tuple([maps[s][e] for s, e in pairs])
-            if -1 in img:
-                continue
-            v = tables[op_id][img]
-            res_map = maps[rs]
-            if res_map[res] == v:
-                continue
-            if res_map[res] >= 0 or v in used[rs]:
-                return False
-            res_map[res] = v
-            used[rs].add(v)
-            trail.append((rs, res))
+        for rs, results, values in batch:
+            res_map, taken_images = maps[rs], used[rs]
+            for res, v in zip(results, values):
+                if res_map[res] == v:
+                    continue
+                if res_map[res] >= 0 or v in taken_images:
+                    return False
+                res_map[res] = v
+                taken_images.add(v)
+                trail.append((rs, res))
         if head == len(trail):
             return True
         s, e = trail[head]
         head += 1
-        batch = uses[s][e]
+        mine = taken[s]
+        mine.append(e)
+        me = maps[s][e]
+        batch = []
+        for pos, sorts, rs, ta, tb in steps[s]:
+            if len(sorts) == 1:
+                batch.append((rs, (ta[e,],), (tb[me,],)))
+            elif len(sorts) == 2:
+                if pos == 0:
+                    ys, my = taken[sorts[1]], maps[sorts[1]]
+                    batch.append((rs, [ta[e, y] for y in ys], [tb[me, my[y]] for y in ys]))
+                else:
+                    xs, mx = (mine[:-1] if sorts[0] == s else taken[sorts[0]]), maps[sorts[0]]
+                    batch.append((rs, [ta[x, e] for x in xs], [tb[mx[x], me] for x in xs]))
+            else:
+                pools = [
+                    (e,) if j == pos else mine[:-1] if j < pos and t == s else taken[t]
+                    for j, t in enumerate(sorts)
+                ]
+                keys = list(itertools.product(*pools))
+                images = [tuple([maps[t][x] for t, x in zip(sorts, key)]) for key in keys]
+                batch.append((rs, [ta[k] for k in keys], [tb[k] for k in images]))
 
 
 def _first_unmapped(maps: list[list[int]], s: int, e: int) -> tuple[int, int] | None:
@@ -444,29 +473,40 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     canonical order, recorded the first time the search reaches that depth,
     and the search ends when every element is mapped.
 
-    After the size check, ``a`` is indexed once into use lists
-    (``_use_lists``), so each closure visits only the table entries of the
-    elements mapped since the last one; the trail of mapped elements is
-    both the worklist and the undo log.  The search keeps an explicit
-    stack, one frame per placed generator, so its depth is not bounded by
-    Python's recursion limit.
+    ``a`` is not indexed.  Each closure fires only the table entries whose
+    arguments have all been taken from the trail of mapped elements, with
+    at least one taken since the last closure, and reads them straight
+    from ``a``'s and ``b``'s tables; nullary ops seed the first closure.
+    The trail is both the worklist and the undo log, and undoing it also
+    truncates the per-sort lists of taken elements.  The search keeps an
+    explicit stack, one frame per placed generator, so its depth is not
+    bounded by Python's recursion limit.
     """
     if a.sig is not b.sig and not a.sig.same_shape(b.sig):
         raise AlgebraError("isomorphism search needs a shared signature")
     if a.sizes != b.sizes:
         return None
-    uses, constants = _use_lists(a)
+    steps = _steps(a, b)
+    constants = tuple(
+        (op.result_sort, (a.tables[op.id][()],), (b.tables[op.id][()],))
+        for op in a.sig.ops
+        if not op.arg_sorts
+    )
     maps = [[-1] * n for n in a.sizes]
     used = [set() for _ in a.sizes]
+    taken: list[list[int]] = [[] for _ in a.sizes]
     trail: list[tuple[int, int]] = []
 
     def undo(mark: int):
         while len(trail) > mark:
             s, e = trail.pop()
+            # a failed closure may leave elements on the trail untaken
+            if taken[s] and taken[s][-1] == e:
+                taken[s].pop()
             used[s].remove(maps[s][e])
             maps[s][e] = -1
 
-    if not _close(b.tables, uses, maps, used, trail, 0, constants):
+    if not _close(steps, maps, used, taken, trail, 0, constants):
         return None
     gens: list[tuple[int, int]] = []
     # one frame per placed generator: the trail length before it, its image
@@ -494,7 +534,7 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
         maps[s][e] = cand
         used[s].add(cand)
         trail.append((s, e))
-        if _close(b.tables, uses, maps, used, trail, mark):
+        if _close(steps, maps, used, taken, trail, mark):
             frames.append((mark, cand))
             cand = 0
         else:

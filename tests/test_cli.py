@@ -232,6 +232,17 @@ def test_check_rejects_malformed_algebra(tmp_path, capsys, shape):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_check_rejects_a_table_for_an_unknown_op(tmp_path, capsys):
+    v = load_entry_variety("boolean-groups")
+    data = algebra_json(cyclic_group(v.sig, 2))
+    data["tables"]["bogus"] = []
+    alg = tmp_path / "bogus.alg.json"
+    alg.write_text(json.dumps(data))
+    assert main(["check", corpus_path("boolean-groups.var"), str(alg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'bogus'" in err and "Traceback" not in err
+
+
 def test_check_takes_json_but_no_budget_flags(tmp_path, capsys):
     v = load_entry_variety("boolean-groups")
     z2 = tmp_path / "z2.alg.json"

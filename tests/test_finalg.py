@@ -241,17 +241,28 @@ def test_z2_satisfies_boolean_axioms(boolean_groups):
 # isomorphism search -------------------------------------------------------
 
 
+def commutes(a: FiniteAlgebra, b: FiniteAlgebra, maps) -> bool:
+    """Whether the per-sort ``maps`` send every table entry of ``a`` to
+    the matching entry of ``b``; the oracle's own check, independent of
+    ``MorphismTable.is_homomorphism``."""
+    for op in a.sig.ops:
+        for args, res in a.tables[op.id].items():
+            image = tuple(maps[s][x] for x, s in zip(args, op.arg_sorts))
+            if b.tables[op.id][image] != maps[op.result_sort][res]:
+                return False
+    return True
+
+
 def exhaustive_isos(a: FiniteAlgebra, b: FiniteAlgebra):
     """All sort-respecting bijective homomorphisms, by brute force."""
     if a.sizes != b.sizes:
         return []
     pools = [itertools.permutations(range(n)) for n in a.sizes]
-    found = []
-    for perms in itertools.product(*pools):
-        table = MorphismTable(a, b, tuple(tuple(p) for p in perms))
-        if table.is_homomorphism():
-            found.append(table)
-    return found
+    return [
+        MorphismTable(a, b, perms)
+        for perms in itertools.product(*pools)
+        if commutes(a, b, perms)
+    ]
 
 
 def test_identity_isomorphism(boolean_groups):
@@ -308,20 +319,11 @@ def test_iso_search_is_first_in_canonical_order_two_sorted(data):
         [("c", [], "s"), ("f", ["s", "s"], "s"), ("g", ["s", "t"], "t")],
     )
     sizes = (data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
-
-    def random_algebra():
-        tables = {}
-        for op in sig.ops:
-            keys = itertools.product(*(range(sizes[s]) for s in op.arg_sorts))
-            res = st.integers(0, sizes[op.result_sort] - 1)
-            tables[op.id] = {k: data.draw(res) for k in keys}
-        return FiniteAlgebra(sig, sizes, tables)
-
-    a = random_algebra()
+    a = random_algebra(data, sig, sizes)
     if data.draw(st.booleans(), label="relabel"):
         b = relabeled(a, [data.draw(st.permutations(range(n))) for n in sizes])
     else:
-        b = random_algebra()
+        b = random_algebra(data, sig, sizes)
     mine = find_isomorphism(a, b)
     brute = exhaustive_isos(a, b)
     assert (mine is not None) == bool(brute)
@@ -370,6 +372,87 @@ def test_iso_search_matches_exhaustive_search_on_forced_chains(data):
     assert (mine is not None) == bool(brute)
     if mine is not None:
         assert mine.maps == min(t.maps for t in brute)
+
+
+# a constant of t, and a binary and a ternary op that feed each sort from
+# the other, so the closure takes elements of s after elements of t; the
+# two positions of sort s make it tell earlier taken elements from later ones
+TERNARY_SIG = Signature.make(
+    ["s", "t"],
+    [("c", [], "t"), ("f", ["t", "s"], "s"), ("h", ["s", "t", "s"], "t")],
+)
+
+
+def random_algebra(data, sig, sizes) -> FiniteAlgebra:
+    """An algebra of ``sig`` on carriers of ``sizes``, every entry drawn."""
+    tables = {}
+    for op in sig.ops:
+        keys = itertools.product(*(range(sizes[s]) for s in op.arg_sorts))
+        res = st.integers(0, sizes[op.result_sort] - 1)
+        tables[op.id] = {k: data.draw(res) for k in keys}
+    return FiniteAlgebra(sig, sizes, tables)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_iso_search_matches_exhaustive_search_with_a_ternary_op(data):
+    sig = TERNARY_SIG
+    sizes = (data.draw(st.integers(0, 5), label="s"), data.draw(st.integers(1, 3), label="t"))
+    diagonal = data.draw(st.booleans(), label="diagonal")
+
+    def draw_algebra():
+        alg = random_algebra(data, sig, sizes)
+        if not diagonal:
+            return alg
+        # f is its second argument, and h its middle one off the diagonal,
+        # so only the entries h(x, y, x) tell the elements of s apart
+        f, h = sig.op_named("f").id, sig.op_named("h").id
+        tables = dict(alg.tables)
+        tables[f] = {k: k[1] for k in alg.tables[f]}
+        tables[h] = {k: v if k[0] == k[2] else k[1] for k, v in alg.tables[h].items()}
+        return FiniteAlgebra(sig, sizes, tables)
+
+    a = draw_algebra()
+    if data.draw(st.booleans(), label="relabel"):
+        b = relabeled(a, [data.draw(st.permutations(range(n))) for n in sizes])
+    else:
+        b = draw_algebra()
+    mine = find_isomorphism(a, b)
+    brute = exhaustive_isos(a, b)
+    assert (mine is not None) == bool(brute)
+    if mine is not None:
+        assert mine.maps == min(t.maps for t in brute)
+
+
+# one op of each arity, over two sorts of two and three elements
+ARITY_SIG = Signature.make(
+    ["s", "t"],
+    [("c", [], "t"), ("u", ["s"], "t"), ("f", ["s", "t"], "s"), ("h", ["t", "s", "t"], "t")],
+)
+
+
+@pytest.mark.parametrize("name", ["c", "u", "f", "h"], ids=["nullary", "unary", "binary", "ternary"])
+def test_is_homomorphism_rejects_each_broken_entry(name):
+    rng = random.Random(name)
+    sig = ARITY_SIG
+    sizes = (2, 3)
+    a = FiniteAlgebra(sig, sizes, {
+        op.id: {
+            k: rng.randrange(sizes[op.result_sort])
+            for k in itertools.product(*(range(sizes[s]) for s in op.arg_sorts))
+        }
+        for op in sig.ops
+    })
+    perms = ((1, 0), (2, 0, 1))
+    b = relabeled(a, perms)
+    assert MorphismTable(a, b, perms).is_homomorphism()
+    op = sig.op_named(name)
+    n = sizes[op.result_sort]
+    for key, value in b.tables[op.id].items():
+        tables = dict(b.tables)
+        tables[op.id] = {**b.tables[op.id], key: (value + 1) % n}
+        broken = FiniteAlgebra(sig, sizes, tables)
+        assert not MorphismTable(a, broken, perms).is_homomorphism(), key
 
 
 def relabeled(alg: FiniteAlgebra, perms) -> FiniteAlgebra:
