@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import GROUP_AXIOMS, GROUP_OPS, make_axioms, make_variety
+from conftest import GROUP_AXIOMS, GROUP_OPS, make_algebra, make_axioms, make_variety
 from freealg.certify import (
     CERTIFIED,
     CERTIFIED_CONDITIONAL,
@@ -374,3 +374,93 @@ def test_nondegeneracy_runs_return_the_sweeps_build(monkeypatch):
         assert got.gen_images == fresh.gen_images
         assert got.reps == fresh.reps
         assert got.stats == fresh.stats
+
+
+def _swept(rank):
+    """The profile evidence and iso checks of one clean one-sorted sweep."""
+    profiles = [{"counts": [n], "sizes": [n], "status": "ok", "detail": ""} for n in range(rank + 1)]
+    checks = [
+        {"left": [p], "right": [q], "isomorphic": False}
+        for p, q in itertools.combinations(range(rank + 1), 2)
+    ]
+    return profiles, checks
+
+
+def _report_json(variety, sorts, rank, detail, route="action-split", status=UNKNOWN, **fields):
+    return {
+        "status": status,
+        "rank": rank,
+        "variety": variety,
+        "route": route,
+        "sorts": sorts,
+        "nondegeneracy": {},
+        "profiles": [],
+        "iso_matrix": [],
+        "assumptions": [],
+        "refuted": None,
+        "detail": detail,
+        **fields,
+    }
+
+
+def test_failure_reports_are_pinned():
+    # the whole report of each way a certificate can fail short of a budget,
+    # character for character
+    v, cert = load_entry("group-reps-trivial-f2")
+    bad = replace(cert, sort1_axioms=cert.sort1_axioms[-1:], sort1_rank=2, sort2_rank=2)
+    uncovered = certify_action_split(v, bad, Budget(max_classes=400, max_rounds=5))
+    assert uncovered.to_json_dict() == _report_json(
+        "group-reps-trivial-f2",
+        ["g", "v"],
+        2,
+        "sort-1 witness does not cover the axiom (= (mul (mul x y) z) (mul x (mul y z))) "
+        "(consequence check: unknown)",
+    )
+
+    v, cert = load_entry("semigroup-actions-trivial")
+    split = classify_action_signature(v.sig)
+    fake = make_axioms(restrict_to_part(v.sig, split, 2), [([("u", "el"), ("w", "el")], "u", "w")])
+    bad = replace(cert, sort1_rank=2, sort2_axioms=tuple(fake), sort2_rank=2)
+    unconfirmed = certify_action_split(v, bad)
+    profiles, checks = _swept(2)
+    assert unconfirmed.to_json_dict() == _report_json(
+        "semigroup-actions-trivial",
+        ["s", "el"],
+        2,
+        "second-sort axiom (= u w) is not a confirmed consequence of the trivial-action "
+        "extension (consequence check: no)",
+        nondegeneracy={"s": "nondegenerate"},
+        profiles=profiles,
+        iso_matrix=checks,
+    )
+
+    # (x y) z = x but x (y z) = 1 - x: the assembled algebra is not a semigroup
+    sub1 = restrict_to_part(v.sig, split, 1)
+    h1 = make_algebra(sub1, {"s": 2}, {"mul": lambda x, y: 1 - x})
+    violated = certify_action_split(v, replace(cert, sample_h1=h1))
+    profiles, checks = _swept(3)
+    assert violated.to_json_dict() == _report_json(
+        "semigroup-actions-trivial",
+        ["s", "el"],
+        3,
+        "assembled trivial-action algebra violates the extension: "
+        "(= (mul (mul x y) z) (mul x (mul y z))) fails at [x=0, y=0, z=0]: 0 != 1",
+        nondegeneracy={"s": "nondegenerate", "el": "nondegenerate"},
+        profiles=profiles * 2,
+        iso_matrix=checks * 2,
+    )
+
+    semigroups = make_variety(
+        ["elem"],
+        [("mul", ["elem", "elem"], "elem")],
+        "semigroups",
+        [([("x", "elem"), ("y", "elem"), ("z", "elem")], "(mul (mul x y) z)", "(mul x (mul y z))")],
+    )
+    assert certify_empty_theory(semigroups).to_json_dict() == _report_json(
+        "semigroups",
+        ["elem"],
+        None,
+        "the variety has axioms; this route applies to empty theories only",
+        route="empty-theory",
+        status=NOT_APPLICABLE,
+    )
