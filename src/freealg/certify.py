@@ -10,8 +10,9 @@ Four routes are checked:
   algebras are all finite, and free algebras on different profiles are
   non-isomorphic.  The quotient functor then transports an isomorphism of
   the parent's free algebras down to the extension, so equal ranks follow.
-* ``per-sort``: one fujiwara-style witness per sort, swept along that
-  sort's axis of profiles, with the same appeal to the quotient functor.
+* ``per-sort``: one fujiwara witness (a ``FujiwaraCert``) per sort, swept
+  along that sort's axis of profiles, with the same appeal to the quotient
+  functor.
 * ``action-split``: the two-sorted route for signatures with a single
   cross-sort action.  The first sort is handled by a one-sorted witness
   covering the variety's sort-1-pure axioms; the second by the
@@ -63,6 +64,7 @@ from .terms import (
     arena_of,
     is_sort1_pure,
     transport_identity,
+    transport_term,
 )
 
 CERTIFIED = "certified"
@@ -90,14 +92,8 @@ class FujiwaraCert:
 
 
 @dataclass(frozen=True)
-class PerSortWitness:
-    extra_axioms: tuple[Identity, ...]
-    rank: int
-
-
-@dataclass(frozen=True)
 class PerSortCert:
-    witnesses: dict  # sort name -> PerSortWitness
+    witnesses: dict  # sort name -> FujiwaraCert
 
 
 @dataclass(frozen=True)
@@ -163,6 +159,18 @@ def _grid_profiles(nsorts: int, rank: int):
     yield from itertools.product(range(rank + 1), repeat=nsorts)
 
 
+def _report(v: VarietyDef, route: str, status: str, rank, detail: str) -> CertReport:
+    """A report on ``v`` with no evidence yet."""
+    return CertReport(
+        status=status,
+        rank=rank,
+        variety=v.name,
+        route=route,
+        sorts=tuple(s.name for s in v.sig.sorts),
+        detail=detail,
+    )
+
+
 def _settle(report: CertReport, status: str, detail: str) -> None:
     report.status = status
     report.detail = detail
@@ -198,10 +206,7 @@ def _sweep(
     for counts in profiles:
         res = done.get(counts)
         if res is None:
-            prof = GeneratorProfile.from_counts(
-                sig, {s.name: c for s, c in zip(sig.sorts, counts)}
-            )
-            res = build_free_algebra(variety, prof, budget)
+            res = build_free_algebra(variety, GeneratorProfile.of_counts(sig, counts), budget)
         if isinstance(res, BudgetExceeded):
             report.profiles += (
                 ProfileEvidence(counts, None, "budget", f"{res.limit} limit at round {res.rounds}"),
@@ -218,7 +223,6 @@ def _sweep(
         iso = find_isomorphism(builds[p], builds[q])
         report.iso_matrix += (IsoCheck(p, q, iso is not None),)
         if iso is not None:
-            assert iso.is_homomorphism() and iso.is_bijective()
             report.refuted = RefutedEvidence(p, q, iso.to_json_dict())
             return _settle(
                 report,
@@ -229,26 +233,21 @@ def _sweep(
 
 
 def certify_empty_theory(v: VarietyDef) -> CertReport:
-    sorts = tuple(s.name for s in v.sig.sorts)
     if v.axioms:
-        return CertReport(
-            status=NOT_APPLICABLE,
-            rank=None,
-            variety=v.name,
-            route="empty-theory",
-            sorts=sorts,
-            detail="the variety has axioms; this route applies to empty theories only",
+        return _report(
+            v,
+            "empty-theory",
+            NOT_APPLICABLE,
+            None,
+            "the variety has axioms; this route applies to empty theories only",
         )
-    return CertReport(
-        status=CERTIFIED,
-        rank=UNBOUNDED,
-        variety=v.name,
-        route="empty-theory",
-        sorts=sorts,
-        detail=(
-            "term algebras are free for the empty theory and the term-length "
-            "argument forces per-sort generator counts to agree under isomorphism"
-        ),
+    return _report(
+        v,
+        "empty-theory",
+        CERTIFIED,
+        UNBOUNDED,
+        "term algebras are free for the empty theory and the term-length "
+        "argument forces per-sort generator counts to agree under isomorphism",
     )
 
 
@@ -259,17 +258,14 @@ def certify_fujiwara(
         raise CertificateError("fujiwara certificates need rank >= 2")
     budget = budget or Budget()
     delta = v.extended(extra_axioms, f"{v.name}#witness")
-    report = CertReport(
-        status=CERTIFIED,
-        rank=rank,
-        variety=v.name,
-        route="fujiwara",
-        sorts=tuple(s.name for s in v.sig.sorts),
-        detail=(
-            "the witness extension is nondegenerate with finite, pairwise "
-            "non-isomorphic free algebras up to the rank; the quotient functor "
-            "transports any isomorphism of the parent's free algebras to it"
-        ),
+    report = _report(
+        v,
+        "fujiwara",
+        CERTIFIED,
+        rank,
+        "the witness extension is nondegenerate with finite, pairwise "
+        "non-isomorphic free algebras up to the rank; the quotient functor "
+        "transports any isomorphism of the parent's free algebras to it",
     )
     _sweep(report, delta, _grid_profiles(len(v.sig.sorts), rank), range(len(v.sig.sorts)), budget)
     return report
@@ -286,16 +282,13 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
     for w in resolved.values():
         if w.rank < 2:
             raise CertificateError("per-sort certificates need rank >= 2")
-    report = CertReport(
-        status=CERTIFIED,
-        rank=min(w.rank for w in resolved.values()),
-        variety=v.name,
-        route="per-sort",
-        sorts=tuple(s.name for s in sig.sorts),
-        detail=(
-            "per-sort witness extensions distinguish generator counts at their "
-            "sort; the quotient functor composes the per-sort evidence"
-        ),
+    report = _report(
+        v,
+        "per-sort",
+        CERTIFIED,
+        min(w.rank for w in resolved.values()),
+        "per-sort witness extensions distinguish generator counts at their "
+        "sort; the quotient functor composes the per-sort evidence",
     )
     for s in sig.sorts:
         w = resolved[s.id]
@@ -305,13 +298,24 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
     return report
 
 
-def _covered_by(ax: Identity, axioms, variety: VarietyDef, budget: Budget) -> str:
-    """Whether an identity appears among axioms (up to renaming) or is a
-    bounded-saturation consequence of the variety."""
-    key = alpha_key(ax)
-    if any(alpha_key(b) == key for b in axioms):
-        return CONSEQUENCE_YES
-    return is_consequence(variety, ax, budget)
+def _covers(
+    report: CertReport, variety: VarietyDef, identities, budget: Budget, message: str
+) -> bool:
+    """Whether each identity, moved into the variety's signature, appears
+    among its axioms (up to renaming) or is a bounded-saturation consequence
+    of it.  The first one that is neither settles the report as unknown:
+    the detail is ``message`` formatted with that identity, followed by the
+    consequence verdict."""
+    keys = {alpha_key(b) for b in variety.axioms}
+    for ax in identities:
+        moved = transport_identity(ax, variety.sig)
+        if alpha_key(moved) in keys:
+            continue
+        verdict = is_consequence(variety, moved, budget)
+        if verdict != CONSEQUENCE_YES:
+            _settle(report, UNKNOWN, f"{message.format(ax)} (consequence check: {verdict})")
+            return False
+    return True
 
 
 def certify_action_split(
@@ -323,78 +327,50 @@ def certify_action_split(
         raise CertificateError(f"signature is not action-separated: {split.reason}")
     if cert.sort1_rank < 2 or cert.sort2_rank < 2:
         raise CertificateError("action-split certificates need rank >= 2")
+    if cert.s_term.sort != 0:
+        raise CertificateError("the action term must have the second sort")
     sig = v.sig
     sub1 = restrict_to_part(sig, split, 1)
     sub2 = restrict_to_part(sig, split, 2)
-    sort_names = tuple(s.name for s in sig.sorts)
-    report = CertReport(
-        status=CERTIFIED_CONDITIONAL,
-        rank=min(cert.sort1_rank, cert.sort2_rank),
-        variety=v.name,
-        route="action-split",
-        sorts=sort_names,
-        detail=(
-            "first sort via a one-sorted witness covering the sort-1-pure "
-            "axioms; second sort via the trivial-action subvariety and the "
-            "declared second-sort axiom set"
-        ),
+    report = _report(
+        v,
+        "action-split",
+        CERTIFIED_CONDITIONAL,
+        min(cert.sort1_rank, cert.sort2_rank),
+        "first sort via a one-sorted witness covering the sort-1-pure "
+        "axioms; second sort via the trivial-action subvariety and the "
+        "declared second-sort axiom set",
     )
 
     # sort-1 leg: the witness must cover every sort-1-pure axiom of v, so
     # that it is a subvariety of the variety's syntactic first-sort theory.
     witness1 = VarietyDef(sub1, f"{v.name}#sort1", tuple(cert.sort1_axioms))
-    for ax in v.axioms:
-        if not (is_sort1_pure(ax.lhs, split) and is_sort1_pure(ax.rhs, split)):
-            continue
-        sub_ax = transport_identity(ax, sub1)
-        verdict = _covered_by(sub_ax, witness1.axioms, witness1, budget)
-        if verdict != CONSEQUENCE_YES:
-            _settle(
-                report,
-                UNKNOWN,
-                f"sort-1 witness does not cover the axiom {ax!r} "
-                f"(consequence check: {verdict})",
-            )
-            return report
+    pure = (ax for ax in v.axioms if is_sort1_pure(ax.lhs, split) and is_sort1_pure(ax.rhs, split))
+    if not _covers(report, witness1, pure, budget, "sort-1 witness does not cover the axiom {!r}"):
+        return report
     if _sweep(report, witness1, _axis_profiles(1, 0, cert.sort1_rank), [0], budget) is None:
         return report
 
     # sort-2 leg: extend v with the trivial-action identity for the declared
     # term, then check every declared second-sort axiom is a consequence.
-    s_term = cert.s_term
-    if s_term.sort != 0:
-        raise CertificateError("the action term must have the second sort")
-    full_arena = arena_of(sig)
-    used = {cert.s_var.name}
-    g_name = next(f"a{i}" for i in itertools.count(1) if f"a{i}" not in used)
-    g_var = SortedVar(g_name, split.sort1)
-    x2_full = SortedVar(cert.s_var.name, split.sort2)
-    lift_map = {cert.s_var: full_arena.var(x2_full)}
-
-    def lift(t: Term) -> Term:
-        if t.is_var():
-            return lift_map[t.var]
-        return full_arena.apply(sig.op_named(t.op.name), tuple(lift(c) for c in t.children))
-
-    tr_profile = GeneratorProfile.of_vars(sig, [g_var, x2_full])
+    arena = arena_of(sig)
+    g_var = SortedVar("a2" if cert.s_var.name == "a1" else "a1", split.sort1)
+    x2 = SortedVar(cert.s_var.name, split.sort2)
     tr_act = Identity(
-        tr_profile,
-        full_arena.apply(split.action, (full_arena.var(g_var), full_arena.var(x2_full))),
-        lift(s_term),
+        GeneratorProfile.of_vars(sig, [g_var, x2]),
+        arena.apply(split.action, (arena.var(g_var), arena.var(x2))),
+        transport_term(cert.s_term, sub2, sig),
     )
     delta_v = v.extended([tr_act], f"{v.name}#trivial-action")
     witness2 = VarietyDef(sub2, f"{v.name}#sort2", tuple(cert.sort2_axioms))
-    for ax in witness2.axioms:
-        lifted = transport_identity(ax, sig)
-        verdict = _covered_by(lifted, delta_v.axioms, delta_v, budget)
-        if verdict != CONSEQUENCE_YES:
-            _settle(
-                report,
-                UNKNOWN,
-                f"second-sort axiom {ax!r} is not a confirmed consequence of the "
-                f"trivial-action extension (consequence check: {verdict})",
-            )
-            return report
+    if not _covers(
+        report,
+        delta_v,
+        witness2.axioms,
+        budget,
+        "second-sort axiom {!r} is not a confirmed consequence of the trivial-action extension",
+    ):
+        return report
     builds = _sweep(report, witness2, _axis_profiles(1, 0, cert.sort2_rank), [0], budget)
     if builds is None:
         return report

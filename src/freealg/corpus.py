@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .certify import run_certificate
-from .egraph import Budget, BudgetExceeded, FreeAlgebraResult, VarietyDef, build_free_algebra
+from .egraph import Budget, BudgetExceeded, FreeAlgebraResult, build_free_algebra
 from .files import parse_certificate_document, parse_variety_document
-from .finalg import Evaluator, MorphismTable, find_isomorphism
+from .finalg import MorphismTable, eval_term, find_isomorphism
 from .report import Report, encode
 from .terms import GeneratorProfile, SortedVar, term_profile_iso
 
@@ -213,12 +213,6 @@ class CorpusReport:
         return out
 
 
-def _profile_for(v: VarietyDef, counts) -> GeneratorProfile:
-    return GeneratorProfile.from_counts(
-        v.sig, {s.name: c for s, c in zip(v.sig.sorts, counts)}
-    )
-
-
 def run_entry(name: str, budget: Budget | None = None) -> EntryResult:
     budget = budget or Budget()
     entry = ENTRIES[name]
@@ -226,7 +220,7 @@ def run_entry(name: str, budget: Budget | None = None) -> EntryResult:
     rows: list[SizeRow] = []
     messages: list[str] = []
     for counts, expected in entry.expected:
-        prof = _profile_for(v, counts)
+        prof = GeneratorProfile.of_counts(v.sig, counts)
         if expected == INFINITE:
             cap = Budget(
                 max_classes=min(budget.max_classes, entry.infinite_budget.max_classes),
@@ -267,8 +261,7 @@ def hom_from_gen_images(
     Each source class is sent to the evaluation of its representative term;
     freeness of the source makes this a homomorphism.
     """
-    ev = Evaluator(src.profile, images, dst.algebra)
-    maps = tuple(tuple(ev(rep) for rep in src.reps[s.id]) for s in src.variety.sig.sorts)
+    maps = tuple(tuple(eval_term(dst.algebra, rep, images) for rep in reps) for reps in src.reps)
     table = MorphismTable(src.algebra, dst.algebra, maps)
     assert table.is_homomorphism(), "universal property violated"
     return table
@@ -293,7 +286,7 @@ def setcoup_swap_demo(budget: Budget | None = None) -> SwapReport:
     frees = {}
     for m in range(4):
         for n in range(4):
-            prof = _profile_for(v, (m, n))
+            prof = GeneratorProfile.of_counts(v.sig, (m, n))
             res = build_free_algebra(v, prof, budget)
             assert not isinstance(res, BudgetExceeded)
             frees[(m, n)] = res

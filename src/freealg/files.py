@@ -31,7 +31,6 @@ from .certify import (
     EmptyTheoryCert,
     FujiwaraCert,
     PerSortCert,
-    PerSortWitness,
 )
 from .egraph import VarietyDef
 from .finalg import AlgebraError, FiniteAlgebra
@@ -131,7 +130,7 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
         rank, axioms = _parse_witness(body, variety.sig, "fujiwara certificate")
         return FujiwaraCert(extra_axioms=axioms, rank=rank)
     if route == "per-sort":
-        witnesses: dict[str, PerSortWitness] = {}
+        witnesses: dict[str, FujiwaraCert] = {}
         for f in body:
             entry = sexpr.expect_list(f, "sort")
             if len(entry) < 2:
@@ -142,7 +141,7 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
             rank, axioms = _parse_witness(
                 entry.items[2:], variety.sig, f"per-sort witness for '{sname}'"
             )
-            witnesses[sname] = PerSortWitness(extra_axioms=axioms, rank=rank)
+            witnesses[sname] = FujiwaraCert(extra_axioms=axioms, rank=rank)
         if not witnesses:
             raise CertificateError("per-sort certificate declares no witnesses")
         return PerSortCert(witnesses=witnesses)

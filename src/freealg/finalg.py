@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass
 
 from .signature import ActionSplit, Signature
-from .terms import GeneratorProfile, Identity, SortedVar, Term, free_vars
+from .terms import Identity, SortedVar, Term, free_vars
 
 
 class AlgebraError(Exception):
@@ -21,10 +21,6 @@ class AlgebraError(Exception):
 
 
 class SortViolation(AlgebraError):
-    pass
-
-
-class MissingSort(AlgebraError):
     pass
 
 
@@ -146,44 +142,6 @@ def eval_term(alg: FiniteAlgebra, t: Term, asg: dict[SortedVar, int]) -> int:
         return asg[t.var]
     args = tuple(eval_term(alg, c, asg) for c in t.children)
     return alg.tables[t.op.id][args]
-
-
-class Evaluator:
-    """Homomorphic extension of a generator assignment into a finite algebra.
-
-    Agrees with the assignment on variables and commutes with every
-    operation; memoized over the hash-consed term nodes.
-    """
-
-    def __init__(self, vars: GeneratorProfile, images: dict[SortedVar, int], target: FiniteAlgebra):
-        self.target = target
-        self.images = dict(images)
-        for v in vars.variables():
-            if target.sizes[v.sort] == 0:
-                raise MissingSort(
-                    f"target has an empty carrier for sort '{target.sig.sorts[v.sort].name}'"
-                )
-            if v not in self.images:
-                raise SortViolation(f"no image for generator '{v.name}'")
-            img = self.images[v]
-            if not (0 <= img < target.sizes[v.sort]):
-                raise SortViolation(
-                    f"image of '{v.name}' is not an element of sort "
-                    f"'{target.sig.sorts[v.sort].name}'"
-                )
-        self._memo: dict[Term, int] = {}
-
-    def __call__(self, t: Term) -> int:
-        memo = self._memo
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if t.is_var():
-            val = self.images[t.var]
-        else:
-            val = self.target.tables[t.op.id][tuple(self(c) for c in t.children)]
-        memo[t] = val
-        return val
 
 
 @dataclass(frozen=True)

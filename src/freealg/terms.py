@@ -155,6 +155,11 @@ class GeneratorProfile:
         return cls(sig, by_sort)
 
     @classmethod
+    def of_counts(cls, sig: Signature, counts) -> "GeneratorProfile":
+        """The profile with ``counts[i]`` generators of the i-th sort."""
+        return cls.from_counts(sig, {s.name: n for s, n in zip(sig.sorts, counts)})
+
+    @classmethod
     def of_vars(cls, sig: Signature, vs) -> "GeneratorProfile":
         by_sort: dict[int, list[SortedVar]] = {}
         for v in vs:
@@ -310,20 +315,29 @@ def alpha_key(ident: Identity):
     return (walk(ident.lhs), walk(ident.rhs))
 
 
+def transport_term(t: Term, source: Signature, target: Signature) -> Term:
+    """Rebuild a term of ``source`` in ``target``, matching sorts and ops by
+    name and keeping variable names."""
+    arena = arena_of(target)
+
+    def walk(u: Term) -> Term:
+        if u.is_var():
+            return arena.var(_transport_var(u.var, source, target))
+        return arena.apply(target.op_named(u.op.name), tuple(walk(c) for c in u.children))
+
+    return walk(t)
+
+
+def _transport_var(v: SortedVar, source: Signature, target: Signature) -> SortedVar:
+    return SortedVar(v.name, target.sort_named(source.sorts[v.sort].name).id)
+
+
 def transport_identity(ident: Identity, target: Signature) -> Identity:
     """Rebuild an identity in another signature, matching sorts/ops by name."""
     src = ident.vars.sig
-    arena = arena_of(target)
-    var_map = {
-        v: SortedVar(v.name, target.sort_named(src.sorts[v.sort].name).id)
-        for v in ident.vars.variables()
-    }
-
-    def walk(t: Term) -> Term:
-        if t.is_var():
-            return arena.var(var_map[t.var])
-        op = target.op_named(t.op.name)
-        return arena.apply(op, tuple(walk(c) for c in t.children))
-
-    profile = GeneratorProfile.of_vars(target, [var_map[v] for v in ident.vars.variables()])
-    return Identity(profile, walk(ident.lhs), walk(ident.rhs))
+    profile = GeneratorProfile.of_vars(
+        target, [_transport_var(v, src, target) for v in ident.vars.variables()]
+    )
+    return Identity(
+        profile, transport_term(ident.lhs, src, target), transport_term(ident.rhs, src, target)
+    )

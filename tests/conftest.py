@@ -26,7 +26,7 @@ def make_variety(sorts, ops, name, axiom_specs):
 
 def profile_of(v, counts):
     """The generator profile with ``counts[i]`` generators of sort ``i``."""
-    return GeneratorProfile.from_counts(v.sig, {s.name: c for s, c in zip(v.sig.sorts, counts)})
+    return GeneratorProfile.of_counts(v.sig, counts)
 
 
 def make_axioms(sig, axiom_specs):

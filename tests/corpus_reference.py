@@ -42,7 +42,7 @@ def rows():
 def row_result(name: str, counts, infinite: bool) -> dict:
     """What the reference holds for one row, as the engine builds it now."""
     v, _ = load_entry(name)
-    prof = GeneratorProfile.from_counts(v.sig, {s.name: c for s, c in zip(v.sig.sorts, counts)})
+    prof = GeneratorProfile.of_counts(v.sig, counts)
     res = build_free_algebra(v, prof, ENTRIES[name].infinite_budget if infinite else None)
     if isinstance(res, BudgetExceeded):
         return {"trip": [res.limit, res.classes, res.rounds], "stats": res.stats.to_json_dict()}

@@ -16,7 +16,7 @@ from freealg.certify import (
     CERTIFIED,
     CERTIFIED_CONDITIONAL,
     CertificateError,
-    PerSortWitness,
+    FujiwaraCert,
     certify_action_split,
     certify_empty_theory,
     certify_fujiwara,
@@ -268,7 +268,7 @@ def test_criterion_12_degeneracy_controls():
                 CERTIFIED,
                 CERTIFIED_CONDITIONAL,
             )
-            assert certify_per_sort(v, {"elem": PerSortWitness((), 2)}).status not in (
+            assert certify_per_sort(v, {"elem": FujiwaraCert((), 2)}).status not in (
                 CERTIFIED,
                 CERTIFIED_CONDITIONAL,
             )

@@ -12,7 +12,7 @@ from freealg.certify import (
     UNKNOWN,
     ActionSplitCert,
     CertificateError,
-    PerSortWitness,
+    FujiwaraCert,
     RefutedEvidence,
     certify_action_split,
     certify_empty_theory,
@@ -25,7 +25,7 @@ from freealg.corpus import ENTRIES, load_entry
 from freealg.egraph import Budget, build_free_algebra
 from freealg.finalg import find_isomorphism
 from freealg.signature import classify_action_signature, restrict_to_part
-from freealg.terms import GeneratorProfile
+from freealg.terms import GeneratorProfile, SortedVar, arena_of
 from functor import identity_morphism
 
 
@@ -155,7 +155,7 @@ def test_certified_report_is_recheckable(boolean_groups):
 
 def test_per_sort_one_sorted_matches_fujiwara(boolean_groups):
     fuji = certify_fujiwara(boolean_groups, [], 3)
-    per = certify_per_sort(boolean_groups, {"elem": PerSortWitness((), 3)})
+    per = certify_per_sort(boolean_groups, {"elem": FujiwaraCert((), 3)})
     assert per.status == fuji.status == CERTIFIED
     assert {tuple(p.counts) for p in per.profiles} == {tuple(p.counts) for p in fuji.profiles}
 
@@ -175,7 +175,7 @@ def test_per_sort_semigroup_actions():
     lz = make_axioms(actions.sig, [([("x", "s"), ("y", "s")], "(mul x y)", "x")])
     trivial = make_axioms(actions.sig, [([("x", "s"), ("u", "el")], "(act x u)", "u")])
     report = certify_per_sort(
-        actions, {"s": PerSortWitness(tuple(lz), 2), "el": PerSortWitness(tuple(trivial), 2)}
+        actions, {"s": FujiwaraCert(tuple(lz), 2), "el": FujiwaraCert(tuple(trivial), 2)}
     )
     assert report.status == CERTIFIED
     assert report.rank == 2
@@ -194,7 +194,7 @@ def test_per_sort_semigroup_actions():
 
 def test_per_sort_missing_witness(graphs_variety):
     with pytest.raises(CertificateError):
-        certify_per_sort(graphs_variety, {"edge": PerSortWitness((), 2)})
+        certify_per_sort(graphs_variety, {"edge": FujiwaraCert((), 2)})
 
 
 def test_action_split_corpus_certificates():
@@ -250,6 +250,26 @@ def test_action_split_unconfirmed_sort2_axiom():
     assert "second-sort axiom" in report.detail
 
 
+def test_action_split_rejects_a_malformed_action_term_before_saturating(monkeypatch):
+    # the action term must have the single sort (id 0) of the second part;
+    # a term of sort id 1 in the full signature is refused before any
+    # saturation runs
+    made = []
+    init = egraph.SaturationState.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(egraph.SaturationState, "__init__", counting)
+    v, cert = load_entry("semigroup-actions-trivial")
+    u = arena_of(v.sig).var(SortedVar("u", 1))
+    assert u.sort == 1
+    with pytest.raises(CertificateError, match="second sort"):
+        certify_action_split(v, replace(cert, s_term=u))
+    assert made == []
+
+
 def test_action_split_sort2_sweep_budget_unknown():
     # the sort-1 leg and the consequence checks finish within the budget,
     # but the second-sort free algebra on four generators does not; the
@@ -267,8 +287,6 @@ def test_action_split_sort2_sweep_budget_unknown():
 
 
 def test_run_certificate_rank_cap(boolean_groups):
-    from freealg.certify import FujiwaraCert
-
     cert = FujiwaraCert(extra_axioms=(), rank=3)
     report = run_certificate(boolean_groups, cert, rank_cap=2)
     assert report.rank == 2
@@ -284,7 +302,7 @@ def test_degenerate_variety_never_certifies():
     )
     assert certify_empty_theory(v).status == NOT_APPLICABLE
     assert certify_fujiwara(v, [], 2).status == UNKNOWN
-    assert certify_per_sort(v, {"elem": PerSortWitness((), 2)}).status == UNKNOWN
+    assert certify_per_sort(v, {"elem": FujiwaraCert((), 2)}).status == UNKNOWN
     with pytest.raises(CertificateError):
         certify_action_split(v, None)
 

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import enumerate_terms, substitute
-from conftest import load_entry_variety, make_algebra, make_axioms
-from freealg.finalg import Evaluator
-from freealg.signature import Signature, classify_action_signature
+from conftest import load_entry_variety, make_algebra, make_axioms, profile_of
+from freealg.corpus import hom_from_gen_images, load_entry
+from freealg.egraph import build_free_algebra
+from freealg.finalg import AlgebraError, MorphismTable, SortViolation, eval_term
+from freealg.signature import Signature, classify_action_signature, restrict_to_part
 from freealg.terms import (
     GeneratorProfile,
     Identity,
@@ -23,6 +25,7 @@ from freealg.terms import (
     term_profile_iso,
     term_to_text,
     transport_identity,
+    transport_term,
 )
 
 
@@ -128,9 +131,9 @@ def test_substitute_identity_is_identity(semigroup_sig, xy):
 def test_extend_assignment_left_zero(left_zero):
     alg = make_algebra(left_zero.sig, {"elem": 2}, {"mul": lambda x, y: x})
     prof = GeneratorProfile.from_counts(left_zero.sig, {"elem": 2})
-    ev = Evaluator(prof, dict(zip(prof.variables(), [0, 1])), alg)
-    assert ev(parse_term("(mul x1 x2)", left_zero.sig, prof)) == 0
-    assert ev(parse_term("(mul x2 x1)", left_zero.sig, prof)) == 1
+    images = dict(zip(prof.variables(), [0, 1]))
+    assert eval_term(alg, parse_term("(mul x1 x2)", left_zero.sig, prof), images) == 0
+    assert eval_term(alg, parse_term("(mul x2 x1)", left_zero.sig, prof), images) == 1
 
 
 def test_extend_assignment_z2(boolean_groups):
@@ -138,35 +141,34 @@ def test_extend_assignment_z2(boolean_groups):
 
     z2 = cyclic_group(boolean_groups.sig, 2)
     prof = GeneratorProfile.from_counts(boolean_groups.sig, {"elem": 1})
-    ev = Evaluator(prof, {prof.variables()[0]: 1}, z2)
-    assert ev(parse_term("(mul x1 x1)", boolean_groups.sig, prof)) == 0
+    t = parse_term("(mul x1 x1)", boolean_groups.sig, prof)
+    assert eval_term(z2, t, {prof.variables()[0]: 1}) == 0
 
 
-def test_extend_assignment_validates(boolean_groups):
+def test_gen_image_maps_validate(boolean_groups, sets_variety):
     from conftest import cyclic_group
-    from freealg.finalg import SortViolation
 
     z2 = cyclic_group(boolean_groups.sig, 2)
-    prof = GeneratorProfile.from_counts(boolean_groups.sig, {"elem": 1})
     with pytest.raises(SortViolation):
-        Evaluator(prof, {prof.variables()[0]: 5}, z2)
+        MorphismTable(z2, z2, ((0, 2),))
+    with pytest.raises(AlgebraError):
+        MorphismTable(z2, z2, ((0,),))
+    f1 = build_free_algebra(sets_variety, profile_of(sets_variety, (1,)))
     with pytest.raises(SortViolation):
-        Evaluator(prof, {}, z2)
+        hom_from_gen_images(f1, f1, {f1.profile.variables()[0]: 5})
 
 
 def test_extension_uniqueness(boolean_groups):
-    # two extensions agreeing on the generators agree on random terms
-    from conftest import cyclic_group
-
-    z2 = cyclic_group(boolean_groups.sig, 2)
+    # the homomorphism extending a generator map sends each term's element
+    # of the free algebra to that term's value under the map
     sig = boolean_groups.sig
-    prof = GeneratorProfile.from_counts(sig, {"elem": 2})
-    images = dict(zip(prof.variables(), [1, 0]))
-    ev1 = Evaluator(prof, images, z2)
-    ev2 = Evaluator(prof, dict(images), z2)
+    src = build_free_algebra(boolean_groups, profile_of(boolean_groups, (2,)))
+    dst = build_free_algebra(boolean_groups, profile_of(boolean_groups, (1,)))
+    images = dict(zip(src.profile.variables(), [1, 0]))
+    table = hom_from_gen_images(src, dst, images)
     rng = random.Random(7)
     arena = arena_of(sig)
-    vs = [arena.var(v) for v in prof.variables()]
+    vs = [arena.var(v) for v in src.profile.variables()]
 
     def rand_term(depth):
         if depth == 0 or rng.random() < 0.3:
@@ -176,7 +178,8 @@ def test_extension_uniqueness(boolean_groups):
 
     for _ in range(2000):
         t = rand_term(4)
-        assert ev1(t) == ev2(t)
+        elem = eval_term(src.algebra, t, src.gen_images)
+        assert table.maps[t.sort][elem] == eval_term(dst.algebra, t, images)
 
 
 def test_is_sort1_pure_examples(action_sig):
@@ -264,6 +267,43 @@ def test_transport_identity(boolean_groups):
         moved = transport_identity(ax, other)
         assert moved.vars.sig is other
         assert alpha_key(moved) == alpha_key(ax)
+
+
+@pytest.mark.parametrize(
+    "name", ["semigroup-actions-trivial", "group-reps-trivial-f2", "lie-reps-null-f2"]
+)
+def test_transport_term_round_trips_through_the_parts(name):
+    # each part's sort is named after the sort it restricts, so a term goes
+    # there and back to the same interned term
+    v, cert = load_entry(name)
+    split = classify_action_signature(v.sig)
+    sub1 = restrict_to_part(v.sig, split, 1)
+    sub2 = restrict_to_part(v.sig, split, 2)
+
+    def round_trip(t, source, target):
+        return transport_term(transport_term(t, source, target), target, source)
+
+    def symbols(t):
+        return {t.var.sort} if t.is_var() else {t.op.name}.union(*map(symbols, t.children))
+
+    for part, axioms in ((sub1, cert.sort1_axioms), (sub2, cert.sort2_axioms)):
+        for ax in axioms:
+            assert round_trip(ax.lhs, part, v.sig) is ax.lhs
+            assert round_trip(ax.rhs, part, v.sig) is ax.rhs
+    assert round_trip(cert.s_term, sub2, v.sig) is cert.s_term
+    # the variety's axioms over one part only; those with the action stay
+    parts = {
+        sub1: {split.sort1, *(o.name for o in split.ops1)},
+        sub2: {split.sort2, *(o.name for o in split.ops2)},
+    }
+    one_part = 0
+    for ax in v.axioms:
+        for part, allowed in parts.items():
+            if symbols(ax.lhs) | symbols(ax.rhs) <= allowed:
+                one_part += 1
+                assert round_trip(ax.lhs, v.sig, part) is ax.lhs
+                assert round_trip(ax.rhs, v.sig, part) is ax.rhs
+    assert one_part > 0
 
 
 def test_term_key_orders_by_length(semigroup_sig, xy):
