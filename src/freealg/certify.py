@@ -54,6 +54,7 @@ from .finalg import (
     satisfies_all,
 )
 from .report import Report
+from .sexpr import InputError
 from .signature import NotActionSeparable, classify_action_signature, restrict_to_part
 from .terms import (
     GeneratorProfile,
@@ -76,7 +77,7 @@ NOT_APPLICABLE = "not_applicable"
 UNBOUNDED = "unbounded"
 
 
-class CertificateError(Exception):
+class CertificateError(InputError):
     """Malformed certificate (wrong route, missing parts, bad terms)."""
 
 

@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .certify import CERTIFIED, CERTIFIED_CONDITIONAL, REFUTED, CertificateError
+from .certify import CERTIFIED, CERTIFIED_CONDITIONAL, REFUTED
 from .certify import run_certificate
 from .egraph import Budget, BudgetExceeded, BuildStats, build_free_algebra
 from .files import (
@@ -33,23 +33,13 @@ from .files import (
     load_variety,
     parse_profile_spec,
 )
-from .finalg import AlgebraError, satisfies_all
-from .sexpr import SexprError
-from .signature import SignatureError
-from .terms import GeneratorProfile, TermError
+from .finalg import satisfies_all
+from .sexpr import InputError
+from .terms import GeneratorProfile
 
 SCHEMA_VERSION = "1"
 
-_INPUT_ERRORS = (
-    SexprError,
-    SignatureError,
-    TermError,
-    AlgebraError,
-    CertificateError,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
+_INPUT_ERRORS = (InputError, OSError, UnicodeError, json.JSONDecodeError)
 
 
 def _budget(args) -> Budget:
@@ -65,7 +55,7 @@ def _budget(args) -> Budget:
         try:
             return int(os.environ[env])
         except ValueError:
-            raise ValueError(f"{env} must be an integer, not {os.environ[env]!r}") from None
+            raise InputError(f"{env} must be an integer, not {os.environ[env]!r}") from None
 
     return Budget(
         max_classes=limit(args.budget_classes, "VF_BUDGET_CLASSES", default.max_classes),
@@ -84,7 +74,7 @@ def _emit(report: dict, timings: dict, json_path: str | None) -> None:
 def cmd_free(args) -> int:
     budget = _budget(args)
     if args.max_reps is not None and args.max_reps < 0:
-        raise ValueError("--max-reps must not be negative")
+        raise InputError("--max-reps must not be negative")
     v = load_variety(args.variety)
     counts = parse_profile_spec(args.profile, v.sig)
     described = ",".join(f"{name}={n}" for name, n in counts.items())

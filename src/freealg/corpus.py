@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import ClassVar
 
 from .certify import run_certificate
 from .egraph import Budget, BudgetExceeded, FreeAlgebraResult, build_free_algebra
 from .files import parse_certificate_document, parse_variety_document
-from .finalg import MorphismTable, eval_term, find_isomorphism
+from .finalg import MorphismTable, SortViolation, eval_term, find_isomorphism
 from .report import Report, encode
 from .terms import GeneratorProfile, SortedVar, term_profile_iso
 
@@ -36,7 +37,7 @@ class CorpusEntry:
     oracle_profiles: tuple = ()
     # cap applied when reproducing an expected-infinite profile, so the
     # corpus run stays fast; the default budget trips too, just slower
-    infinite_budget: Budget = field(default=Budget(max_classes=4000, max_rounds=64))
+    infinite_budget: ClassVar[Budget] = Budget(max_classes=4000, max_rounds=64)
 
 
 ENTRIES: dict[str, CorpusEntry] = {}
@@ -219,23 +220,17 @@ def run_entry(name: str, budget: Budget | None = None) -> EntryResult:
     v, cert = load_entry(name)
     rows: list[SizeRow] = []
     messages: list[str] = []
+    cap = Budget(
+        max_classes=min(budget.max_classes, entry.infinite_budget.max_classes),
+        max_rounds=min(budget.max_rounds, entry.infinite_budget.max_rounds),
+    )
     for counts, expected in entry.expected:
         prof = GeneratorProfile.of_counts(v.sig, counts)
-        if expected == INFINITE:
-            cap = Budget(
-                max_classes=min(budget.max_classes, entry.infinite_budget.max_classes),
-                max_rounds=min(budget.max_rounds, entry.infinite_budget.max_rounds),
-            )
-            res = build_free_algebra(v, prof, cap)
-            got = "budget_exceeded" if isinstance(res, BudgetExceeded) else res.algebra.sizes
-            rows.append(SizeRow(counts, INFINITE, got, isinstance(res, BudgetExceeded)))
-        else:
-            res = build_free_algebra(v, prof, budget)
-            if isinstance(res, BudgetExceeded):
-                rows.append(SizeRow(counts, expected, "budget_exceeded", False))
-            else:
-                got = res.algebra.sizes
-                rows.append(SizeRow(counts, expected, got, got == tuple(expected)))
+        infinite = expected == INFINITE
+        res = build_free_algebra(v, prof, cap if infinite else budget)
+        got = "budget_exceeded" if isinstance(res, BudgetExceeded) else res.algebra.sizes
+        want = "budget_exceeded" if infinite else tuple(expected)
+        rows.append(SizeRow(counts, expected, got, got == want))
     report = run_certificate(v, cert, budget)
     if not report.certified:
         messages.append(f"certificate: {report.status}: {report.detail}")
@@ -261,6 +256,9 @@ def hom_from_gen_images(
     Each source class is sent to the evaluation of its representative term;
     freeness of the source makes this a homomorphism.
     """
+    for v, image in images.items():
+        if not 0 <= image < dst.algebra.sizes[v.sort]:
+            raise SortViolation(f"generator '{v.name}' maps outside the target carrier")
     maps = tuple(tuple(eval_term(dst.algebra, rep, images) for rep in reps) for reps in src.reps)
     table = MorphismTable(src.algebra, dst.algebra, maps)
     assert table.is_homomorphism(), "universal property violated"

@@ -44,7 +44,8 @@ sort ids and slot numbers, and kernels are cached by source, so every
 axiom shape is compiled once per process.
 
 Saturation may never happen (free algebras can be infinite); the budget
-turns that into an explicit BudgetExceeded result, never an error.
+turns that into an explicit BudgetExceeded result, never an error.  The
+class cap is checked in ``_make`` and, for the generators, at round 0.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from dataclasses import dataclass, field
 
 from .finalg import FiniteAlgebra
 from .report import Report
+from .sexpr import InputError
 from .signature import Signature
 from .terms import (
     GeneratorProfile,
@@ -105,7 +107,7 @@ class Budget:
 
     def __post_init__(self):
         if self.max_classes <= 0 or self.max_rounds <= 0:
-            raise ValueError("budget limits must be positive")
+            raise InputError("budget limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,14 +154,8 @@ class FreeAlgebraResult:
         return out
 
 
-class _WatchMerged:
-    def __init__(self, round: int):
-        self.round = round
-
-
 class _Tripped(Exception):
-    def __init__(self, limit: str):
-        self.limit = limit
+    """A budget limit was hit; the one argument names the limit."""
 
 
 def _plan(t: Term, slot_of: dict[SortedVar, int], base: int, steps: list) -> int:
@@ -185,7 +181,7 @@ _compiled = itertools.count()  # numbers each kernel's file name, for profiles
 def _compile(source: str):
     """The kernel that ``source`` defines.  Axioms of one shape over the
     same op and sort ids share a source, so each shape compiles once."""
-    namespace = {"product": itertools.product, "_Tripped": _Tripped}
+    namespace = {"product": itertools.product}
     exec(compile(source, f"<match kernel {next(_compiled)}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -208,7 +204,7 @@ class _Query:
     hold classes, one slot per operation node and one per variable.  The
     other side is a build plan (see ``_plan``) over the same slots, plus
     one slot per variable the matched side lacks.  Both become the Python
-    source of one function, ``kernel(state, since, max_classes, pools)``,
+    source of one function, ``kernel(state, since, pools)``,
     that makes a whole pass of the axiom:
 
     * The join.  For each atom as the seed, nested levels bind every
@@ -234,6 +230,7 @@ class _Query:
       looks the other side's nodes up in the hash-cons table, has
       ``_make`` enter a missing one, and unions the result with the matched
       class; a missing outer node goes straight into the matched class.
+      A node past the class cap trips in ``_make``, mid-instance.
 
     Only op ids, sort ids and slot numbers enter the source, so no name
     from a definition file reaches it, and axioms of one shape share a
@@ -286,7 +283,7 @@ class _Query:
         reads = {a for _, args, _, _ in steps for a in args} | {top, root}
         # the matched slots that an instance reads: each match keeps these
         keep = sorted(s for s in reads if s not in built and s not in ranged)
-        lines = ["def kernel(state, since, max_classes, pools):"]
+        lines = ["def kernel(state, since, pools):"]
         helpers: list[str] = []
         body = ["table = state.key2class"]
         if atoms:
@@ -318,11 +315,6 @@ class _Query:
         elif ranged:
             loops.append(f"for {_names(ranged)} in product(*pools):")
         inner = ["n += 1", *self._build_lines(steps, top, root, built)]
-        inner += [
-            "if state.n_live > max_classes:",
-            "    state.instances += n",
-            "    raise _Tripped('classes')",
-        ]
         for depth, loop in enumerate(loops):
             body.append("    " * depth + loop)
         body += ["    " * len(loops) + line for line in inner]
@@ -444,12 +436,14 @@ class _Query:
 
 
 class SaturationState:
-    """E-classes over one profile: union-find, hash-consed nodes, indexes."""
+    """A saturation run: union-find, hash-consed nodes, indexes, budget, stats."""
 
-    def __init__(self, variety: VarietyDef, profile: GeneratorProfile):
+    def __init__(self, variety: VarietyDef, profile: GeneratorProfile, budget: Budget = Budget()):
         self.variety = variety
         self.sig = variety.sig
         self.profile = profile
+        self.budget = budget
+        self.stats = BuildStats()
         self.parent: list[int] = []
         self.class_sort: list[int] = []
         self.key2class: dict[tuple, int] = {}
@@ -518,7 +512,8 @@ class SaturationState:
     def _make(self, key: tuple, sort: int, into: int | None = None) -> int:
         """Enter the missing canonical key into a new class of ``sort``, or
         straight into class ``into`` when given, which counts as a merge;
-        returns its class.  Every node is made here."""
+        returns its class.  Every node is made here, and checked against
+        the class cap."""
         if into is None:
             cls = self._new_class(sort)
         else:
@@ -526,6 +521,8 @@ class SaturationState:
             self.merges_done += 1
         self._enter(key, cls)
         self.nodes_created += 1
+        if self.n_live > self.budget.max_classes:
+            raise _Tripped("classes")
         return cls
 
     def _resolve(self, t: Term) -> int:
@@ -611,7 +608,7 @@ class SaturationState:
 
     # round steps -----------------------------------------------------------
 
-    def grow(self, budget: Budget) -> int:
+    def grow(self) -> int:
         """Apply every op to every argument-class tuple from the round start."""
         self.rebuild()
         created0 = self.nodes_created
@@ -619,11 +616,9 @@ class SaturationState:
         for op in self.sig.ops:
             for tup in itertools.product(*(roots[s] for s in op.arg_sorts)):
                 self._node(op.id, tup, op.result_sort)
-                if self.n_live > budget.max_classes:
-                    raise _Tripped("classes")
         return self.nodes_created - created0
 
-    def match_pass(self, budget: Budget) -> tuple[int, int]:
+    def match_pass(self) -> tuple[int, int]:
         """One pass over all axioms; returns (merges, nodes created).
 
         Each query's kernel joins only from the keys stamped since it last
@@ -639,60 +634,51 @@ class SaturationState:
             since = -1 if q.full else seen[i]
             seen[i] = self.generation
             merges0 = self.merges_done
-            q.kernel(self, since, budget.max_classes, [self.classes_of_sort(s) for s in q.pools])
+            q.kernel(self, since, [self.classes_of_sort(s) for s in q.pools])
             merges += self.merges_done - merges0
         self.rebuild()
         return merges, self.nodes_created - created0
 
 
-def _run(
-    variety: VarietyDef,
-    profile: GeneratorProfile,
-    budget: Budget,
-    watch: tuple[Term, Term] | None = None,
-):
-    """Drive rounds to saturation, budget exhaustion, or a watched merge."""
-    state = SaturationState(variety, profile)
-    stats = BuildStats()
+def _run(state: SaturationState, watch: tuple[Term, Term] | None = None):
+    """Drive rounds to saturation (None), a budget trip (its ``BudgetExceeded``,
+    at round 0 if resolving the watched terms trips) or a watched merge (its round)."""
     pair = None
-    if watch is not None:
-        pair = (state._resolve(watch[0]), state._resolve(watch[1]))
 
-    def watching() -> bool:
+    def merged() -> bool:
         return pair is not None and state.find(pair[0]) == state.find(pair[1])
 
-    if watching():
-        return _WatchMerged(0), state, stats
-    if state.n_live > budget.max_classes:  # each generator is a class
-        return BudgetExceeded(state.n_live, 0, "classes", stats), state, stats
-    rnd = 0
-    while True:
-        rnd += 1
-        state.round = rnd
-        if rnd > budget.max_rounds:
-            return BudgetExceeded(state.n_live, rnd - 1, "rounds", stats), state, stats
-        instances0 = state.instances
-        try:
-            created = state.grow(budget)
+    try:
+        if watch is not None:
+            pair = (state._resolve(watch[0]), state._resolve(watch[1]))
+        if merged():
+            return 0
+        if state.n_live > state.budget.max_classes:  # each generator is a class
+            return BudgetExceeded(state.n_live, 0, "classes", state.stats)
+        for rnd in range(1, state.budget.max_rounds + 1):
+            state.round = rnd
+            instances0 = state.instances
+            created = state.grow()
             after_grow = state.n_live
             merges = 0
             while True:
-                m, c = state.match_pass(budget)
+                m, c = state.match_pass()
                 merges += m
                 created += c
-                if watching():
-                    return _WatchMerged(rnd), state, stats
+                if merged():
+                    return rnd
                 if m == 0:
                     break
-        except _Tripped as trip:
-            if watching():
-                return _WatchMerged(rnd), state, stats
-            return BudgetExceeded(state.n_live, rnd, trip.limit, stats), state, stats
-        stats.rounds.append(
-            RoundStats(rnd, created, merges, state.instances - instances0, after_grow, state.n_live)
-        )
-        if created == 0 and merges == 0:
-            return None, state, stats  # saturated
+            state.stats.rounds.append(
+                RoundStats(rnd, created, merges, state.instances - instances0, after_grow, state.n_live)
+            )
+            if created == 0 and merges == 0:
+                return None  # saturated
+    except _Tripped as trip:
+        if merged():
+            return state.round
+        return BudgetExceeded(state.n_live, state.round, trip.args[0], state.stats)
+    return BudgetExceeded(state.n_live, state.round, "rounds", state.stats)
 
 
 def extract_representatives(state: SaturationState) -> dict[int, Term]:
@@ -726,7 +712,7 @@ def extract_representatives(state: SaturationState) -> dict[int, Term]:
     return best
 
 
-def freeze(state: SaturationState, stats: BuildStats) -> FreeAlgebraResult:
+def freeze(state: SaturationState) -> FreeAlgebraResult:
     sig = state.sig
     reps_by_class = extract_representatives(state)
     index: dict[int, int] = {}
@@ -757,19 +743,16 @@ def freeze(state: SaturationState, stats: BuildStats) -> FreeAlgebraResult:
         algebra=algebra,
         gen_images=gen_images,
         reps=tuple(reps),
-        stats=stats,
+        stats=state.stats,
     )
 
 
 def build_free_algebra(variety: VarietyDef, profile: GeneratorProfile, budget: Budget | None = None):
     """Saturate to the finite free algebra on the profile, or report budget
     exhaustion (a possibly infinite free algebra)."""
-    budget = budget or Budget()
-    outcome, state, stats = _run(variety, profile, budget)
-    if isinstance(outcome, BudgetExceeded):
-        return outcome
-    assert outcome is None
-    return freeze(state, stats)
+    state = SaturationState(variety, profile, budget or Budget())
+    outcome = _run(state)
+    return freeze(state) if outcome is None else outcome
 
 
 NONDEGENERATE = "nondegenerate"
@@ -780,7 +763,6 @@ UNKNOWN = "unknown"
 @dataclass(frozen=True)
 class NondegeneracyReport:
     verdict: str
-    sort: int
     detail: str
     build: FreeAlgebraResult | None = None  # the frozen run, when nondegenerate
 
@@ -799,28 +781,23 @@ def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None
     and as they never merge the run does the same rounds as an unwatched
     build.
     """
-    budget = budget or Budget()
     sig = variety.sig
     name = sig.sorts[sort_id].name
     profile = GeneratorProfile.from_counts(sig, {name: 2})
     v1, v2 = profile.variables()
     arena = arena_of(sig)
-    outcome, state, stats = _run(variety, profile, budget, watch=(arena.var(v1), arena.var(v2)))
-    if isinstance(outcome, _WatchMerged):
-        return NondegeneracyReport(
-            DEGENERATE, sort_id, f"generators of sort '{name}' merged in round {outcome.round}"
-        )
+    state = SaturationState(variety, profile, budget or Budget())
+    outcome = _run(state, watch=(arena.var(v1), arena.var(v2)))
     if isinstance(outcome, BudgetExceeded):
         return NondegeneracyReport(
-            UNKNOWN,
-            sort_id,
-            f"budget exhausted ({outcome.limit}) with the generators still distinct",
+            UNKNOWN, f"budget exhausted ({outcome.limit}) with the generators still distinct"
+        )
+    if outcome is not None:
+        return NondegeneracyReport(
+            DEGENERATE, f"generators of sort '{name}' merged in round {outcome}"
         )
     return NondegeneracyReport(
-        NONDEGENERATE,
-        sort_id,
-        f"saturated with distinct sort-'{name}' generators",
-        freeze(state, stats),
+        NONDEGENERATE, f"saturated with distinct sort-'{name}' generators", freeze(state)
     )
 
 
@@ -836,10 +813,8 @@ def is_consequence(variety: VarietyDef, ident: Identity, budget: Budget | None =
     'no' means saturation completed with the sides in distinct classes,
     'unknown' means the budget tripped first.
     """
-    budget = budget or Budget()
-    outcome, state, _ = _run(variety, ident.vars, budget, watch=(ident.lhs, ident.rhs))
-    if isinstance(outcome, _WatchMerged):
-        return CONSEQUENCE_YES
+    state = SaturationState(variety, ident.vars, budget or Budget())
+    outcome = _run(state, watch=(ident.lhs, ident.rhs))
     if isinstance(outcome, BudgetExceeded):
         return CONSEQUENCE_UNKNOWN
-    return CONSEQUENCE_NO
+    return CONSEQUENCE_NO if outcome is None else CONSEQUENCE_YES

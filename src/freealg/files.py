@@ -104,8 +104,9 @@ def _parse_witness(forms, sig: Signature, where: str) -> tuple[int, tuple[Identi
             axioms.append(parse_axiom(f, sig))
         else:
             raise CertificateError(
-                f"{f.line}:{f.col}: {where} takes (rank N) and (axiom ...) forms, "
-                f"not '{kind or sexpr.unparse(f)}'"
+                f"{where} takes (rank N) and (axiom ...) forms, not '{kind or sexpr.unparse(f)}'",
+                f.line,
+                f.col,
             )
     if len(ranks) != 1 or len(ranks[0]) != 2:
         raise CertificateError(f"{where} needs exactly one (rank N)")

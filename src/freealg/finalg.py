@@ -12,11 +12,12 @@ import itertools
 import weakref
 from dataclasses import dataclass
 
+from .sexpr import InputError
 from .signature import ActionSplit, Signature
 from .terms import Identity, SortedVar, Term, free_vars
 
 
-class AlgebraError(Exception):
+class AlgebraError(InputError):
     pass
 
 

@@ -10,14 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class SexprError(Exception):
-    """Syntax error with a source location."""
+class InputError(Exception):
+    """Malformed input: a message, after its ``line:col: `` when given."""
 
-    def __init__(self, msg: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {msg}")
+    def __init__(self, msg: str, line: int | None = None, col: int | None = None):
+        super().__init__(msg if line is None else f"{line}:{col}: {msg}")
         self.msg = msg
         self.line = line
         self.col = col
+
+
+class SexprError(InputError):
+    """Syntax error with a source location."""
 
 
 @dataclass(frozen=True)

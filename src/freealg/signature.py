@@ -15,13 +15,8 @@ from . import sexpr
 from .sexpr import Atom, SList
 
 
-class SignatureError(Exception):
-    def __init__(self, msg: str, line: int | None = None, col: int | None = None):
-        loc = f"{line}:{col}: " if line is not None else ""
-        super().__init__(f"{loc}{msg}")
-        self.msg = msg
-        self.line = line
-        self.col = col
+class SignatureError(sexpr.InputError):
+    pass
 
 
 class DuplicateName(SignatureError):

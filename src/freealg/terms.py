@@ -18,11 +18,8 @@ from .sexpr import Atom, SList
 from .signature import ActionSplit, Op, Signature, SignatureError
 
 
-class TermError(Exception):
-    def __init__(self, msg: str, line: int | None = None, col: int | None = None):
-        loc = f"{line}:{col}: " if line is not None else ""
-        super().__init__(f"{loc}{msg}")
-        self.msg = msg
+class TermError(sexpr.InputError):
+    pass
 
 
 class SortError(TermError):

@@ -109,6 +109,14 @@ def test_free_parse_error_location(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_free_variety_file_not_in_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.var"
+    bad.write_bytes("; caf\u00e9\n".encode("latin-1") + Path(corpus_path("sets.var")).read_bytes())
+    code = main(["free", str(bad), "elem=1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_certify_boolean(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(
@@ -283,6 +291,16 @@ def test_internal_key_error_is_not_an_input_error(monkeypatch, capsys):
     with pytest.raises(KeyError):
         main(["corpus", "sets"])
     assert "error: 'internal'" not in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch, capsys):
+    def broken(name, budget):
+        raise ValueError("internal")
+
+    monkeypatch.setattr("freealg.corpus.run_entry", broken)
+    with pytest.raises(ValueError):
+        main(["corpus", "sets"])
+    assert "error: internal" not in capsys.readouterr().err
 
 
 def test_check_identity_with_24_variables(tmp_path):

@@ -265,14 +265,14 @@ def test_semi_naive_matching_misses_nothing(monkeypatch, name, counts, sizes):
     match_pass = SaturationState.match_pass
     quiet = []
 
-    def match_pass_and_check(state, budget):
-        merges, created = match_pass(state, budget)
+    def match_pass_and_check(state):
+        merges, created = match_pass(state)
         if merges == 0:
             before = (state.nodes_created, state.merges_done)
             instances = state.instances
             for q in state._queries:
                 pools = [state.classes_of_sort(s) for s in q.pools]
-                q.kernel(state, -1, budget.max_classes, pools)
+                q.kernel(state, -1, pools)
                 assert (state.nodes_created, state.merges_done) == before
             state.instances = instances
             quiet.append(state.round)
@@ -417,6 +417,9 @@ def test_fully_bound_atoms_are_one_lookup():
     assert f"= ({inv}, v" in inverse
     # the stamps live in the op index; no kernel keeps a map of its own
     assert all("stamp" not in q.source for q in queries)
+    # the class cap is checked where a node is made, not in the kernels
+    for name in ("n_live", "max_classes", "_Tripped"):
+        assert all(name not in q.source for q in queries)
 
 
 def test_patterns_deeper_than_one_generated_function():
@@ -616,6 +619,19 @@ def test_consequence_checks(boolean_groups):
         semigroups.sig, [([("x", "elem"), ("y", "elem")], "(mul x y)", "(mul y x)")]
     )[0]
     assert is_consequence(semigroups, comm2, Budget(max_classes=400, max_rounds=6)) == "unknown"
+
+
+def test_a_watched_run_that_trips_while_resolving_reports_round_zero(boolean_groups, sets_variety):
+    # resolving the watched sides makes their nodes, and a node past the
+    # class cap trips before round 1: the run ends unknown, not in an error
+    ident = make_axioms(
+        boolean_groups.sig,
+        [([("x1", "elem"), ("x2", "elem")], "(mul (mul x1 x2) (mul x2 x1))", "(mul (inv x1) (inv (inv x2)))")],
+    )[0]
+    for cap in (2, 4, 7):
+        assert is_consequence(boolean_groups, ident, Budget(max_classes=cap)) == "unknown"
+    # two watched generators are two classes, over a cap of one
+    assert nondegeneracy_check(sets_variety, 0, Budget(max_classes=1)).verdict == UNKNOWN
 
 
 def test_empty_profile_no_constants(sets_variety):

@@ -156,6 +156,12 @@ def test_gen_image_maps_validate(boolean_groups, sets_variety):
     f1 = build_free_algebra(sets_variety, profile_of(sets_variety, (1,)))
     with pytest.raises(SortViolation):
         hom_from_gen_images(f1, f1, {f1.profile.variables()[0]: 5})
+    # a representative that applies an op is evaluated only after the
+    # images are checked against the target's carriers
+    v = load_entry_variety("elem-abelian-3")
+    g1 = build_free_algebra(v, profile_of(v, (1,)))
+    with pytest.raises(SortViolation):
+        hom_from_gen_images(g1, g1, {g1.profile.variables()[0]: 5})
 
 
 def test_extension_uniqueness(boolean_groups):
