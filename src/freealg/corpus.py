@@ -32,9 +32,7 @@ INFINITE = "infinite"
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    name: str
     expected: tuple  # ((counts, sizes-or-INFINITE), ...)
-    oracle_profiles: tuple = ()
     # cap applied when reproducing an expected-infinite profile, so the
     # corpus run stays fast; the default budget trips too, just slower
     infinite_budget: ClassVar[Budget] = Budget(max_classes=4000, max_rounds=64)
@@ -43,25 +41,19 @@ class CorpusEntry:
 ENTRIES: dict[str, CorpusEntry] = {}
 
 
-def _entry(name, expected, oracle_profiles=()):
-    ENTRIES[name] = CorpusEntry(
-        name=name,
-        expected=tuple(expected),
-        oracle_profiles=tuple(oracle_profiles),
-    )
+def _entry(name, expected):
+    ENTRIES[name] = CorpusEntry(tuple(expected))
 
 
 # free algebra on n generators is the n-element set
 _entry(
     "sets",
     [((1,), (1,)), ((3,), (3,)), ((5,), (5,))],
-    oracle_profiles=[(1,), (2,)],
 )
 # edge sort keeps its generators; vertex sort gains a head and a tail per edge
 _entry(
     "graphs",
     [((1, 1), (1, 3)), ((2, 1), (2, 5)), ((3, 3), (3, 9))],
-    oracle_profiles=[(1, 1), (2, 2)],
 )
 # state terms nest without bound once an input generator exists
 _entry(
@@ -72,67 +64,56 @@ _entry(
 _entry(
     "left-zero",
     [((n,), (n,)) for n in range(1, 7)],
-    oracle_profiles=[(2,), (3,)],
 )
 # elements are nonempty generator subsets: 2^n - 1
 _entry(
     "comm-idem-semigroups",
     [((n,), (2**n - 1,)) for n in range(1, 6)],
-    oracle_profiles=[(1,), (2,), (3,)],
 )
 # free algebra on n generators is the elementary abelian 2-group of rank n
 _entry(
     "boolean-groups",
     [((n,), (2**n,)) for n in range(1, 5)],
-    oracle_profiles=[(1,), (2,)],
 )
 # free algebra on n generators is the elementary abelian 3-group of rank n
 _entry(
     "elem-abelian-3",
     [((n,), (3**n,)) for n in range(1, 4)],
-    oracle_profiles=[(1,), (2,)],
 )
 # free algebra on n generators is the n-dimensional space: 2^n vectors
 _entry(
     "f2-vector-spaces",
     [((n,), (2**n,)) for n in range(1, 4)],
-    oracle_profiles=[(1,), (2,)],
 )
 # free algebra on n generators has 3^n vectors
 _entry(
     "f3-vector-spaces",
     [((n,), (3**n,)) for n in range(1, 4)],
-    oracle_profiles=[(1,), (2,)],
 )
 # null multiplication adds nothing: plain 2^n vector spaces
 _entry(
     "null-mul-f2",
     [((n,), (2**n,)) for n in range(1, 4)],
-    oracle_profiles=[(1,), (2,)],
 )
 # set sort stays free under the trivial action; semigroup sort is a free semigroup
 _entry(
     "semigroup-actions-trivial",
     [((0, 1), (0, 1)), ((0, 3), (0, 3)), ((1, 1), INFINITE)],
-    oracle_profiles=[(0, 1), (0, 2)],
 )
 # with no group generators the vector sort is the free vector space: 2^n
 _entry(
     "group-reps-trivial-f2",
     [((0, 1), (1, 2)), ((0, 2), (1, 4)), ((0, 3), (1, 8)), ((1, 0), INFINITE)],
-    oracle_profiles=[(0, 1), (0, 2)],
 )
 # null action keeps the vector sort free; one Lie generator spans a 2-element line
 _entry(
     "lie-reps-null-f2",
     [((0, 1), (1, 2)), ((0, 2), (1, 4)), ((0, 3), (1, 8)), ((1, 0), (2, 1)), ((2, 0), INFINITE)],
-    oracle_profiles=[(0, 1), (1, 0)],
 )
 # free couple of sets is the pair of generator sets
 _entry(
     "setcoup",
     [((1, 0), (1, 0)), ((0, 1), (0, 1)), ((2, 3), (2, 3))],
-    oracle_profiles=[(1, 1)],
 )
 
 

@@ -39,9 +39,10 @@ Scholz and Subotić, CAV 2016), into the Python source of one match kernel
 that runs the join as nested loops and lookups and builds every instance
 in straight-line code (see ``_Query``).  The queries are made once per
 variety and shared by every saturation state over it, which keeps only the
-generation each query last matched at.  The source holds only op ids,
-sort ids and slot numbers, and kernels are cached by source, so every
-axiom shape is compiled once per process.
+generation each query last matched at.  Kernels compile through
+``finalg.compile_source``, the compiler the identity checks also use: the
+source holds only op ids, sort ids and slot numbers, and compiles are
+cached by source, so every axiom shape is compiled once per process.
 
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.  The
@@ -55,7 +56,7 @@ import itertools
 from operator import itemgetter
 from dataclasses import dataclass, field
 
-from .finalg import FiniteAlgebra
+from .finalg import NEST, FiniteAlgebra, compile_source, plan, tuple_source
 from .report import Report
 from .sexpr import InputError
 from .signature import Signature
@@ -158,34 +159,6 @@ class _Tripped(Exception):
     """A budget limit was hit; the one argument names the limit."""
 
 
-def _plan(t: Term, slot_of: dict[SortedVar, int], base: int, steps: list) -> int:
-    """Compile a term into the steps that build its class from slot values.
-
-    Variables read the slots ``slot_of`` gives them; each operation node,
-    in post-order, appends one step ``(op, argument slots, result sort,
-    slot)`` that writes a new slot, numbered ``base + len(steps)``.  Returns
-    the slot that ends up holding the term's class.
-    """
-    if t.is_var():
-        return slot_of[t.var]
-    args = tuple(_plan(c, slot_of, base, steps) for c in t.children)
-    steps.append((t.op.id, args, t.op.result_sort, base + len(steps)))
-    return steps[-1][3]
-
-
-_NEST = 16  # join loops per generated function; CPython nests at most 20 blocks
-_compiled = itertools.count()  # numbers each kernel's file name, for profiles
-
-
-@functools.cache
-def _compile(source: str):
-    """The kernel that ``source`` defines.  Axioms of one shape over the
-    same op and sort ids share a source, so each shape compiles once."""
-    namespace = {"product": itertools.product}
-    exec(compile(source, f"<match kernel {next(_compiled)}>", "exec"), namespace)
-    return namespace["kernel"]
-
-
 def _root(x: str) -> str:
     """Source for the root of class ``x``: ``find`` without a call when
     ``x`` is a root already, as most classes are."""
@@ -202,7 +175,7 @@ class _Query:
     The matched side is a conjunctive query over the per-op tables: one
     atom ``(op, out, args)`` per operation node, over integer slots that
     hold classes, one slot per operation node and one per variable.  The
-    other side is a build plan (see ``_plan``) over the same slots, plus
+    other side is a build plan (see ``finalg.plan``) over the same slots, plus
     one slot per variable the matched side lacks.  Both become the Python
     source of one function, ``kernel(state, since, pools)``,
     that makes a whole pass of the axiom:
@@ -256,12 +229,12 @@ class _Query:
                 self.pools.append(v.sort)
                 width += 1
         steps: list = []
-        top = _plan(other, slot_of, width, steps)
+        top = plan(other, slot_of, width, steps)
         # a bare-variable pattern has no atom to take a delta from, and a
         # missing variable ranges over classes that no stamp tracks
         self.full = bool(ranged)
         self.source = self._source(atoms, root, ranged, steps, top)
-        self.kernel = _compile(self.source)
+        self.kernel = compile_source(self.source, "kernel")
 
     @staticmethod
     def _atoms(t: Term, slot_of: dict, atoms: list, slots) -> int:
@@ -330,7 +303,7 @@ class _Query:
         lines = []
         for op, args, sort, out in steps:
             key = [str(op)] + [f"v{a}" if a in built else _root(f"v{a}") for a in args]
-            lines += [f"k = ({', '.join(key)}{',' if not args else ''})", "c = table.get(k)"]
+            lines += [f"k = {tuple_source(key)}", "c = table.get(k)"]
             if out != top:
                 lines.append(f"v{out} = make(k, {sort}) if c is None else {_root('c')}")
         return lines + [
@@ -363,8 +336,7 @@ class _Query:
             if j != seed and bound.issuperset(args):
                 # the table is canonical and its values are roots, so the
                 # one key the loop could find is (op, args) in class out
-                key = ", ".join([str(op), *(f"v{a}" for a in args)])
-                head = [f"{k} = ({key}{',' if not args else ''})"]
+                head = [f"{k} = {tuple_source([str(op), *(f'v{a}' for a in args)])}"]
                 if down:
                     test = f"table.get({k}) == v{out}"
                 else:
@@ -415,22 +387,22 @@ class _Query:
 
     @staticmethod
     def _nest(levels, bound: set, emit: str, helpers: list) -> list[str]:
-        """Nest the levels' blocks around ``emit``; past ``_NEST`` blocks
+        """Nest the levels' blocks around ``emit``; past ``NEST`` blocks
         the rest goes into a helper function that ``helpers`` collects."""
         lines = []
-        for depth, (head, body, binds) in enumerate(levels[:_NEST]):
+        for depth, (head, body, binds) in enumerate(levels[:NEST]):
             lines += ["    " * depth + line for line in head]
             lines += ["    " * (depth + 1) + line for line in body]
             bound = bound | binds
-        depth = min(len(levels), _NEST)
-        if len(levels) <= _NEST:
+        depth = min(len(levels), NEST)
+        if len(levels) <= NEST:
             lines.append("    " * depth + emit)
             return lines
         i = len(helpers)
         helpers.append("")  # this helper's place, ahead of those it calls
         params = f"since, table, by_op, nodes, uses, add, {_names(sorted(bound))}"
         lines.append("    " * depth + f"join{i}({params})")
-        inner = _Query._nest(levels[_NEST:], bound, emit, helpers)
+        inner = _Query._nest(levels[NEST:], bound, emit, helpers)
         helpers[i] = "\n".join([f"def join{i}({params}):"] + ["    " + line for line in inner])
         return lines
 

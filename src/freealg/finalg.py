@@ -3,6 +3,7 @@
 Carrier elements of sort s are the integers 0..size-1.  Tables are total
 maps from argument tuples to results and are checked at construction.
 Empty carriers are legal; identity satisfaction over them is vacuous.
+It also holds the term planner and compiler that egraph's kernels share.
 """
 
 from __future__ import annotations
@@ -157,21 +158,38 @@ class Counterexample:
         return f"{self.identity!r} fails at [{asg}]: {self.lhs_value} != {self.rhs_value}"
 
 
-_NEST = 16  # loops per check; CPython nests at most 20 blocks
+NEST = 16  # loops per generated function; CPython nests at most 20 blocks
+_compiled = itertools.count()  # numbers each code object's file name, for profiles
 # identity -> its check, and the op ids of the tables it takes in order
 _checks: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @functools.cache
-def _compile_check(source: str):
-    """The check that ``source`` defines.  Identities of one shape share a
-    source, whatever their ops, so each shape compiles once."""
+def compile_source(source: str, name: str):
+    """The function ``name`` that ``source`` defines, its code named
+    ``<name n>`` for profiles.  Sources hold no name from a definition
+    file, so terms of one shape share one, and each shape compiles once."""
     namespace = {"product": itertools.product}
-    exec(compile(source, "<identity check>", "exec"), namespace)
-    return namespace["check"]
+    exec(compile(source, f"<{name} {next(_compiled)}>", "exec"), namespace)
+    return namespace[name]
 
 
-def _tuple(names: list[str]) -> str:
+def plan(t: Term, slot_of: dict[SortedVar, int], base: int, steps: list) -> int:
+    """Compile a term into the steps that compute it from slot values.
+
+    Variables read the slots ``slot_of`` gives them; each operation node,
+    in post-order, appends one step ``(op, argument slots, result sort,
+    slot)`` that writes a new slot, numbered ``base + len(steps)``.  Returns
+    the slot that ends up holding the term's value.
+    """
+    if t.is_var():
+        return slot_of[t.var]
+    args = tuple(plan(c, slot_of, base, steps) for c in t.children)
+    steps.append((t.op.id, args, t.op.result_sort, base + len(steps)))
+    return steps[-1][3]
+
+
+def tuple_source(names: list[str]) -> str:
     """Source of the tuple of ``names``."""
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
 
@@ -182,38 +200,28 @@ def _check_source(ident: Identity) -> tuple[str, tuple[int, ...]]:
 
     Slot ``i`` below the number of declared variables holds variable ``i``
     in profile order, which ranges over ``range(sizes[i])``; each further
-    slot holds one subterm, computed in the loop of its last variable, or
-    before the loops when it is closed.  From the ``_NEST``-th variable on,
-    the variables share one ``product`` loop, which keeps their order.  The
+    slot holds one step of ``plan``, computed in the loop of its last
+    variable, or before the loops when it is closed, so a repeated subterm
+    is computed once per occurrence.  From the ``NEST``-th variable on, the
+    variables share one ``product`` loop, which keeps their order.  The
     check returns the first failing assignment with both sides' values, or
     None.
     """
     vs = ident.vars.variables()
+    loops = min(len(vs), NEST)
     slot_of = {v: i for i, v in enumerate(vs)}
-    loops = min(len(vs), _NEST)
-    steps: list[list[str]] = [[] for _ in range(loops + 1)]  # closed terms, then by loop
+    steps: list = []
+    lhs = plan(ident.lhs, slot_of, len(vs), steps)
+    rhs = plan(ident.rhs, slot_of, len(vs), steps)
+    level = [min(i + 1, loops) for i in range(len(vs))]  # per slot: its loop, 0 before the loops
+    blocks: list[list[str]] = [[] for _ in range(loops + 1)]
     ops: dict[int, int] = {}  # op id -> its table's argument number
-    made: dict[Term, tuple[int, int]] = {}  # subterm -> (slot, index into steps)
-
-    def plan(t: Term) -> tuple[int, int]:
-        if t.is_var():
-            i = slot_of[t.var]
-            return i, min(i + 1, loops)
-        got = made.get(t)
-        if got is None:
-            args = [plan(c) for c in t.children]
-            at = max((a for _, a in args), default=0)
-            slot = len(vs) + len(made)
-            table = ops.setdefault(t.op.id, len(ops))
-            key = _tuple([f"v{i}" for i, _ in args])
-            steps[at].append(f"v{slot} = t{table}[{key}]")
-            got = made[t] = slot, at
-        return got
-
-    lhs, _ = plan(ident.lhs)
-    rhs, _ = plan(ident.rhs)
+    for op, args, _, slot in steps:
+        level.append(max((level[a] for a in args), default=0))
+        key = tuple_source([f"v{a}" for a in args])
+        blocks[level[slot]].append(f"v{slot} = t{ops.setdefault(op, len(ops))}[{key}]")
     lines = [f"def check({', '.join(['sizes'] + [f't{k}' for k in range(len(ops))])}):"]
-    lines += ["    " + line for line in steps[0]]
+    lines += ["    " + line for line in blocks[0]]
     for i in range(loops):
         pad = "    " * (i + 1)
         if i + 1 < loops or loops == len(vs):
@@ -222,9 +230,9 @@ def _check_source(ident: Identity) -> tuple[str, tuple[int, ...]]:
             rest = range(i, len(vs))
             ranges = ", ".join(f"range(sizes[{j}])" for j in rest)
             lines.append(f"{pad}for {', '.join(f'v{j}' for j in rest)} in product({ranges}):")
-        lines += [pad + "    " + line for line in steps[i + 1]]
+        lines += [pad + "    " + line for line in blocks[i + 1]]
     pad = "    " * (loops + 1)
-    values = _tuple([f"v{i}" for i in range(len(vs))])
+    values = tuple_source([f"v{i}" for i in range(len(vs))])
     lines.append(f"{pad}if v{lhs} != v{rhs}:")
     lines.append(f"{pad}    return {values}, v{lhs}, v{rhs}")
     return "\n".join(lines) + "\n", tuple(ops)
@@ -242,7 +250,7 @@ def satisfies_identity(alg: FiniteAlgebra, ident: Identity):
     got = _checks.get(ident)
     if got is None:
         source, ops = _check_source(ident)
-        got = _checks[ident] = _compile_check(source), ops
+        got = _checks[ident] = compile_source(source, "check"), ops
     check, ops = got
     vs = ident.vars.variables()
     failed = check([alg.sizes[v.sort] for v in vs], *[alg.tables[op] for op in ops])

@@ -170,6 +170,25 @@ MODELS = {
 }
 
 
+# the profiles on which each corpus entry's free algebra is checked against
+# the brute-force oracle; automata has none
+ORACLE_PROFILES = {
+    "sets": [(1,), (2,)],
+    "graphs": [(1, 1), (2, 2)],
+    "left-zero": [(2,), (3,)],
+    "comm-idem-semigroups": [(1,), (2,), (3,)],
+    "boolean-groups": [(1,), (2,)],
+    "elem-abelian-3": [(1,), (2,)],
+    "f2-vector-spaces": [(1,), (2,)],
+    "f3-vector-spaces": [(1,), (2,)],
+    "null-mul-f2": [(1,), (2,)],
+    "semigroup-actions-trivial": [(0, 1), (0, 2)],
+    "group-reps-trivial-f2": [(0, 1), (0, 2)],
+    "lie-reps-null-f2": [(0, 1), (1, 0)],
+    "setcoup": [(1, 1)],
+}
+
+
 def entry_models(name, v):
     """Small concrete algebras of the entry's variety, for spot checks."""
     return [make_algebra(v.sig, *MODELS[name])]

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from bruteforce import agrees_with_engine, bruteforce_free_algebra, enumerate_terms, substitute
-from conftest import make_axioms, make_variety, profile_of
+from conftest import ORACLE_PROFILES, make_axioms, make_variety, profile_of
 from freealg.certify import (
     CERTIFIED,
     CERTIFIED_CONDITIONAL,
@@ -23,7 +23,7 @@ from freealg.certify import (
     certify_per_sort,
 )
 from freealg.cli import main
-from freealg.corpus import ENTRIES, load_entry, setcoup_swap_demo
+from freealg.corpus import load_entry, setcoup_swap_demo
 from freealg.egraph import Budget, BudgetExceeded, build_free_algebra
 from freealg.finalg import MorphismTable
 from freealg.terms import GeneratorProfile, SortedVar, arena_of
@@ -223,9 +223,9 @@ def test_criterion_09_length_monotone_under_homomorphisms():
 def test_criterion_10_oracle_equivalence():
     with criterion(10, "saturation equals brute-force closure on the corpus", 60):
         compared = 0
-        for name, entry in ENTRIES.items():
+        for name, profiles in ORACLE_PROFILES.items():
             v, _ = load_entry(name)
-            for counts in entry.oracle_profiles:
+            for counts in profiles:
                 if any(c > 2 for c in counts):
                     continue
                 prof = profile_of(v, counts)

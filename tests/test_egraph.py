@@ -7,7 +7,14 @@ import re
 import pytest
 
 from bruteforce import agrees_with_engine, bruteforce_free_algebra
-from conftest import entry_models, load_entry_variety, make_axioms, make_variety, profile_of
+from conftest import (
+    ORACLE_PROFILES,
+    entry_models,
+    load_entry_variety,
+    make_axioms,
+    make_variety,
+    profile_of,
+)
 from freealg.corpus import ENTRIES, INFINITE
 from freealg.egraph import (
     Budget,
@@ -16,12 +23,11 @@ from freealg.egraph import (
     NONDEGENERATE,
     UNKNOWN,
     SaturationState,
-    _compile,
     build_free_algebra,
     is_consequence,
     nondegeneracy_check,
 )
-from freealg.finalg import eval_term, satisfies_identity
+from freealg.finalg import compile_source, eval_term, satisfies_identity
 from freealg.terms import Identity, arena_of, parse_term, term_to_text
 
 
@@ -325,16 +331,16 @@ def test_kernels_compile_once_per_axiom_shape(monkeypatch):
     monkeypatch.setattr(SaturationState, "__init__", init_and_keep)
     v = load_entry_variety("boolean-groups")
     build_free_algebra(v, profile_of(v, (2,)))
-    before = _compile.cache_info()
+    before = compile_source.cache_info()
     build_free_algebra(v, profile_of(v, (2,)))
-    after = _compile.cache_info()
+    after = compile_source.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits)
     first, second = states
     assert len(first._queries) == len(v.axioms)
     assert all(a is b for a, b in zip(first._queries, second._queries, strict=True))
     copy = load_entry_variety("boolean-groups")
     build_free_algebra(copy, profile_of(copy, (2,)))
-    again = _compile.cache_info()
+    again = compile_source.cache_info()
     assert again.misses == after.misses
     assert again.hits == after.hits + len(v.axioms)
 
@@ -480,12 +486,12 @@ def test_free_algebra_satisfies_axioms_everywhere():
 def test_soundness_spot_checks():
     # random terms evaluate to their class representative in every model
     rng = random.Random(2024)
-    for name, entry in ENTRIES.items():
+    for name, profiles in ORACLE_PROFILES.items():
         v = load_entry_variety(name)
         models = entry_models(name, v)
-        if not models or not entry.oracle_profiles:
+        if not models:
             continue
-        counts = entry.oracle_profiles[0]
+        counts = profiles[0]
         prof = profile_of(v, counts)
         res = build_free_algebra(v, prof)
         if isinstance(res, BudgetExceeded):
@@ -545,7 +551,7 @@ def test_universal_property_exhaustive():
     for name in ("left-zero", "boolean-groups", "f2-vector-spaces", "semigroup-actions-trivial"):
         v = load_entry_variety(name)
         models = [m for m in entry_models(name, v) if m.total_size() <= 8]
-        counts = ENTRIES[name].oracle_profiles[0]
+        counts = ORACLE_PROFILES[name][0]
         prof = profile_of(v, counts)
         res = build_free_algebra(v, prof)
         vs = prof.variables()

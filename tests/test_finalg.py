@@ -90,11 +90,18 @@ def test_satisfies_identity_z2(boolean_groups):
 def test_satisfies_identity_z4_counterexample(boolean_groups):
     z4 = cyclic_group(boolean_groups.sig, 4)
     square = [ax for ax in boolean_groups.axioms if "(mul x x)" in repr(ax)][0]
-    cex = satisfies_identity(z4, square)
-    assert isinstance(cex, Counterexample)
-    # first failing assignment in lexicographic order: x=0 passes, x=1 fails
-    assert list(cex.assignment.values()) == [1]
-    assert cex.lhs_value == 2 and cex.rhs_value == 0
+    # a repeated subterm, (inv x), is computed once per occurrence
+    [inv_square] = make_axioms(
+        boolean_groups.sig, [([("x", "elem")], "(mul (inv x) (inv x))", "(e)")]
+    )
+    assert finalg._check_source(inv_square)[0].count("t0[") == 2  # t0 is inv's table
+    for ident in (square, inv_square):
+        cex = satisfies_identity(z4, ident)
+        assert isinstance(cex, Counterexample)
+        # first failing assignment in lexicographic order: x=0 passes, x=1 fails
+        assert list(cex.assignment.values()) == [1]
+        assert cex.lhs_value == 2 and cex.rhs_value == 0
+        assert_same_verdict(cex, interpreted_check(z4, ident))
 
 
 def test_vacuous_satisfaction_on_empty_carrier():

@@ -144,3 +144,39 @@ def test_scan_finds_an_unreached_definition():
         "    C.n(C())\n"
     )
     assert unreached({"mod": source}, {(None, "entry")}) == ["mod.C.m", "mod.unused"]
+
+
+def callers(names: set[str], sources: dict[str, str]) -> list[str]:
+    """The definitions that call a bare name in ``names``, as
+    ``module.Class.function`` paths; module-level calls count as the module."""
+    found = set()
+    for module, text in sources.items():
+        stack = [(ast.parse(text), module)]
+        while stack:
+            node, where = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    stack.append((child, f"{where}.{child.name}"))
+                    continue
+                if isinstance(child, ast.Call) and getattr(child.func, "id", None) in names:
+                    found.add(where)
+                stack.append((child, where))
+    return sorted(found)
+
+
+def test_generated_code_is_compiled_in_one_place():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert callers({"exec", "compile"}, sources) == ["finalg.compile_source"]
+
+
+def test_scan_finds_every_caller():
+    source = (
+        "import re\n"
+        "re.compile('x')\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        def inner(): exec('pass')\n"
+        "def f(): return compile('1', '<f>', 'eval')\n"
+        "exec('pass')\n"
+    )
+    assert callers({"exec", "compile"}, {"mod": source}) == ["mod", "mod.C.m.inner", "mod.f"]
