@@ -316,6 +316,45 @@ def test_budget_trip_is_pinned(name, counts, limit, classes, rounds):
     assert (res.limit, res.classes, res.rounds) == (limit, classes, rounds)
 
 
+TRIPPED_WORK = [
+    ("automata", (1, 1, 0), 128, 0, 0, 128),
+    ("automata", (1, 1, 1), 128, 0, 0, 128),
+    ("semigroup-actions-trivial", (1, 1), 10048, 6049, 260129, 84),
+    ("group-reps-trivial-f2", (1, 0), 20491, 16491, 28471, 156),
+    ("lie-reps-null-f2", (2, 0), 13209, 9210, 5314, 76),
+]
+
+
+@pytest.mark.parametrize(
+    "name,counts,nodes,merges,instances,generation",
+    TRIPPED_WORK,
+    ids=[f"{n}-{','.join(map(str, c))}" for n, c, *_ in TRIPPED_WORK],
+)
+def test_work_inside_the_tripping_round_is_pinned(monkeypatch, name, counts, nodes, merges, instances, generation):
+    # BudgetExceeded.stats holds the completed rounds only; the work of the
+    # round that trips shows in the state's own counters
+    states = []
+    init = SaturationState.__init__
+
+    def init_and_keep(state, *args):
+        init(state, *args)
+        states.append(state)
+
+    monkeypatch.setattr(SaturationState, "__init__", init_and_keep)
+    v = load_entry_variety(name)
+    res = build_free_algebra(v, profile_of(v, counts), ENTRIES[name].infinite_budget)
+    assert isinstance(res, BudgetExceeded)
+    [state] = states
+    assert (state.nodes_created, state.merges_done, state.instances, state.generation) == (
+        nodes,
+        merges,
+        instances,
+        generation,
+    )
+    # every INFINITE row of the corpus is pinned here
+    assert sorted(row[:2] for row in TRIPPED_WORK) == sorted(INFINITE_ROWS)
+
+
 def test_kernels_compile_once_per_axiom_shape(monkeypatch):
     # the match plans belong to the variety: a second build of the same
     # variety reuses the first build's queries and neither compiles nor
