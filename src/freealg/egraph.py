@@ -10,10 +10,12 @@ that would be merged away at once.  Before each axiom is matched,
 ``rebuild`` restores congruence closure from a worklist (CLOSE): only the
 classes merged since the last rebuild are repaired, by putting the keys in
 their use lists back in canonical form and merging the classes of keys
-that then coincide.  Keys are indexed as they enter the hash-cons table, so
-the match indexes need no scan either.  A round that creates no nodes and
-merges nothing witnesses saturation: the quotient is closed under all
-operations, satisfies all axioms, and is exactly the congruence generated
+that then coincide.  A loser's keys join its root's keys as they stand, and
+each class that such moves leave out of table order is sorted back once per
+rebuild, not once per merge.  Keys are indexed as they enter the hash-cons
+table, so the match indexes need no scan either.  A round that creates no
+nodes and merges nothing witnesses saturation: the quotient is closed under
+all operations, satisfies all axioms, and is exactly the congruence generated
 by the axiom instances, i.e. the free algebra on the profile.  Nodes are
 only ever created by ``_make``, and representatives are extracted once,
 when the saturated state is frozen.
@@ -486,8 +488,12 @@ class SaturationState:
         straight into class ``into`` when given, which counts as a merge;
         returns its class.  Every node is made here, and checked against
         the class cap."""
-        if into is None:
-            cls = self._new_class(sort)
+        if into is None:  # _new_class, inline on the path of every node
+            cls = len(self.parent)
+            self.parent.append(cls)
+            self.class_sort.append(sort)
+            self._sort_classes[sort][cls] = None
+            self.n_live += 1
         else:
             cls = self.find(into)
             self.merges_done += 1
@@ -512,14 +518,24 @@ class SaturationState:
         self._entered += 1
         nodes = self.class_nodes.get(cls)
         if nodes is None:
-            nodes = self.class_nodes[cls] = {}
-        nodes[key] = self._entered
+            self.class_nodes[cls] = {key: self._entered}
+        else:
+            nodes[key] = self._entered
         self._by_op[key[0]][key] = self.generation + 1
-        for c in set(key[1:]):
-            uses = self._uses.get(c)
+        # each argument class once, without a set for the common arities
+        if len(key) < 3:
+            args = key[1:]
+        elif len(key) == 3:
+            args = key[1:2] if key[1] == key[2] else key[1:]
+        else:
+            args = set(key[1:])
+        all_uses = self._uses
+        for c in args:
+            uses = all_uses.get(c)
             if uses is None:
-                uses = self._uses[c] = {}
-            uses[key] = None
+                all_uses[c] = {key: None}
+            else:
+                uses[key] = None
 
     def _unindex(self, key: tuple) -> int:
         """Take a key out of the table and every index; returns its class."""
@@ -542,15 +558,22 @@ class SaturationState:
         leave the table and re-enter it in canonical form; a key whose
         canonical form is there already merges the two classes instead,
         which queues another loser.  Then the loser's own keys move to its
-        root: they keep their places in the table, and the root's key list
-        is merged with theirs by position.  A key that enters or moves is
+        root: they keep their places in the table and join the end of the
+        root's key list.  A root is noted as out of table order when its
+        last key comes after the loser's first, or when the loser was
+        noted itself; once the worklist is empty, each noted class that is
+        still a root is sorted by position, once per rebuild rather than
+        once per merge, so every index is in table order again before a
+        match kernel reads it.  A key that enters or moves is
         stamped with the generation (the count of rebuilds) that the next
         rebuild closes, so a key is new exactly when its canonical form or
         its class's root changed, and a match all of whose keys are stamped
         at or before an earlier generation already existed then.
         """
         find, table, by_op = self.find, self.key2class, self._by_op
-        losers = self._losers
+        class_nodes, losers = self.class_nodes, self._losers
+        stamp = self.generation + 1
+        unordered = set()  # classes whose keys are out of table order
         while losers:
             loser = losers.pop()
             for key in list(self._uses.get(loser, ())):
@@ -562,17 +585,28 @@ class SaturationState:
                 else:
                     self._union(other, cls)
             self._uses.pop(loser, None)
-            members = self.class_nodes.pop(loser, None)
+            members = class_nodes.pop(loser, None)
             if members:
                 root = find(loser)
                 for key in members:
                     table[key] = root
-                    by_op[key[0]][key] = self.generation + 1
-                mine = self.class_nodes.get(root)
+                    by_op[key[0]][key] = stamp
+                mine = class_nodes.get(root)
+                # each list is in table order unless noted: compare the
+                # root's last position with the loser's first
+                if loser in unordered or (
+                    mine and next(reversed(mine.values())) > next(iter(members.values()))
+                ):
+                    unordered.add(root)
                 if mine:
-                    # both are in table order: merge them by position
-                    members = dict(sorted((*mine.items(), *members.items()), key=itemgetter(1)))
-                self.class_nodes[root] = members
+                    mine.update(members)
+                else:
+                    class_nodes[root] = members
+        parent = self.parent
+        for cls in unordered:
+            nodes = class_nodes.get(cls)
+            if nodes and parent[cls] == cls:
+                class_nodes[cls] = dict(sorted(nodes.items(), key=itemgetter(1)))
         self.generation += 1
 
     def classes_of_sort(self, sort: int) -> list[int]:
@@ -581,13 +615,23 @@ class SaturationState:
     # round steps -----------------------------------------------------------
 
     def grow(self) -> int:
-        """Apply every op to every argument-class tuple from the round start."""
+        """Apply every op to every argument-class tuple from the round start.
+
+        ``grow`` runs right after its rebuild, so the table is canonical and
+        the classes of each sort are roots, and it only makes nodes in new
+        classes, so it merges nothing and no root changes while it runs.
+        Each key it forms from those roots is therefore canonical as it
+        stands: one table lookup tells whether it is there, with no ``find``.
+        """
         self.rebuild()
         created0 = self.nodes_created
+        table, make = self.key2class, self._make
         roots = [self.classes_of_sort(s.id) for s in self.sig.sorts]
         for op in self.sig.ops:
             for tup in itertools.product(*(roots[s] for s in op.arg_sorts)):
-                self._node(op.id, tup, op.result_sort)
+                key = (op.id, *tup)
+                if key not in table:
+                    make(key, op.result_sort)
         return self.nodes_created - created0
 
     def match_pass(self) -> tuple[int, int]:

@@ -204,6 +204,73 @@ def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts,
     assert len(set(checked)) > 1
 
 
+@pytest.mark.parametrize(
+    "name,counts,budget",
+    INDEX_CASES,
+    ids=[f"{n}-{','.join(map(str, c))}" for n, c, _ in INDEX_CASES],
+)
+def test_grow_merges_nothing_and_enters_only_canonical_keys(monkeypatch, name, counts, budget):
+    # grow runs right after its rebuild and only makes nodes in new classes,
+    # so the keys it forms from the roots of each sort need no find
+    grow, rebuild, enter = SaturationState.grow, SaturationState.rebuild, SaturationState._enter
+    growing = []  # (merges_done, losers) once the rebuild inside grow is done
+    entered = []
+
+    def rebuild_and_mark(state):
+        rebuild(state)
+        if growing:
+            growing[-1] = (state.merges_done, list(state._losers))
+
+    def enter_and_check(state, key, cls):
+        if growing:
+            assert key not in state.key2class
+            assert all(state.parent[x] == x for x in (cls, *key[1:]))
+            entered.append(key)
+        enter(state, key, cls)
+
+    def grow_and_check(state):
+        growing.append(None)
+        try:
+            return grow(state)
+        finally:
+            assert growing.pop() == (state.merges_done, state._losers)
+
+    monkeypatch.setattr(SaturationState, "rebuild", rebuild_and_mark)
+    monkeypatch.setattr(SaturationState, "_enter", enter_and_check)
+    monkeypatch.setattr(SaturationState, "grow", grow_and_check)
+    v = load_entry_variety(name)
+    build_free_algebra(v, profile_of(v, counts), budget)
+    assert entered
+
+
+def test_rebuild_puts_moved_keys_back_in_table_order():
+    # rebuild moves a loser's keys to the end of its root's list and sorts
+    # the lists it left out of order once, at the end: a root must be sorted
+    # when its keys interleave with the loser's, and also when the loser was
+    # itself left out of order earlier in the same rebuild
+    v = make_variety(["elem"], [("f", ["elem"], "elem"), ("g", ["elem"], "elem")], "unary", [])
+    f, g = (op.id for op in v.sig.ops)
+    state = SaturationState(v, profile_of(v, (3,)))
+    p, d, c = state.gen_class.values()
+    state._make((g, d), 0, p)  # table position 1, in p
+    a = state._node(g, (c,), 0)  # position 2
+    b = state._node(f, (p,), 0)  # position 3
+    state._make((f, d), 0, a)  # position 4
+    state._make((f, c), 0, b)  # position 5
+    state.rebuild()
+    assert [list(state.class_nodes[x]) for x in (p, a, b)] == [[(g, d)], [(g, c), (f, d)], [(f, p), (f, c)]]
+    state._union(d, c)  # repaired last: (g c) meets (g d), which merges a into p
+    state._union(a, b)  # repaired first: a's keys and b's interleave
+    state.rebuild()
+    assert state.find(a) == state.find(b) == p
+    assert list(state.key2class) == [(g, d), (f, p), (f, d)]
+    nodes: dict[int, list[tuple]] = {}
+    for key, cls in state.key2class.items():
+        nodes.setdefault(state.find(cls), []).append(key)
+    assert {x: list(keys) for x, keys in state.class_nodes.items()} == nodes
+    assert list(state.class_nodes[p].values()) == [1, 3, 4]
+
+
 def test_rebuild_restamps_exactly_the_changed_keys():
     # a key is new when its canonical form or its class's root changed
     v = make_variety(["elem"], [("f", ["elem"], "elem"), ("h", ["elem"], "elem")], "unary", [])
