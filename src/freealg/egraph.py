@@ -25,26 +25,33 @@ POPL 2022).  The hash-cons table is the relation: each canonical key
 ``(op, children...)`` with its class is one tuple of that op's table.
 Each axiom's matched side is a conjunctive query, one atom per operation
 node over integer slots, and its other side a slot-indexed build plan.
-Every key carries a stamp, kept as its value in its op's index: the
-generation (the count of rebuilds) closed after its canonical form or its
-class's root last changed, so a query joins only from the keys stamped
-after its own last pass: the first new atom is the seed, the atoms before
-it must be old, and the join extends up through the use lists and down
-through ``class_nodes``.  An atom whose arguments are all bound when the
-join reaches it is a membership test: one hash-cons lookup, not a loop.
-A match made of old keys alone existed at the last pass and was
-instantiated then.  Queries whose other side has a variable the matched
-side lacks, and bare-variable patterns, join in full on every pass.
+Every key carries two clocks.  Its stamp, kept as its value in its op's
+index, is the generation (the count of rebuilds) closed after its
+canonical form or its class's root last changed; its table position, kept
+as its value in ``class_nodes``, changes only when its form does.  A query
+joins only from the keys stamped after its own last pass: the first new
+atom is the seed, the atoms before it must be old, and the join extends up
+through the use lists and down through ``class_nodes``.  An atom whose
+arguments are all bound when the join reaches it is a membership test: one
+hash-cons lookup, not a loop.  A match made of old keys alone existed at
+the last pass and was instantiated then.  So did a match whose only new
+atom is its root key, when that key's position shows it was in the table
+at the last pass: only its class's root changed, by a merge that the
+instance's union already implies, so the instance would be a no-op, and
+the root atom's seed skips it.  Queries whose other side has a variable
+the matched side lacks, and bare-variable patterns, join in full on every
+pass.
 
 Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
 Scholz and Subotić, CAV 2016), into the Python source of one match kernel
 that runs the join as nested loops and lookups and builds every instance
 in straight-line code (see ``_Query``).  The queries are made once per
 variety and shared by every saturation state over it, which keeps only the
-generation each query last matched at.  Kernels compile through
-``finalg.compile_source``, the compiler the identity checks also use: the
-source holds only op ids, sort ids and slot numbers, and compiles are
-cached by source, so every axiom shape is compiled once per process.
+generation and the table position count each query last matched at.
+Kernels compile through ``finalg.compile_source``, the compiler the
+identity checks also use: the source holds only op ids, sort ids and slot
+numbers, and compiles are cached by source, so every axiom shape is
+compiled once per process.
 
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.  The
@@ -179,7 +186,7 @@ class _Query:
     hold classes, one slot per operation node and one per variable.  The
     other side is a build plan (see ``finalg.plan``) over the same slots, plus
     one slot per variable the matched side lacks.  Both become the Python
-    source of one function, ``kernel(state, since, pools)``,
+    source of one function, ``kernel(state, since, mark, pools)``,
     that makes a whole pass of the axiom:
 
     * The join.  For each atom as the seed, nested levels bind every
@@ -200,6 +207,18 @@ class _Query:
       match.  The matches are collected, as tuples of the slots the
       instances read, before the first instance builds, so no index
       changes while a loop reads it.
+    * The moved roots.  A key is stamped new when its form or its class's
+      root changed, but its table position (its value in ``class_nodes``)
+      changes only with its form, and ``mark`` is the count of keys
+      entered when the query's last pass began.  So in seed 0, whose seed
+      is the root atom, a key stamped after ``since`` at a position no
+      later than ``mark`` kept its form and only moved to another class.
+      A match on it whose other atoms are all stamped at or before
+      ``since`` was found at the last pass with the root in a class since
+      merged into the present one.  Its instance was made then, and its
+      union still holds, so the seed skips it.  The other seeds keep their
+      stamp check on atom 0, so every match kept comes from the same seed
+      and in the same order as without the skip.
     * The instances.  Each match, with each combination of classes from
       ``pools`` for the missing variables, is one instance: the kernel
       looks the other side's nodes up in the hash-cons table, has
@@ -212,8 +231,9 @@ class _Query:
     kernel.  A bare-variable pattern has no atom: its matches are the
     classes of its sort, the first of ``pools``.  ``pools`` holds the sorts
     whose classes ``match_pass`` passes; ``full`` queries, which a stamp
-    cannot filter, join in full on every pass.  A query holds nothing of
-    any one state, so a variety's queries serve every state over it.
+    cannot filter, join in full on every pass, with ``mark`` at 0.  A query
+    holds nothing of any one state, so a variety's queries serve every
+    state over it.
     """
 
     def __init__(self, pat: Term, other: Term, declared):
@@ -258,7 +278,7 @@ class _Query:
         reads = {a for _, args, _, _ in steps for a in args} | {top, root}
         # the matched slots that an instance reads: each match keeps these
         keep = sorted(s for s in reads if s not in built and s not in ranged)
-        lines = ["def kernel(state, since, pools):"]
+        lines = ["def kernel(state, since, mark, pools):"]
         helpers: list[str] = []
         body = ["table = state.key2class"]
         if atoms:
@@ -269,9 +289,15 @@ class _Query:
                 "found = []",
                 "add = found.append",
             ]
-            emit = f"add(({_names(keep)}))" if len(keep) > 1 else f"add(v{keep[0]})"
+            add = f"add(({_names(keep)}))" if len(keep) > 1 else f"add(v{keep[0]})"
             for seed in range(1 if self.full else len(atoms)):
-                join = self._nest(self._join_order(atoms, seed), set(), emit, helpers)
+                moves = seed == 0 and not self.full  # seed 0 skips moved roots
+                emit = [add]
+                if moves and len(atoms) > 1:
+                    # a match on a moved root key is new only by its other atoms
+                    fresh = (f"by_op[{op}][k{j}] > since" for j, (op, _, _) in enumerate(atoms) if j)
+                    emit = [f"if not moved or {' or '.join(fresh)}:", "    " + add]
+                join = self._nest(self._join_order(atoms, seed, moves), set(), emit, helpers)
                 if seed == 1:
                     body.append("if since >= 0:")
                 body += join if seed == 0 else ["    " + line for line in join]
@@ -316,12 +342,16 @@ class _Query:
         ]
 
     @staticmethod
-    def _join_order(atoms, seed: int) -> list[tuple[list[str], list[str], set]]:
+    def _join_order(atoms, seed: int, moves: bool) -> list[tuple[list[str], list[str], set]]:
         """One level per atom, breadth first from the seed atom: the lines
-        that open its block, the lines of its body and the slots it binds.
+        that open its block, the lines of its body and the names it binds.
         An atom whose argument slots are all bound when it is reached is
         one lookup in the table, an ``if``; any other atom is a loop.  Atoms
-        before the seed must be old, so no match is found twice."""
+        before the seed must be old, so no match is found twice.  With
+        ``moves``, the seed is the root atom and notes in ``moved`` whether
+        its key was in the table at the last pass: a lone atom skips such a
+        key, and every level passes its key on to the stamp check of the
+        match."""
         parent_of = {
             j: p
             for p, (_, _, args) in enumerate(atoms)
@@ -330,6 +360,11 @@ class _Query:
         }
         bound: set[int] = set()
         levels = []
+
+        carry = moves and len(atoms) > 1  # the match's stamp check reads every key
+
+        def names(j: int, slots) -> set[str]:
+            return {f"v{s}" for s in slots} | ({f"k{j}"} if carry else set())
 
         def level(j: int, header: str, down: bool):
             op, out, args = atoms[j]
@@ -347,7 +382,7 @@ class _Query:
                 if j < seed:
                     test += f" and {old} <= since"
                 bound.add(out)
-                levels.append((head + [f"if {test}:"], [], {out}))
+                levels.append((head + [f"if {test}:"], [], names(j, {out})))
                 return
             # the seed's loop runs over its op's keys alone
             checks = ["gen <= since"] if j == seed else [f"{k}[0] != {op}"]
@@ -366,8 +401,18 @@ class _Query:
                 binds.append(f"v{out} = table[{k}]")
             bound.update(mine, (out,))
             body = [f"if {' or '.join(checks)}:", "    continue"]
+            binding = names(j, set(mine) | {out})
+            if j == seed and moves:
+                # class_nodes keeps the key's table position, which only a
+                # new form changes: at or below mark, the key only moved
+                moved = f"nodes[v{out}][{k}] <= mark"
+                if carry:
+                    binds.append(f"moved = {moved}")
+                    binding.add("moved")
+                else:
+                    binds += [f"if {moved}:", "    continue"]
             target = f"{k}, gen" if j == seed else k
-            levels.append(([f"for {target} in {header}:"], body + binds, set(mine) | {out}))
+            levels.append(([f"for {target} in {header}:"], body + binds, binding))
 
         level(seed, f"by_op[{atoms[seed][0]}].items()", False)
         queue, done = [seed], {seed}
@@ -388,9 +433,10 @@ class _Query:
         return levels
 
     @staticmethod
-    def _nest(levels, bound: set, emit: str, helpers: list) -> list[str]:
+    def _nest(levels, bound: set, emit: list[str], helpers: list) -> list[str]:
         """Nest the levels' blocks around ``emit``; past ``NEST`` blocks
-        the rest goes into a helper function that ``helpers`` collects."""
+        the rest goes into a helper function that ``helpers`` collects,
+        with every name bound so far as a parameter."""
         lines = []
         for depth, (head, body, binds) in enumerate(levels[:NEST]):
             lines += ["    " * depth + line for line in head]
@@ -398,11 +444,11 @@ class _Query:
             bound = bound | binds
         depth = min(len(levels), NEST)
         if len(levels) <= NEST:
-            lines.append("    " * depth + emit)
+            lines += ["    " * depth + line for line in emit]
             return lines
         i = len(helpers)
         helpers.append("")  # this helper's place, ahead of those it calls
-        params = f"since, table, by_op, nodes, uses, add, {_names(sorted(bound))}"
+        params = ", ".join(["since, table, by_op, nodes, uses, add", *sorted(bound)])
         lines.append("    " * depth + f"join{i}({params})")
         inner = _Query._nest(levels[NEST:], bound, emit, helpers)
         helpers[i] = "\n".join([f"def join{i}({params}):"] + ["    " + line for line in inner])
@@ -438,7 +484,8 @@ class SaturationState:
         self._sort_classes: dict[int, dict[int, None]] = {s.id: {} for s in self.sig.sorts}
         self.round = 0
         self._queries = variety._queries
-        self._seen = [-1] * len(self._queries)  # the generation each query last matched at
+        # the generation and the count of keys entered when each query last matched
+        self._seen = [(-1, 0)] * len(self._queries)
         for v in profile.variables():
             self.gen_class[v] = self._new_class(v.sort)
 
@@ -564,11 +611,17 @@ class SaturationState:
         noted itself; once the worklist is empty, each noted class that is
         still a root is sorted by position, once per rebuild rather than
         once per merge, so every index is in table order again before a
-        match kernel reads it.  A key that enters or moves is
-        stamped with the generation (the count of rebuilds) that the next
-        rebuild closes, so a key is new exactly when its canonical form or
-        its class's root changed, and a match all of whose keys are stamped
-        at or before an earlier generation already existed then.
+        match kernel reads it.
+
+        A key keeps two clocks.  A key that enters or moves is stamped with
+        the generation (the count of rebuilds) that the next rebuild closes,
+        so its stamp changes exactly when its canonical form or its class's
+        root changes, and a match all of whose keys are stamped at or before
+        an earlier generation already existed then.  Its table position
+        changes only when it enters, that is, when its form changes: a moved
+        key keeps it.  A root key stamped new at an old position has only
+        moved class, and a kernel skips the matches that are new by that
+        key alone, whose instances are no-ops (see ``_Query``).
         """
         find, table, by_op = self.find, self.key2class, self._by_op
         class_nodes, losers = self.class_nodes, self._losers
@@ -639,18 +692,20 @@ class SaturationState:
 
         Each query's kernel joins only from the keys stamped since it last
         matched: a match of old keys alone was instantiated then, and its
-        nodes and merge persist.  An outer node built straight into its
-        matched class counts as a merge.
+        nodes and merge persist.  It also gets the count of keys entered
+        when it last matched, to tell a root key that only moved class from
+        one with a new form.  An outer node built straight into its matched
+        class counts as a merge.
         """
         merges = 0
         created0 = self.nodes_created
         seen = self._seen
         for i, q in enumerate(self._queries):
             self.rebuild()
-            since = -1 if q.full else seen[i]
-            seen[i] = self.generation
+            since, mark = (-1, 0) if q.full else seen[i]
+            seen[i] = (self.generation, self._entered)
             merges0 = self.merges_done
-            q.kernel(self, since, [self.classes_of_sort(s) for s in q.pools])
+            q.kernel(self, since, mark, [self.classes_of_sort(s) for s in q.pools])
             merges += self.merges_done - merges0
         self.rebuild()
         return merges, self.nodes_created - created0

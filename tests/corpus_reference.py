@@ -12,7 +12,8 @@ work shows too; for every entry, the JSON report of its certificate; and
 the report of the setcoup sort-swap demo.
 ``test_corpus_reference.py`` compares the engine against that file.
 Rewrite it only for a change that is meant to alter results, and review
-the diff.
+the diff: a rewrite prints the path of each value it changes, with the old
+value and the new.
 """
 
 from __future__ import annotations
@@ -74,10 +75,37 @@ def swap_demo_result() -> dict:
     return json.loads(json.dumps(setcoup_swap_demo().to_json_dict()))
 
 
+ABSENT = object()  # the side of a changed leaf that lacks it
+
+
+def shown(value) -> str:
+    return "(absent)" if value is ABSENT else json.dumps(value)
+
+
+def changed_leaves(old, new, path: str):
+    """(path, old, new) for each leaf where two JSON values differ, in
+    sorted key order; a side that lacks the leaf gives ``ABSENT``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            step = f".{key}" if key.isidentifier() else f"[{json.dumps(key)}]"
+            yield from changed_leaves(old.get(key, ABSENT), new.get(key, ABSENT), path + step)
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            pair = (old[i] if i < len(old) else ABSENT, new[i] if i < len(new) else ABSENT)
+            yield from changed_leaves(*pair, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
 def main() -> None:
     data = {label: row_result(name, counts, inf) for label, name, counts, inf in rows()}
     data.update((certificate_label(name), certificate_result(name)) for name in ENTRIES)
     data[SWAP_DEMO_LABEL] = swap_demo_result()
+    old = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
+    for label in sorted(old.keys() | data.keys()):
+        leaves = changed_leaves(old.get(label, ABSENT), data.get(label, ABSENT), json.dumps(label))
+        for path, was, now in leaves:
+            print(f"{path}: {shown(was)} → {shown(now)}")
     REFERENCE.write_text(json.dumps(data, indent=0, sort_keys=True) + "\n")
     print(f"wrote {REFERENCE} ({len(data)} rows)")
 
