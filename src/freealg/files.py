@@ -64,7 +64,7 @@ def parse_axiom(form, sig: Signature) -> Identity:
     profile = GeneratorProfile.of_vars(sig, vs)
     eq = ax[2]
     if not isinstance(eq, SList) or len(eq) != 3 or sexpr.head(eq) != "=":
-        raise sexpr.SexprError("expected (= term term)", getattr(eq, "line", ax.line), getattr(eq, "col", ax.col))
+        raise sexpr.SexprError("expected (= term term)", eq.line, eq.col)
     lhs = parse_term(eq[1], sig, profile)
     rhs = parse_term(eq[2], sig, profile)
     return Identity(profile, lhs, rhs)

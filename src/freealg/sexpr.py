@@ -7,6 +7,7 @@ first token so later validation stages can point at the offending form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -50,32 +51,14 @@ class SList:
         return iter(self.items)
 
 
+_TOKEN = re.compile(r"[()]|[^ \t\r();]+")
+
+
 def _tokens(text: str):
-    line, col = 1, 0
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 0
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
+    # split, not splitlines: only "\n" ends a line; "\x0b" and "\x0c" are atom text
+    for line, code in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(code.partition(";")[0]):
+            yield m.group(), line, m.start()
 
 
 def parse_all(text: str) -> list:
@@ -83,9 +66,7 @@ def parse_all(text: str) -> list:
     stack: list[list] = []
     marks: list[tuple[int, int]] = []
     top: list = []
-    last = (1, 0)
     for tok, line, col in _tokens(text):
-        last = (line, col)
         if tok == "(":
             stack.append([])
             marks.append((line, col))
@@ -103,7 +84,7 @@ def parse_all(text: str) -> list:
         l, c = marks[-1]
         raise SexprError("unclosed '('", l, c)
     if not top:
-        raise SexprError("empty document", *last)
+        raise SexprError("empty document", 1, 0)
     return top
 
 
@@ -130,9 +111,7 @@ def head(form) -> str:
 
 def expect_list(form, keyword: str) -> SList:
     if not isinstance(form, SList) or head(form) != keyword:
-        line = getattr(form, "line", 0)
-        col = getattr(form, "col", 0)
-        raise SexprError(f"expected ({keyword} ...)", line, col)
+        raise SexprError(f"expected ({keyword} ...)", form.line, form.col)
     return form
 
 

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from freealg.corpus import load_entry
-from freealg.egraph import VarietyDef
+from freealg.egraph import SaturationState, VarietyDef
 from freealg.finalg import FiniteAlgebra
 from freealg.signature import Signature
 from freealg.terms import GeneratorProfile, Identity, SortedVar, parse_term, term_to_text
@@ -48,6 +48,20 @@ GROUP_AXIOMS = [
 ]
 
 GROUP_OPS = [("mul", ["elem", "elem"], "elem"), ("inv", ["elem"], "elem"), ("e", [], "elem")]
+
+
+@pytest.fixture
+def captured_states(monkeypatch):
+    """Every ``SaturationState`` made while the test runs, in the order made."""
+    states = []
+    init = SaturationState.__init__
+
+    def init_and_keep(state, *args):
+        init(state, *args)
+        states.append(state)
+
+    monkeypatch.setattr(SaturationState, "__init__", init_and_keep)
+    return states
 
 
 @pytest.fixture(scope="session")

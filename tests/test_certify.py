@@ -140,6 +140,19 @@ def test_fujiwara_rank_validation(boolean_groups):
         certify_fujiwara(boolean_groups, [], 1)
 
 
+def test_per_sort_rank_validation(graphs_variety):
+    witnesses = {"edge": FujiwaraCert((), 2), "vertex": FujiwaraCert((), 1)}
+    with pytest.raises(CertificateError, match="rank >= 2"):
+        certify_per_sort(graphs_variety, witnesses)
+
+
+@pytest.mark.parametrize("field", ["sort1_rank", "sort2_rank"])
+def test_action_split_rank_validation(field):
+    v, cert = load_entry("semigroup-actions-trivial")
+    with pytest.raises(CertificateError, match="rank >= 2"):
+        certify_action_split(v, replace(cert, **{field: 1}))
+
+
 def test_certified_report_is_recheckable(boolean_groups):
     # rebuild every profile pair with unequal counts and confirm non-isomorphism
     report = certify_fujiwara(boolean_groups, [], 2)

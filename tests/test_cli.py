@@ -151,6 +151,14 @@ def test_certify_rank_override_downward(tmp_path):
     assert validate_report(out)["rank"] == 2
 
 
+def test_certify_rank_override_below_two_is_an_input_error(capsys):
+    code = main(
+        ["certify", corpus_path("boolean-groups.var"), corpus_path("boolean-groups.cert"), "--rank", "1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: fujiwara certificates need rank >= 2\n"
+
+
 def test_certify_degenerate_witness(tmp_path, capsys):
     cert = tmp_path / "bad.cert"
     cert.write_text(
@@ -564,6 +572,20 @@ def test_max_reps_must_not_be_negative(tmp_path, capsys):
     assert not out.exists()
     assert main(args + ["--max-reps", "0"]) == 0
     assert validate_report(out)["representatives"] == {"elem": []}
+
+
+def test_max_reps_caps_each_sort_alike_in_text_and_json(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    args = ["free", corpus_path("graphs.var"), "edge=2,vertex=1", "--max-reps", "2"]
+    assert main(args + ["--json", str(out)]) == 0
+    reps = validate_report(out)["representatives"]
+    assert {name: len(col) for name, col in reps.items()} == {"edge": 2, "vertex": 2}
+    printed = {"edge": [], "vertex": []}
+    for line in capsys.readouterr().out.splitlines():
+        name, _, rep = line.strip().partition(": ")
+        if name in printed:
+            printed[name].append(rep)
+    assert printed == reps
 
 
 def test_reports_are_bit_stable(tmp_path):

@@ -382,23 +382,16 @@ MOVED_ROOT_CASES = [
 
 
 @pytest.mark.parametrize("name,counts,budget", MOVED_ROOT_CASES, ids=map(_case_id, MOVED_ROOT_CASES))
-def test_skipping_moved_roots_changes_only_the_instance_count(monkeypatch, name, counts, budget):
+def test_skipping_moved_roots_changes_only_the_instance_count(monkeypatch, captured_states, name, counts, budget):
     # a kernel skips the matches whose only new atom is a root key that
     # moved class since the last pass; with mark at 0 no key counts as
     # moved, so each kernel matches as it would without the skip, and the
     # two builds must do the same work but for the instances skipped
-    states = []
-    init = SaturationState.__init__
-
-    def init_and_keep(state, *args):
-        init(state, *args)
-        states.append(state)
-
     def build(v):
         """The build's results and work but its instances, and its
         instances per completed round and in all."""
         res = build_free_algebra(v, profile_of(v, counts), budget)
-        state = states[-1]
+        state = captured_states[-1]
         if isinstance(res, BudgetExceeded):
             outcome = (res.limit, res.classes, res.rounds)
         else:
@@ -408,7 +401,6 @@ def test_skipping_moved_roots_changes_only_the_instance_count(monkeypatch, name,
         work = (state.nodes_created, state.merges_done, state.generation, rounds)
         return (outcome, work), per_round, state.instances
 
-    monkeypatch.setattr(SaturationState, "__init__", init_and_keep)
     load = name if callable(name) else lambda: load_entry_variety(name)
     skipping, skipped_rounds, skipped = build(load())
     unfiltered = load()
@@ -457,21 +449,13 @@ TRIPPED_WORK = [
     TRIPPED_WORK,
     ids=[f"{n}-{','.join(map(str, c))}" for n, c, *_ in TRIPPED_WORK],
 )
-def test_work_inside_the_tripping_round_is_pinned(monkeypatch, name, counts, nodes, merges, instances, generation):
+def test_work_inside_the_tripping_round_is_pinned(captured_states, name, counts, nodes, merges, instances, generation):
     # BudgetExceeded.stats holds the completed rounds only; the work of the
     # round that trips shows in the state's own counters
-    states = []
-    init = SaturationState.__init__
-
-    def init_and_keep(state, *args):
-        init(state, *args)
-        states.append(state)
-
-    monkeypatch.setattr(SaturationState, "__init__", init_and_keep)
     v = load_entry_variety(name)
     res = build_free_algebra(v, profile_of(v, counts), ENTRIES[name].infinite_budget)
     assert isinstance(res, BudgetExceeded)
-    [state] = states
+    [state] = captured_states
     assert (state.nodes_created, state.merges_done, state.instances, state.generation) == (
         nodes,
         merges,
@@ -482,26 +466,18 @@ def test_work_inside_the_tripping_round_is_pinned(monkeypatch, name, counts, nod
     assert sorted(row[:2] for row in TRIPPED_WORK) == sorted(INFINITE_ROWS)
 
 
-def test_kernels_compile_once_per_axiom_shape(monkeypatch):
+def test_kernels_compile_once_per_axiom_shape(captured_states):
     # the match plans belong to the variety: a second build of the same
     # variety reuses the first build's queries and neither compiles nor
     # looks up a kernel; a fresh copy of the variety plans its queries
     # again but reuses each kernel rather than compile it again
-    states = []
-    init = SaturationState.__init__
-
-    def init_and_keep(state, *args):
-        init(state, *args)
-        states.append(state)
-
-    monkeypatch.setattr(SaturationState, "__init__", init_and_keep)
     v = load_entry_variety("boolean-groups")
     build_free_algebra(v, profile_of(v, (2,)))
     before = compile_source.cache_info()
     build_free_algebra(v, profile_of(v, (2,)))
     after = compile_source.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits)
-    first, second = states
+    first, second = captured_states
     assert len(first._queries) == len(v.axioms)
     assert all(a is b for a, b in zip(first._queries, second._queries, strict=True))
     copy = load_entry_variety("boolean-groups")
