@@ -10,15 +10,18 @@ that would be merged away at once.  Before each axiom is matched,
 ``rebuild`` restores congruence closure from a worklist (CLOSE): only the
 classes merged since the last rebuild are repaired, by putting the keys in
 their use lists back in canonical form and merging the classes of keys
-that then coincide.  A loser's keys join its root's keys as they stand, and
-each class that such moves leave out of table order is sorted back once per
-rebuild, not once per merge.  Keys are indexed as they enter the hash-cons
-table, so the match indexes need no scan either.  A round that creates no
-nodes and merges nothing witnesses saturation: the quotient is closed under
-all operations, satisfies all axioms, and is exactly the congruence generated
-by the axiom instances, i.e. the free algebra on the profile.  Nodes are
-only ever created by ``_make``, and representatives are extracted once,
-when the saturated state is frozen.
+that then coincide.  Most repaired keys meet their canonical form in their
+own class, and are dropped, not merged.  A loser's keys join its root's
+keys as they stand, and each class that such moves leave out of table
+order is sorted back once per rebuild, not once per merge.  Keys are
+indexed as they enter the hash-cons table, so the match indexes need no
+scan either.  A round that creates no nodes and merges nothing witnesses
+saturation: the quotient is closed under all operations, satisfies all
+axioms, and is exactly the congruence generated by the axiom instances,
+i.e. the free algebra on the profile.  Nodes are only ever created by
+``_make``, entries leave the table and its indexes only in ``rebuild``,
+and representatives are extracted once, when the saturated state is
+frozen.
 
 MATCH is relational and semi-naive (Zhang et al., "Relational E-Matching",
 POPL 2022).  The hash-cons table is the relation: each canonical key
@@ -584,15 +587,6 @@ class SaturationState:
             else:
                 uses[key] = None
 
-    def _unindex(self, key: tuple) -> int:
-        """Take a key out of the table and every index; returns its class."""
-        cls = self.key2class.pop(key)
-        del self.class_nodes[cls][key]
-        del self._by_op[key[0]][key]
-        for c in set(key[1:]):
-            del self._uses[c][key]
-        return cls
-
     def rebuild(self):
         """Restore congruence closure and close a generation of stamps.
 
@@ -602,16 +596,20 @@ class SaturationState:
         its op, all in table order.  A rebuild repairs only what merges
         broke (Downey, Sethi and Tarjan, JACM 1980; egg's ``rebuild``).  For
         each loser, a class merged into another, the keys in its use list
-        leave the table and re-enter it in canonical form; a key whose
-        canonical form is there already merges the two classes instead,
-        which queues another loser.  Then the loser's own keys move to its
-        root: they keep their places in the table and join the end of the
-        root's key list.  A root is noted as out of table order when its
-        last key comes after the loser's first, or when the loser was
-        noted itself; once the worklist is empty, each noted class that is
-        still a root is sorted by position, once per rebuild rather than
-        once per merge, so every index is in table order again before a
-        match kernel reads it.
+        leave the table and every index, and re-enter in canonical form.  A
+        key whose canonical form is there already is dropped when that form
+        is in its own class, as it mostly is; in another class, it merges
+        the two classes instead, which queues another loser.  The loser's
+        use list is taken whole, with no copy: ``_enter`` writes only roots,
+        so no key joins it while it is read, and each key leaves only the
+        use lists of its other argument classes.  Then
+        the loser's own keys move to its root: they keep their places in
+        the table and join the end of the root's key list.  A root is noted
+        as out of table order when its last key comes after the loser's
+        first, or when the loser was noted itself; once the worklist is
+        empty, each noted class that is still a root is sorted by position,
+        once per rebuild rather than once per merge, so every index is in
+        table order again before a match kernel reads it.
 
         A key keeps two clocks.  A key that enters or moves is stamped with
         the generation (the count of rebuilds) that the next rebuild closes,
@@ -623,21 +621,39 @@ class SaturationState:
         moved class, and a kernel skips the matches that are new by that
         key alone, whose instances are no-ops (see ``_Query``).
         """
-        find, table, by_op = self.find, self.key2class, self._by_op
-        class_nodes, losers = self.class_nodes, self._losers
+        find, parent, table, by_op = self.find, self.parent, self.key2class, self._by_op
+        class_nodes, all_uses, losers = self.class_nodes, self._uses, self._losers
         stamp = self.generation + 1
         unordered = set()  # classes whose keys are out of table order
         while losers:
             loser = losers.pop()
-            for key in list(self._uses.get(loser, ())):
-                cls = self._unindex(key)
-                canon = (key[0], *map(find, key[1:]))
+            for key in all_uses.pop(loser, ()):
+                cls = table.pop(key)
+                del class_nodes[cls][key]
+                del by_op[key[0]][key]
+                # out of the other argument classes' use lists, and into
+                # canonical form with the kernels' inline root test
+                if len(key) == 2:  # its one argument is the loser
+                    canon = (key[0], find(loser))
+                elif len(key) == 3:
+                    a, b = key[1], key[2]
+                    if a != b:
+                        del all_uses[b if a == loser else a][key]
+                    canon = (key[0], a if parent[a] == a else find(a), b if parent[b] == b else find(b))
+                else:
+                    for c in set(key[1:]) - {loser}:
+                        del all_uses[c][key]
+                    canon = (key[0], *[c if parent[c] == c else find(c) for c in key[1:]])
                 other = table.get(canon)
                 if other is None:
-                    self._enter(canon, find(cls))
-                else:
+                    self._enter(canon, cls if parent[cls] == cls else find(cls))
+                    continue
+                # most repaired keys meet a key of their own class, and
+                # are dropped
+                other = other if parent[other] == other else find(other)
+                cls = cls if parent[cls] == cls else find(cls)
+                if other != cls:
                     self._union(other, cls)
-            self._uses.pop(loser, None)
             members = class_nodes.pop(loser, None)
             if members:
                 root = find(loser)
@@ -655,7 +671,6 @@ class SaturationState:
                     mine.update(members)
                 else:
                     class_nodes[root] = members
-        parent = self.parent
         for cls in unordered:
             nodes = class_nodes.get(cls)
             if nodes and parent[cls] == cls:

@@ -20,7 +20,7 @@ from freealg.certify import (
     certify_per_sort,
     run_certificate,
 )
-from freealg import certify, egraph
+from freealg import certify
 from freealg.corpus import ENTRIES, load_entry
 from freealg.egraph import Budget, build_free_algebra
 from freealg.finalg import find_isomorphism
@@ -263,24 +263,16 @@ def test_action_split_unconfirmed_sort2_axiom():
     assert "second-sort axiom" in report.detail
 
 
-def test_action_split_rejects_a_malformed_action_term_before_saturating(monkeypatch):
+def test_action_split_rejects_a_malformed_action_term_before_saturating(captured_states):
     # the action term must have the single sort (id 0) of the second part;
     # a term of sort id 1 in the full signature is refused before any
     # saturation runs
-    made = []
-    init = egraph.SaturationState.__init__
-
-    def counting(self, *args):
-        made.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(egraph.SaturationState, "__init__", counting)
     v, cert = load_entry("semigroup-actions-trivial")
     u = arena_of(v.sig).var(SortedVar("u", 1))
     assert u.sort == 1
     with pytest.raises(CertificateError, match="second sort"):
         certify_action_split(v, replace(cert, s_term=u))
-    assert made == []
+    assert captured_states == []
 
 
 def test_action_split_sort2_sweep_budget_unknown():
@@ -360,20 +352,13 @@ def test_report_json_shape(boolean_groups):
 
 
 @pytest.mark.parametrize("name, states", [("elem-abelian-3", 3), ("lie-reps-null-f2", 13)])
-def test_each_free_algebra_is_built_once_per_certificate(name, states, monkeypatch):
+def test_each_free_algebra_is_built_once_per_certificate(name, states, captured_states):
     # elem-abelian-3 (rank 2): one nondegeneracy run on (2,), whose algebra
     # the sweep takes, and builds of (0,) and (1,); lie-reps-null-f2: each
     # of its two witnesses' sweeps takes the algebra of its nondegeneracy run
-    made = []
-    init = egraph.SaturationState.__init__
-
-    def counting(self, *args):
-        made.append(args[1].counts())
-        init(self, *args)
-
-    monkeypatch.setattr(egraph.SaturationState, "__init__", counting)
     v, cert = load_entry(name)
     assert run_certificate(v, cert).certified
+    made = [state.profile.counts() for state in captured_states]
     assert len(made) == states
     if name == "elem-abelian-3":
         assert made == [(2,), (0,), (1,)]

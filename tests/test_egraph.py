@@ -3,11 +3,14 @@ import gc
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from bruteforce import agrees_with_engine, bruteforce_free_algebra
 from conftest import (
+    GROUP_AXIOMS,
+    GROUP_OPS,
     ORACLE_PROFILES,
     entry_models,
     load_entry_variety,
@@ -15,6 +18,7 @@ from conftest import (
     make_variety,
     profile_of,
 )
+from freealg import egraph
 from freealg.corpus import ENTRIES, INFINITE
 from freealg.egraph import (
     Budget,
@@ -43,6 +47,22 @@ def zero_squares_variety():
             ([("x", "elem"), ("y", "elem")], "(mul x y)", "(mul y x)"),
             ([("x", "elem"), ("y", "elem")], "(mul x x)", "(mul y y)"),
             ([("x", "elem"), ("y", "elem")], "(mul x (mul y y))", "(mul y y)"),
+        ],
+    )
+
+
+def ternary_boolean_groups():
+    # boolean-groups plus a ternary op: no corpus op has arity 3, so only
+    # here does rebuild repair keys of arity 3, some of them with a
+    # repeated argument class
+    return make_variety(
+        ["elem"],
+        [*GROUP_OPS, ("p", ["elem", "elem", "elem"], "elem")],
+        "ternary-boolean-groups",
+        [
+            *GROUP_AXIOMS,
+            ([("x", "elem")], "(mul x x)", "(e)"),
+            ([("x", "elem"), ("y", "elem"), ("z", "elem")], "(p x y z)", "(mul x (mul y z))"),
         ],
     )
 
@@ -151,64 +171,76 @@ def test_determinism(comm_idem):
     assert a.stats.to_json_dict() == b.stats.to_json_dict()
 
 
+def _case_id(case):
+    name, counts, _ = case
+    return f"{getattr(name, '__name__', name)}-{','.join(map(str, counts))}"
+
+
 INDEX_CASES = [
     ("elem-abelian-3", (2,), Budget()),
     ("semigroup-actions-trivial", (1, 1), ENTRIES["semigroup-actions-trivial"].infinite_budget),
     # rows on which rebuild itself forces many congruence merges
     ("boolean-groups", (3,), Budget()),
     ("lie-reps-null-f2", (2, 0), ENTRIES["lie-reps-null-f2"].infinite_budget),
+    (ternary_boolean_groups, (2,), Budget()),
 ]
 
 
-@pytest.mark.parametrize(
-    "name,counts,budget",
-    INDEX_CASES,
-    ids=[f"{n}-{','.join(map(str, c))}" for n, c, _ in INDEX_CASES],
-)
-def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts, budget):
+def index_case_variety(name):
+    return name() if callable(name) else load_entry_variety(name)
+
+
+def assert_indexes_match_a_fresh_scan(state):
     # rebuild repairs its indexes in place rather than rescanning, so after
     # every call they must equal a fresh scan of key2class
+    nodes: dict[int, list[tuple]] = {}
+    uses: dict[int, list[tuple]] = {}
+    by_op: dict[int, list[tuple]] = {op.id: [] for op in state.sig.ops}
+    by_sort: dict[int, set[int]] = {s.id: set() for s in state.sig.sorts}
+    for key, cls in state.key2class.items():
+        root = state.find(cls)
+        assert key == (key[0],) + tuple(state.find(c) for c in key[1:])
+        nodes.setdefault(root, []).append(key)
+        by_op[key[0]].append(key)
+        for c in set(key[1:]):
+            uses.setdefault(c, []).append(key)
+        by_sort[state.class_sort[root]].add(root)
+    for cls in state.gen_class.values():
+        root = state.find(cls)
+        by_sort[state.class_sort[root]].add(root)
+    assert {c: list(keys) for c, keys in state.class_nodes.items()} == nodes
+    assert {c: list(keys) for c, keys in state._uses.items()} == uses
+    assert {op: list(keys) for op, keys in state._by_op.items()} == by_op
+    # every key's stamp is a generation that has been closed
+    stamps = [g for keys in state._by_op.values() for g in keys.values()]
+    assert all(type(g) is int and 0 < g <= state.generation for g in stamps)
+    for sort, roots in by_sort.items():
+        assert state.classes_of_sort(sort) == sorted(roots)
+
+
+@pytest.mark.parametrize("name,counts,budget", INDEX_CASES, ids=map(_case_id, INDEX_CASES))
+def test_rebuild_leaves_indexes_equal_to_a_fresh_scan(monkeypatch, name, counts, budget):
     rebuild = SaturationState.rebuild
     checked = []
+    repaired = set()  # the shapes of the keys rebuild repairs: (arity, argument classes)
 
     def rebuild_and_check(state):
+        for loser in state._losers:
+            repaired.update((len(k) - 1, len(set(k[1:]))) for k in state._uses.get(loser, ()))
         rebuild(state)
-        nodes: dict[int, list[tuple]] = {}
-        uses: dict[int, list[tuple]] = {}
-        by_op: dict[int, list[tuple]] = {op.id: [] for op in state.sig.ops}
-        by_sort: dict[int, set[int]] = {s.id: set() for s in state.sig.sorts}
-        for key, cls in state.key2class.items():
-            root = state.find(cls)
-            assert key == (key[0],) + tuple(state.find(c) for c in key[1:])
-            nodes.setdefault(root, []).append(key)
-            by_op[key[0]].append(key)
-            for c in set(key[1:]):
-                uses.setdefault(c, []).append(key)
-            by_sort[state.class_sort[root]].add(root)
-        for cls in state.gen_class.values():
-            root = state.find(cls)
-            by_sort[state.class_sort[root]].add(root)
-        assert {c: list(keys) for c, keys in state.class_nodes.items()} == nodes
-        assert {c: list(keys) for c, keys in state._uses.items()} == uses
-        assert {op: list(keys) for op, keys in state._by_op.items()} == by_op
-        # every key's stamp is a generation that has been closed
-        stamps = [g for keys in state._by_op.values() for g in keys.values()]
-        assert all(type(g) is int and 0 < g <= state.generation for g in stamps)
-        for sort, roots in by_sort.items():
-            assert state.classes_of_sort(sort) == sorted(roots)
+        assert_indexes_match_a_fresh_scan(state)
         checked.append(state.round)
 
     monkeypatch.setattr(SaturationState, "rebuild", rebuild_and_check)
-    v = load_entry_variety(name)
+    v = index_case_variety(name)
     build_free_algebra(v, profile_of(v, counts), budget)
     assert len(set(checked)) > 1
+    if name is ternary_boolean_groups:
+        # ternary keys, with three argument classes and with a repeated one
+        assert {(3, 3), (3, 2)} <= repaired
 
 
-@pytest.mark.parametrize(
-    "name,counts,budget",
-    INDEX_CASES,
-    ids=[f"{n}-{','.join(map(str, c))}" for n, c, _ in INDEX_CASES],
-)
+@pytest.mark.parametrize("name,counts,budget", INDEX_CASES, ids=map(_case_id, INDEX_CASES))
 def test_grow_merges_nothing_and_enters_only_canonical_keys(monkeypatch, name, counts, budget):
     # grow runs right after its rebuild and only makes nodes in new classes,
     # so the keys it forms from the roots of each sort need no find
@@ -238,7 +270,7 @@ def test_grow_merges_nothing_and_enters_only_canonical_keys(monkeypatch, name, c
     monkeypatch.setattr(SaturationState, "rebuild", rebuild_and_mark)
     monkeypatch.setattr(SaturationState, "_enter", enter_and_check)
     monkeypatch.setattr(SaturationState, "grow", grow_and_check)
-    v = load_entry_variety(name)
+    v = index_case_variety(name)
     build_free_algebra(v, profile_of(v, counts), budget)
     assert entered
 
@@ -293,6 +325,131 @@ def test_rebuild_restamps_exactly_the_changed_keys():
     }
 
 
+def test_rebuild_drops_a_repaired_key_whose_form_is_in_its_own_class():
+    # f(b) and g(b, c) share classes with f(a) and g(a, c); once a and b
+    # merge, their repaired forms are already there, in the same classes,
+    # so rebuild drops them and merges nothing
+    v = make_variety(["elem"], [("f", ["elem"], "elem"), ("g", ["elem", "elem"], "elem")], "dup", [])
+    f, g = (op.id for op in v.sig.ops)
+    state = SaturationState(v, profile_of(v, (3,)))
+    a, b, c = state.gen_class.values()
+    x = state._node(f, (a,), 0)
+    y = state._node(g, (a, c), 0)
+    state._make((f, b), 0, x)
+    state._make((g, b, c), 0, y)
+    state.rebuild()  # table positions 1 to 4, all stamped with generation 1
+    assert state._union(a, b)
+    merges = state.merges_done
+    state.rebuild()
+    assert state.merges_done == merges
+    assert list(state.key2class) == [(f, a), (g, a, c)]
+    # the survivors keep their table positions and their stamps
+    assert state.class_nodes == {x: {(f, a): 1}, y: {(g, a, c): 2}}
+    assert state._by_op == {f: {(f, a): 1}, g: {(g, a, c): 1}}
+    assert state._uses == {a: {(f, a): None, (g, a, c): None}, c: {(g, a, c): None}}
+    assert_indexes_match_a_fresh_scan(state)
+
+
+INDEXES = {"key2class", "class_nodes", "_by_op", "_uses"}
+
+
+def removers(source: str, attrs=INDEXES) -> list[str]:
+    """The definitions, as ``Class.function`` paths, that remove entries
+    from an attribute in ``attrs`` or from a dict it holds, by ``pop``,
+    ``popitem``, ``clear`` or ``del``.  Aliases resolve by name across the
+    module: a name bound, by assignment or as a loop target, to such an
+    attribute or to anything read from one stands for it everywhere."""
+    tree = ast.parse(source)
+    aliases: set[str] = set()
+
+    def held(node) -> bool:
+        while True:
+            if isinstance(node, ast.Subscript):
+                node = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                node = node.func.value
+            elif isinstance(node, ast.Attribute):
+                return node.attr in attrs or held(node.value)
+            else:
+                return isinstance(node, ast.Name) and node.id in aliases
+
+    def bindings(node):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        elif isinstance(node, ast.For):
+            targets, value = [node.target], node.iter
+        else:
+            return
+        for target in targets:
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                yield from zip(target.elts, value.elts)
+            else:
+                yield target, value
+
+    while True:
+        new = {
+            target.id
+            for node in ast.walk(tree)
+            for target, value in bindings(node)
+            if isinstance(target, ast.Name) and target.id not in aliases and value is not None and held(value)
+        }
+        if not new:
+            break
+        aliases |= new
+    found = set()
+    stack = [(tree, "")]
+    while stack:
+        node, where = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                stack.append((child, f"{where}.{child.name}".lstrip(".")))
+                continue
+            if isinstance(child, ast.Delete) and any(held(t) for t in child.targets):
+                found.add(where)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("pop", "popitem", "clear")
+                and held(child.func.value)
+            ):
+                found.add(where)
+            stack.append((child, where))
+    return sorted(found)
+
+
+def test_only_rebuild_takes_entries_out_of_the_table_and_its_indexes():
+    # nodes are made only by _make, and leave only in rebuild
+    assert removers(Path(egraph.__file__).read_text()) == ["SaturationState.rebuild"]
+
+
+def test_scan_finds_every_removal():
+    source = (
+        "class S:\n"
+        "    def direct(self, k):\n"
+        "        del self.key2class[k]\n"
+        "    def nested(self, k):\n"
+        "        self._by_op[k[0]].pop(k)\n"
+        "    def aliased(self, k):\n"
+        "        losers, uses = self._losers, self._uses\n"
+        "        losers.pop()\n"
+        "        for c in k[1:]:\n"
+        "            del uses[c][k]\n"
+        "    def through_a_read(self, c):\n"
+        "        nodes = self.class_nodes.get(c)\n"
+        "        def inner(): nodes.clear()\n"
+        "    def harmless(self, k):\n"
+        "        self._losers.pop()\n"
+        "        self.key2class[k] = 0\n"
+        "        del self._sort_classes[0][k]\n"
+        "def loop(state):\n"
+        "    for nodes in state.class_nodes.values():\n"
+        "        nodes.popitem()\n"
+    )
+    assert removers(source) == ["S.aliased", "S.direct", "S.nested", "S.through_a_read.inner", "loop"]
+
+
 def test_one_union_closes_a_two_level_congruence_cascade():
     v = make_variety(["elem"], [("f", ["elem"], "elem"), ("g", ["elem"], "elem")], "unary", [])
     f, g = (op.id for op in v.sig.ops)
@@ -323,11 +480,6 @@ COMPLETENESS_CASES = [
     (zero_squares_variety, (3,), (8,)),
     (collapse_variety, (3,), (1,)),
 ]
-
-
-def _case_id(case):
-    name, counts, _ = case
-    return f"{getattr(name, '__name__', name)}-{','.join(map(str, counts))}"
 
 
 @pytest.mark.parametrize("name,counts,sizes", COMPLETENESS_CASES, ids=map(_case_id, COMPLETENESS_CASES))
