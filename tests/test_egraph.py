@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -616,6 +617,42 @@ def test_work_inside_the_tripping_round_is_pinned(captured_states, name, counts,
     )
     # every INFINITE row of the corpus is pinned here
     assert sorted(row[:2] for row in TRIPPED_WORK) == sorted(INFINITE_ROWS)
+
+
+MAKE_SEQUENCES = [
+    ("elem-abelian-3", (3,), Budget(), 20727, "6a2254245461ddde952ea140ad00218b6818c7c127f9e470561f98ecb9a33184"),
+    (
+        "lie-reps-null-f2",
+        (2, 0),
+        ENTRIES["lie-reps-null-f2"].infinite_budget,
+        13209,
+        "eee366b9232713a9582e25bf6b4a9d6da299774d32d09849ff66c92d34a564cd",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,counts,budget,calls,digest",
+    MAKE_SEQUENCES,
+    ids=[f"{n}-{','.join(map(str, c))}" for n, c, *_ in MAKE_SEQUENCES],
+)
+def test_the_order_of_made_nodes_is_pinned(monkeypatch, name, counts, budget, calls, digest):
+    # every node is made by _make, so the sequence of its (key, into)
+    # arguments pins the order in which the join finds its matches and the
+    # instances build, not only how many there are
+    make = SaturationState._make
+    seen = hashlib.sha256()
+    made = []
+
+    def make_and_record(state, key, sort, into=None):
+        seen.update(repr((key, into)).encode())
+        made.append(None)
+        return make(state, key, sort, into)
+
+    monkeypatch.setattr(SaturationState, "_make", make_and_record)
+    v = load_entry_variety(name)
+    build_free_algebra(v, profile_of(v, counts), budget)
+    assert (len(made), seen.hexdigest()) == (calls, digest)
 
 
 def test_kernels_compile_once_per_axiom_shape(captured_states):
