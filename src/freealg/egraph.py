@@ -21,7 +21,9 @@ axioms, and is exactly the congruence generated by the axiom instances,
 i.e. the free algebra on the profile.  Nodes are only ever created by
 ``_make``, entries leave the table and its indexes only in ``rebuild``,
 and representatives are extracted once, when the saturated state is
-frozen.
+frozen.  Extraction compares the canonical keys of candidate terms without
+making them, as egg's extractor compares costs (Willsey et al., POPL
+2021), and then makes one term per class.
 
 MATCH is relational and semi-naive (Zhang et al., "Relational E-Matching",
 POPL 2022).  The hash-cons table is the relation: each canonical key
@@ -34,9 +36,9 @@ canonical form or its class's root last changed; its table position, kept
 as its value in ``class_nodes``, changes only when its form does.  A query
 joins only from the keys stamped after its own last pass: the first new
 atom is the seed, the atoms before it must be old, and the join extends up
-through the use lists and down through ``class_nodes``.  An atom whose
-arguments are all bound when the join reaches it is a membership test: one
-hash-cons lookup, not a loop.  A match made of old keys alone existed at
+through the use lists and down through ``class_nodes``.  An atom is a
+membership test, one hash-cons lookup and not a loop, as soon as its
+arguments are all bound.  A match made of old keys alone existed at
 the last pass and was instantiated then.  So did a match whose only new
 atom is its root key, when that key's position shows it was in the table
 at the last pass: only its class's root changed, by a merge that the
@@ -78,7 +80,6 @@ from .terms import (
     SortedVar,
     Term,
     arena_of,
-    term_key,
 )
 
 @dataclass(frozen=True)
@@ -193,16 +194,17 @@ class _Query:
     that makes a whole pass of the axiom:
 
     * The join.  For each atom as the seed, nested levels bind every
-      atom, breadth first from it: the seed's loop runs over its op's keys
-      and their stamps, and each further atom is reached down from a bound
-      out slot or up from a bound argument slot.  An atom whose argument
-      slots are all bound by then is one lookup of its key in the
-      hash-cons table: down, the key must map to the bound out slot; up,
-      its value binds the out slot.  Any other atom is a loop, down
-      through ``class_nodes`` or up through the use lists.  The kernel runs
-      right after ``rebuild``, so the table is canonical, its values are
-      roots and at most one key can match a fully bound atom: the lookup
-      finds the key the loop would, at the same point of the join.  The
+      atom: the seed's loop runs over its op's keys and their stamps, and
+      the other loops go breadth first from it, each reached down from a
+      bound out slot through ``class_nodes`` or up from a bound argument
+      slot through the use lists.  As soon as a level leaves all the
+      argument slots of an atom bound, that atom is one lookup of its key
+      in the hash-cons table: with its out slot bound, the key must map to
+      it; otherwise its value binds the out slot.  The kernel runs right
+      after ``rebuild``, so the table is canonical, its values are roots
+      and at most one key can match a fully bound atom: the lookup finds
+      the key a loop would, only earlier, and the loops keep their order,
+      so the matches and their order are those of the loops alone.  The
       seed takes only keys stamped after ``since``, the atoms before it
       only older keys (their stamps are read from the op index) and the
       atoms after it any key, so each match comes from exactly one seed;
@@ -346,15 +348,20 @@ class _Query:
 
     @staticmethod
     def _join_order(atoms, seed: int, moves: bool) -> list[tuple[list[str], list[str], set]]:
-        """One level per atom, breadth first from the seed atom: the lines
-        that open its block, the lines of its body and the names it binds.
-        An atom whose argument slots are all bound when it is reached is
-        one lookup in the table, an ``if``; any other atom is a loop.  Atoms
-        before the seed must be old, so no match is found twice.  With
-        ``moves``, the seed is the root atom and notes in ``moved`` whether
-        its key was in the table at the last pass: a lone atom skips such a
-        key, and every level passes its key on to the stamp check of the
-        match."""
+        """One level per atom: the lines that open its block, the lines of
+        its body and the names it binds.  The loops go breadth first from
+        the seed atom, down through ``class_nodes`` from a bound out slot
+        and up through the use lists from a bound argument.  After each
+        level, every atom whose argument slots are all bound is placed at
+        once as one lookup in the table, an ``if``: it binds its out slot,
+        or checks it when its parent has bound it.  A lookup finds at most
+        one key, so it only prunes and binds what the loops after it would,
+        and the loops keep their breadth-first order: the matches are the
+        same, and found in the same order.  Atoms before the seed must be
+        old, so no match is found twice.  With ``moves``, the seed is the
+        root atom and notes in ``moved`` whether its key was in the table
+        at the last pass: a lone atom skips such a key, and every level
+        passes its key on to the stamp check of the match."""
         parent_of = {
             j: p
             for p, (_, _, args) in enumerate(atoms)
@@ -369,24 +376,25 @@ class _Query:
         def names(j: int, slots) -> set[str]:
             return {f"v{s}" for s in slots} | ({f"k{j}"} if carry else set())
 
-        def level(j: int, header: str, down: bool):
+        def lookup(j: int):
+            # the table is canonical and its values are roots, so the one
+            # key a loop could find is (op, args), in class out if bound
             op, out, args = atoms[j]
             k = f"k{j}"
-            old = f"by_op[{op}][{k}]"  # the key's stamp, for an atom before the seed
-            if j != seed and bound.issuperset(args):
-                # the table is canonical and its values are roots, so the
-                # one key the loop could find is (op, args) in class out
-                head = [f"{k} = {tuple_source([str(op), *(f'v{a}' for a in args)])}"]
-                if down:
-                    test = f"table.get({k}) == v{out}"
-                else:
-                    head.append(f"v{out} = table.get({k})")
-                    test = f"v{out} is not None"
-                if j < seed:
-                    test += f" and {old} <= since"
-                bound.add(out)
-                levels.append((head + [f"if {test}:"], [], names(j, {out})))
-                return
+            head = [f"{k} = {tuple_source([str(op), *(f'v{a}' for a in args)])}"]
+            if out in bound:
+                test = f"table.get({k}) == v{out}"
+            else:
+                head.append(f"v{out} = table.get({k})")
+                test = f"v{out} is not None"
+            if j < seed:
+                test += f" and by_op[{op}][{k}] <= since"
+            bound.add(out)
+            levels.append((head + [f"if {test}:"], [], names(j, {out})))
+
+        def loop(j: int, header: str):
+            op, out, args = atoms[j]
+            k = f"k{j}"
             # the seed's loop runs over its op's keys alone
             checks = ["gen <= since"] if j == seed else [f"{k}[0] != {op}"]
             binds, mine = [], {}
@@ -399,8 +407,8 @@ class _Query:
                     binds.append(f"v{slot} = {k}[{pos}]")
                     mine[slot] = pos
             if j < seed:
-                checks.append(f"{old} > since")
-            if not down:
+                checks.append(f"by_op[{op}][{k}] > since")
+            if out not in bound:  # reached down from its parent, out is bound already
                 binds.append(f"v{out} = table[{k}]")
             bound.update(mine, (out,))
             body = [f"if {' or '.join(checks)}:", "    continue"]
@@ -417,22 +425,32 @@ class _Query:
             target = f"{k}, gen" if j == seed else k
             levels.append(([f"for {target} in {header}:"], body + binds, binding))
 
-        level(seed, f"by_op[{atoms[seed][0]}].items()", False)
-        queue, done = [seed], {seed}
-        while queue:
-            a = queue.pop(0)
+        # breadth first from the seed; the list is its own queue
+        order = [(seed, f"by_op[{atoms[seed][0]}].items()")]
+        done = {seed}
+        for a, _ in order:
             for j in range(len(atoms)):
                 if j not in done and parent_of.get(j) == a:
                     # the parent bound this atom's out slot to a root,
                     # and every key of class_nodes[root] maps to root
-                    level(j, f"nodes.get(v{atoms[j][1]}, ())", True)
+                    order.append((j, f"nodes.get(v{atoms[j][1]}, ())"))
                     done.add(j)
-                    queue.append(j)
             p = parent_of.get(a)
             if p is not None and p not in done:
-                level(p, f"uses.get(v{atoms[a][1]}, ())", False)
+                order.append((p, f"uses.get(v{atoms[a][1]}, ())"))
                 done.add(p)
-                queue.append(p)
+        placed: set[int] = set()
+        for j, header in order:
+            if j in placed:
+                continue
+            loop(j, header)
+            placed.add(j)
+            while True:
+                ready = [i for i, _ in order if i not in placed and bound.issuperset(atoms[i][2])]
+                if not ready:
+                    break
+                lookup(ready[0])
+                placed.add(ready[0])
         return levels
 
     @staticmethod
@@ -767,50 +785,75 @@ def _run(state: SaturationState, watch: tuple[Term, Term] | None = None):
     return BudgetExceeded(state.n_live, state.round, "rounds", state.stats)
 
 
-def extract_representatives(state: SaturationState) -> dict[int, Term]:
-    """Minimal member term per class under the canonical key order, which
-    compares length first."""
+def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], dict[int, Term]]:
+    """The least member term of each class and its key, by root.
+
+    A term's canonical key orders terms by length first, then puts
+    variables before applications, then compares sort and name, or op and
+    the children's keys: a generator's key is ``(0, 0, sort, name)`` and
+    an application's ``(length, 1, op, (child keys...))``.  The fixpoint
+    compares keys alone, as egg's extractor compares costs: a table key
+    ``(op, c1, ...)`` whose children all have a best key offers
+    ``(1 + max child length, 1, op, (best[c1], ...))``, or ``(0, 1, op, ())``
+    for a constant.  Each class keeps its least key and the generator or
+    table key that gave it, until a pass changes nothing.  Only then is
+    one term made per class, in order of length: a child's key is shorter
+    than its parent's, so its term is made first.  The rebuild leaves
+    every table key canonical and every value a root.
+    """
     state.rebuild()
-    arena = arena_of(state.sig)
-    best: dict[int, Term] = {}
-
-    def offer(root: int, t: Term) -> bool:
-        cur = best.get(root)
-        if cur is None or term_key(t) < term_key(cur):
-            best[root] = t
-            return True
-        return False
-
+    best: dict[int, tuple] = {}
+    won: dict[int, object] = {}  # the generator or table key that gave each best key
     for v, cls in state.gen_class.items():
-        offer(state.find(cls), arena.var(v))
-    ops = state.sig.ops
+        root = state.find(cls)
+        key = (0, 0, v.sort, v.name)
+        cur = best.get(root)
+        if cur is None or key < cur:
+            best[root] = key
+            won[root] = v
+    get = best.get
     changed = True
     while changed:
         changed = False
-        for key, cls in state.key2class.items():
-            children = key[1:]
-            if any(c not in best for c in children):
-                continue
-            op = ops[key[0]]
-            t = arena.apply(op, tuple(best[c] for c in children))
-            if offer(state.find(cls), t):
+        for node, cls in state.key2class.items():
+            if len(node) == 1:
+                key = (0, 1, node[0], ())
+            else:
+                children = tuple(map(get, node[1:]))
+                if None in children:
+                    continue
+                key = (1 + max(c[0] for c in children), 1, node[0], children)
+            cur = get(cls)
+            if cur is None or key < cur:
+                best[cls] = key
+                won[cls] = node
                 changed = True
-    return best
+    arena = arena_of(state.sig)
+    ops = state.sig.ops
+    reps: dict[int, Term] = {}
+    for root, key in sorted(best.items(), key=lambda item: item[1][0]):
+        node = won[root]
+        if key[1] == 0:
+            reps[root] = arena.var(node)
+        else:
+            reps[root] = arena.apply(ops[node[0]], tuple(reps[c] for c in node[1:]))
+    return best, reps
 
 
 def freeze(state: SaturationState) -> FreeAlgebraResult:
     sig = state.sig
-    reps_by_class = extract_representatives(state)
+    keys, reps_by_class = extract_representatives(state)
     index: dict[int, int] = {}
     reps: list[tuple[Term, ...]] = []
     order: list[list[int]] = []
     for s in sig.sorts:
-        roots = sorted(state.classes_of_sort(s.id), key=lambda r: term_key(reps_by_class[r]))
+        roots = sorted(state.classes_of_sort(s.id), key=keys.__getitem__)
         for i, r in enumerate(roots):
             index[r] = i
         order.append(roots)
         reps.append(tuple(reps_by_class[r] for r in roots))
     sizes = tuple(len(col) for col in order)
+    # the rebuild inside extraction left every value of the table a root
     tables: dict[int, dict[tuple, int]] = {}
     for op in sig.ops:
         pools = [order[s] for s in op.arg_sorts]
@@ -819,7 +862,7 @@ def freeze(state: SaturationState) -> FreeAlgebraResult:
             key = (op.id,) + tup
             cls = state.key2class.get(key)
             assert cls is not None, "saturated state must be op-closed"
-            table[tuple(index[c] for c in tup)] = index[state.find(cls)]
+            table[tuple(index[c] for c in tup)] = index[cls]
         tables[op.id] = table
     algebra = FiniteAlgebra(sig, sizes, tables)
     gen_images = {v: index[state.find(c)] for v, c in state.gen_class.items()}

@@ -43,7 +43,7 @@ class Term:
     length 0, an application has length 1 + max over child lengths.
     """
 
-    __slots__ = ("uid", "op", "var", "children", "sort", "length", "_key", "__weakref__")
+    __slots__ = ("uid", "op", "var", "children", "sort", "length", "__weakref__")
 
     def __init__(self, uid, op, var, children, sort, length):
         self.uid = uid
@@ -52,7 +52,6 @@ class Term:
         self.children = children
         self.sort = sort
         self.length = length
-        self._key = None
 
     def is_var(self) -> bool:
         return self.var is not None
@@ -228,16 +227,6 @@ def free_vars(t: Term):
 
     walk(t)
     return tuple(seen)
-
-
-def term_key(t: Term):
-    """Canonical ordering key: (length, kind, symbol, children)."""
-    if t._key is None:
-        if t.is_var():
-            t._key = (0, 0, t.var.sort, t.var.name)
-        else:
-            t._key = (t.length, 1, t.op.id, tuple(term_key(c) for c in t.children))
-    return t._key
 
 
 def term_to_text(t: Term) -> str:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 from freealg.egraph import VarietyDef
 from freealg.finalg import eval_term
-from freealg.terms import GeneratorProfile, Term, arena_of, term_key
+from freealg.terms import GeneratorProfile, Term, arena_of
+from term_order import term_key
 
 
 def substitute(t: Term, mapping: dict, arena) -> Term:

@@ -7,7 +7,7 @@ from conftest import GROUP_AXIOMS, GROUP_OPS, make_axioms, make_variety
 from freealg.corpus import enumerate_homs, hom_from_gen_images
 from freealg.egraph import VarietyDef
 from freealg.finalg import MorphismTable, eval_term
-from freealg.terms import GeneratorProfile, arena_of, term_key
+from freealg.terms import GeneratorProfile, arena_of
 from functor import (
     DFunctor,
     SubvarietyError,
@@ -18,6 +18,7 @@ from functor import (
     is_surjective,
     natural_epimorphism,
 )
+from term_order import term_key
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from conftest import (
     make_variety,
     profile_of,
 )
+from corpus_reference import rows as corpus_rows
 from freealg import egraph
 from freealg.corpus import ENTRIES, INFINITE
 from freealg.egraph import (
@@ -33,7 +34,8 @@ from freealg.egraph import (
     nondegeneracy_check,
 )
 from freealg.finalg import compile_source, eval_term, satisfies_identity
-from freealg.terms import Identity, arena_of, parse_term, term_to_text
+from freealg.terms import Identity, TermArena, arena_of, parse_term, term_to_text
+from term_order import reference_representatives, term_key
 
 
 def zero_squares_variety():
@@ -170,6 +172,54 @@ def test_determinism(comm_idem):
     ]
     assert a.gen_images == b.gen_images
     assert a.stats.to_json_dict() == b.stats.to_json_dict()
+
+
+EXTRACTION_CASES = [
+    *((name, counts) for _, name, counts, infinite in corpus_rows() if not infinite),
+    (collapse_variety, (3,)),  # the generators merge into one class
+    ("boolean-groups", (0,)),  # no generator: the constants make the classes
+]
+
+
+@pytest.mark.parametrize(
+    "name,counts",
+    EXTRACTION_CASES,
+    ids=[f"{getattr(n, '__name__', n)}-{','.join(map(str, c))}" for n, c in EXTRACTION_CASES],
+)
+def test_extraction_agrees_with_the_term_building_fixpoint(monkeypatch, name, counts):
+    # extraction compares keys and makes one term per class; the fixpoint
+    # that makes a term per candidate must find the same representatives
+    applied = []
+    apply = TermArena.apply
+
+    def apply_and_count(arena, op, children):
+        applied.append(op)
+        return apply(arena, op, children)
+
+    extract = egraph.extract_representatives
+    checked = []
+
+    def extract_and_check(state):
+        made = len(applied)
+        keys, reps = extract(state)
+        made = len(applied) - made
+        assert reps == reference_representatives(state)
+        assert keys == {root: term_key(t) for root, t in reps.items()}
+        # one term per class whose representative is not a generator
+        assert made == sum(not t.is_var() for t in reps.values())
+        checked.append(state)
+        return keys, reps
+
+    monkeypatch.setattr(TermArena, "apply", apply_and_count)
+    monkeypatch.setattr(egraph, "extract_representatives", extract_and_check)
+    v = name() if callable(name) else load_entry_variety(name)
+    res = build_free_algebra(v, profile_of(v, counts))
+    [state] = checked
+    assert set(res.gen_images) == set(state.gen_class)
+    if name is collapse_variety:
+        assert res.algebra.sizes == (1,) and res.reps[0][0].is_var()
+    if name == "boolean-groups" and counts == (0,):
+        assert [term_to_text(t) for t in res.reps[0]] == ["(e)"]
 
 
 def _case_id(case):
@@ -757,6 +807,32 @@ def test_fully_bound_atoms_are_one_lookup():
     # the class cap is checked where a node is made, not in the kernels
     for name in ("n_live", "max_classes", "_Tripped"):
         assert all(name not in q.source for q in queries)
+
+    def loops_before_ready_lookups(source):
+        # within one seed's join the levels nest in a single chain, so the
+        # slots bound before a loop are those assigned on the lines above
+        # it; no lookup inside the loop may have all its arguments among them
+        late = []
+        for block in re.split(r"\n(?=\s*for k\d+, gen in )", source):
+            lines = block.splitlines()
+            for i, line in enumerate(lines):
+                if re.search(r"for k\d+ in (?:nodes|uses)\.get\(", line):
+                    bound = {v for text in lines[:i] for v in re.findall(r"\b(v\d+) = ", text)}
+                    for text in lines[i + 1 :]:
+                        lookup = re.fullmatch(r"\s*k\d+ = \(\d+,\s?(.*)\)", text)
+                        if lookup and set(filter(None, lookup[1].split(", "))) <= bound:
+                            late.append((line.strip(), text.strip()))
+        return late
+
+    # the Jacobi identity: in seed 0, once (ladd a b), (ladd c d) and
+    # (br (br x y) z) are bound, (br y z) is one lookup, and so at once are
+    # (br (br y z) x) and then (br z x) and (br (br z x) y): 4 loops, not 6
+    lie = load_entry_variety("lie-reps-null-f2")
+    assert term_to_text(lie.axioms[10].lhs).startswith("(ladd (br (br x y) z) (ladd")
+    jacobi = lie._queries[10].source
+    assert len(re.findall(r"\bfor k\d+(?:, gen)? in ", jacobi[: jacobi.index("if since >= 0:")])) == 4
+    for source in (*(q.source for q in queries), jacobi):
+        assert loops_before_ready_lookups(source) == []
 
 
 def test_patterns_deeper_than_one_generated_function():

@@ -21,12 +21,12 @@ from freealg.terms import (
     arena_of,
     is_sort1_pure,
     parse_term,
-    term_key,
     term_profile_iso,
     term_to_text,
     transport_identity,
     transport_term,
 )
+from term_order import term_key
 
 
 @pytest.fixture(scope="module")
