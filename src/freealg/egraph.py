@@ -408,7 +408,7 @@ class _Query:
                     mine[slot] = pos
             if j < seed:
                 checks.append(f"by_op[{op}][{k}] > since")
-            if out not in bound:  # reached down from its parent, out is bound already
+            if out not in bound:  # the seed, or reached up from a child
                 binds.append(f"v{out} = table[{k}]")
             bound.update(mine, (out,))
             body = [f"if {' or '.join(checks)}:", "    continue"]
@@ -811,7 +811,7 @@ def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], d
         if cur is None or key < cur:
             best[root] = key
             won[root] = v
-    get = best.get
+    get, length = best.get, itemgetter(0)
     changed = True
     while changed:
         changed = False
@@ -822,7 +822,7 @@ def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], d
                 children = tuple(map(get, node[1:]))
                 if None in children:
                     continue
-                key = (1 + max(c[0] for c in children), 1, node[0], children)
+                key = (1 + max(map(length, children)), 1, node[0], children)
             cur = get(cls)
             if cur is None or key < cur:
                 best[cls] = key
@@ -862,7 +862,7 @@ def freeze(state: SaturationState) -> FreeAlgebraResult:
             key = (op.id,) + tup
             cls = state.key2class.get(key)
             assert cls is not None, "saturated state must be op-closed"
-            table[tuple(index[c] for c in tup)] = index[cls]
+            table[tuple(map(index.__getitem__, tup))] = index[cls]
         tables[op.id] = table
     algebra = FiniteAlgebra(sig, sizes, tables)
     gen_images = {v: index[state.find(c)] for v, c in state.gen_class.items()}
