@@ -824,9 +824,9 @@ def test_fully_bound_atoms_are_one_lookup():
                             late.append((line.strip(), text.strip()))
         return late
 
-    # the Jacobi identity: in seed 0, once (ladd a b), (ladd c d) and
-    # (br (br x y) z) are bound, (br y z) is one lookup, and so at once are
-    # (br (br y z) x) and then (br z x) and (br (br z x) y): 4 loops, not 6
+    # the Jacobi identity: seed 0 loops over its two ladd keys, then
+    # (br (br x y) z) and (br x y); with x, y and z bound, (br y z),
+    # (br (br y z) x), (br z x) and (br (br z x) y) are lookups: 4 loops, not 6
     lie = load_entry_variety("lie-reps-null-f2")
     assert term_to_text(lie.axioms[10].lhs).startswith("(ladd (br (br x y) z) (ladd")
     jacobi = lie._queries[10].source
