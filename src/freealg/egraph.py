@@ -54,9 +54,9 @@ in straight-line code (see ``_Query``).  The queries are made once per
 variety and shared by every saturation state over it, which keeps only the
 generation and the table position count each query last matched at.
 Kernels compile through ``finalg.compile_source``, the compiler the
-identity checks also use: the source holds only op ids, sort ids and slot
-numbers, and compiles are cached by source, so every axiom shape is
-compiled once per process.
+identity checks also use, once per distinct source: a kernel's source
+holds only op ids, sort ids and slot numbers, so axioms of one shape share
+a compile only when their op and sort ids match as well.
 
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.  The
@@ -169,7 +169,8 @@ class FreeAlgebraResult:
 
 
 class _Tripped(Exception):
-    """A budget limit was hit; the one argument names the limit."""
+    """A budget limit was hit; the one argument names the limit.  ``_run``
+    turns every trip into its ``BudgetExceeded``."""
 
 
 def _root(x: str) -> str:
@@ -233,12 +234,12 @@ class _Query:
 
     Only op ids, sort ids and slot numbers enter the source, so no name
     from a definition file reaches it, and axioms of one shape share a
-    kernel.  A bare-variable pattern has no atom: its matches are the
-    classes of its sort, the first of ``pools``.  ``pools`` holds the sorts
-    whose classes ``match_pass`` passes; ``full`` queries, which a stamp
-    cannot filter, join in full on every pass, with ``mark`` at 0.  A query
-    holds nothing of any one state, so a variety's queries serve every
-    state over it.
+    kernel only when their op and sort ids match too.  A bare-variable
+    pattern has no atom: its matches are the classes of its sort, the
+    first of ``pools``.  ``pools`` holds the sorts whose classes
+    ``match_pass`` passes; ``full`` queries, which a stamp cannot filter,
+    join in full on every pass, with ``mark`` at 0.  A query holds nothing
+    of any one state, so a variety's queries serve every state over it.
     """
 
     def __init__(self, pat: Term, other: Term, declared):
@@ -758,7 +759,7 @@ def _run(state: SaturationState, watch: tuple[Term, Term] | None = None):
         if merged():
             return 0
         if state.n_live > state.budget.max_classes:  # each generator is a class
-            return BudgetExceeded(state.n_live, 0, "classes", state.stats)
+            raise _Tripped("classes")
         for rnd in range(1, state.budget.max_rounds + 1):
             state.round = rnd
             instances0 = state.instances
@@ -778,11 +779,11 @@ def _run(state: SaturationState, watch: tuple[Term, Term] | None = None):
             )
             if created == 0 and merges == 0:
                 return None  # saturated
+        raise _Tripped("rounds")
     except _Tripped as trip:
         if merged():
             return state.round
         return BudgetExceeded(state.n_live, state.round, trip.args[0], state.stats)
-    return BudgetExceeded(state.n_live, state.round, "rounds", state.stats)
 
 
 def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], dict[int, Term]]:
@@ -845,26 +846,18 @@ def freeze(state: SaturationState) -> FreeAlgebraResult:
     keys, reps_by_class = extract_representatives(state)
     index: dict[int, int] = {}
     reps: list[tuple[Term, ...]] = []
-    order: list[list[int]] = []
     for s in sig.sorts:
         roots = sorted(state.classes_of_sort(s.id), key=keys.__getitem__)
         for i, r in enumerate(roots):
             index[r] = i
-        order.append(roots)
         reps.append(tuple(reps_by_class[r] for r in roots))
-    sizes = tuple(len(col) for col in order)
-    # the rebuild inside extraction left every value of the table a root
-    tables: dict[int, dict[tuple, int]] = {}
-    for op in sig.ops:
-        pools = [order[s] for s in op.arg_sorts]
-        table: dict[tuple, int] = {}
-        for tup in itertools.product(*pools):
-            key = (op.id,) + tup
-            cls = state.key2class.get(key)
-            assert cls is not None, "saturated state must be op-closed"
-            table[tuple(map(index.__getitem__, tup))] = index[cls]
-        tables[op.id] = table
-    algebra = FiniteAlgebra(sig, sizes, tables)
+    # the rebuild inside extraction left every key canonical and every
+    # value a root, so each key is one entry; FiniteAlgebra checks that
+    # the entries cover every table, which a saturated state's do
+    tables: dict[int, dict[tuple, int]] = {op.id: {} for op in sig.ops}
+    for key, cls in state.key2class.items():
+        tables[key[0]][tuple(map(index.__getitem__, key[1:]))] = index[cls]
+    algebra = FiniteAlgebra(sig, tuple(map(len, reps)), tables)
     gen_images = {v: index[state.find(c)] for v, c in state.gen_class.items()}
     return FreeAlgebraResult(
         variety=state.variety,

@@ -167,8 +167,11 @@ _checks: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 @functools.cache
 def compile_source(source: str, name: str):
     """The function ``name`` that ``source`` defines, its code named
-    ``<name n>`` for profiles.  Sources hold no name from a definition
-    file, so terms of one shape share one, and each shape compiles once."""
+    ``<name n>`` for profiles, once per distinct source.  Sources hold no
+    name from a definition file.  Identity checks take their tables as
+    arguments, so checks of one shape share a compile; a match kernel's
+    source holds op and sort ids, so only axioms of one shape whose ids
+    match as well share one."""
     namespace = {"product": itertools.product}
     exec(compile(source, f"<{name} {next(_compiled)}>", "exec"), namespace)
     return namespace[name]

@@ -33,7 +33,7 @@ from freealg.egraph import (
     is_consequence,
     nondegeneracy_check,
 )
-from freealg.finalg import compile_source, eval_term, satisfies_identity
+from freealg.finalg import AlgebraError, compile_source, eval_term, satisfies_identity
 from freealg.terms import Identity, TermArena, arena_of, parse_term, term_to_text
 from term_order import reference_representatives, term_key
 
@@ -220,6 +220,37 @@ def test_extraction_agrees_with_the_term_building_fixpoint(monkeypatch, name, co
         assert res.algebra.sizes == (1,) and res.reps[0][0].is_var()
     if name == "boolean-groups" and counts == (0,):
         assert [term_to_text(t) for t in res.reps[0]] == ["(e)"]
+
+
+def test_extraction_runs_its_fixpoint_until_a_pass_changes_nothing():
+    # the constant c joins the class of h(x) in a later table position than
+    # f's key over that class, so the pass that lowers the class's best key
+    # to c has already offered f(h(x)); only the next pass offers f(c)
+    v = make_variety(
+        ["elem"],
+        [("h", ["elem"], "elem"), ("f", ["elem"], "elem"), ("c", [], "elem")],
+        "unary-and-constant",
+        [],
+    )
+    h, f, c = (op.id for op in v.sig.ops)
+    prof = profile_of(v, (1,))
+    state = SaturationState(v, prof)
+    [x] = state.gen_class.values()
+    p = state._node(h, (x,), 0)
+    q = state._node(f, (p,), 0)
+    state._union(p, state._node(c, (), 0))
+    state.rebuild()
+    keys, reps = egraph.extract_representatives(state)
+    assert keys[q] == term_key(parse_term("(f (c))", v.sig, prof))
+    assert keys == {root: term_key(t) for root, t in reps.items()}
+
+
+def test_freezing_an_unsaturated_state_fails_the_table_check(boolean_groups):
+    # freeze copies the table as it stands; the algebra's own check finds
+    # the entries missing from a state that has not been saturated
+    state = SaturationState(boolean_groups, profile_of(boolean_groups, (1,)))
+    with pytest.raises(AlgebraError, match=r"^table for 'mul' has 0 entries, expected 1$"):
+        egraph.freeze(state)
 
 
 def _case_id(case):
@@ -870,9 +901,21 @@ def test_more_generators_than_the_class_cap_trip_at_round_zero(name):
     # each generator is a class: the build trips before its first round,
     # whether or not the signature has an operation to grow with
     v = load_entry_variety(name)
-    res = build_free_algebra(v, profile_of(v, (11,)), Budget(max_classes=10))
-    assert isinstance(res, BudgetExceeded)
-    assert (res.limit, res.classes, res.rounds, res.stats.rounds) == ("classes", 11, 0, [])
+    for n, cap in ((11, 10), (3, 2)):
+        res = build_free_algebra(v, profile_of(v, (n,)), Budget(max_classes=cap))
+        assert isinstance(res, BudgetExceeded)
+        assert (res.limit, res.classes, res.rounds, res.stats.rounds) == ("classes", n, 0, [])
+
+
+def test_one_handler_builds_every_budget_trip():
+    # every trip raises _Tripped, the round-0 class cap and the round limit
+    # too, and the one except clause in _run makes its BudgetExceeded
+    calls = [
+        node
+        for node in ast.walk(ast.parse(Path(egraph.__file__).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "BudgetExceeded"
+    ]
+    assert len(calls) == 1
 
 
 def test_as_many_generators_as_the_class_cap_still_build(sets_variety):
