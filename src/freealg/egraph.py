@@ -61,11 +61,18 @@ a compile only when their op and sort ids match as well.
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.  The
 class cap is checked in ``_make`` and, for the generators, at round 0.
+
+The cyclic garbage collector is paused while ``_run`` drives the rounds of
+any saturation, and turned back on afterwards only if it was on.  A
+saturation makes no reference cycle, so reference counting frees every
+object it makes; a collection during the run could only traverse its
+tuples and dicts and find nothing to free.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from operator import itemgetter
 from dataclasses import dataclass, field
@@ -747,13 +754,22 @@ class SaturationState:
 
 def _run(state: SaturationState, watch: tuple[Term, Term] | None = None):
     """Drive rounds to saturation (None), a budget trip (its ``BudgetExceeded``,
-    at round 0 if resolving the watched terms trips) or a watched merge (its round)."""
+    at round 0 if resolving the watched terms trips) or a watched merge (its round).
+
+    The cyclic garbage collector is paused while the rounds run, and turned
+    back on at the end, however the run ends, only if it was on before.  A
+    saturation makes no reference cycle, so reference counting frees all it
+    makes, and a collection could only traverse its tuples and dicts to
+    find nothing.
+    """
     pair = None
 
     def merged() -> bool:
         return pair is not None and state.find(pair[0]) == state.find(pair[1])
 
+    enabled = gc.isenabled()
     try:
+        gc.disable()
         if watch is not None:
             pair = (state._resolve(watch[0]), state._resolve(watch[1]))
         if merged():
@@ -784,6 +800,9 @@ def _run(state: SaturationState, watch: tuple[Term, Term] | None = None):
         if merged():
             return state.round
         return BudgetExceeded(state.n_live, state.round, trip.args[0], state.stats)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], dict[int, Term]]:

@@ -213,20 +213,20 @@ class Identity:
 
 
 def free_vars(t: Term):
-    seen: list[SortedVar] = []
-    found: set[SortedVar] = set()
+    found: dict[SortedVar, None] = {}  # in order of first occurrence
+    _collect_vars(t, found)
+    return tuple(found)
 
-    def walk(u: Term):
-        if u.is_var():
-            if u.var not in found:
-                found.add(u.var)
-                seen.append(u.var)
-        else:
-            for c in u.children:
-                walk(c)
 
-    walk(t)
-    return tuple(seen)
+# The term walkers recurse at module level and take their state as
+# arguments: a nested function that calls itself through its closure cell
+# is a reference cycle, left for the cyclic collector on every call.
+def _collect_vars(t: Term, found: dict[SortedVar, None]) -> None:
+    if t.is_var():
+        found[t.var] = None
+    else:
+        for c in t.children:
+            _collect_vars(c, found)
 
 
 def term_to_text(t: Term) -> str:
@@ -240,29 +240,28 @@ def term_to_text(t: Term) -> str:
 def parse_term(text_or_form, sig: Signature, vars: GeneratorProfile) -> Term:
     """Parse ``var-name | (op-name term*)`` into a well-sorted term."""
     form = sexpr.parse_one(text_or_form) if isinstance(text_or_form, str) else text_or_form
-    arena = arena_of(sig)
+    return _build_term(form, sig, vars, arena_of(sig))
 
-    def build(f) -> Term:
-        if isinstance(f, Atom):
-            v = vars.lookup(f.text)
-            if v is None:
-                raise UnboundVariable(f"unbound variable '{f.text}'", f.line, f.col)
-            return arena.var(v)
-        assert isinstance(f, SList)
-        if len(f) == 0 or not isinstance(f[0], Atom):
-            raise TermError("expected (op-name term*)", f.line, f.col)
-        name = f[0].text
-        try:
-            op = sig.op_named(name)
-        except SignatureError:
-            raise TermError(f"unknown operation '{name}'", f[0].line, f[0].col) from None
-        children = tuple(build(c) for c in f.items[1:])
-        try:
-            return arena.apply(op, children)
-        except SortError as e:
-            raise SortError(e.msg, f.line, f.col) from None
 
-    return build(form)
+def _build_term(f, sig: Signature, vars: GeneratorProfile, arena: TermArena) -> Term:
+    if isinstance(f, Atom):
+        v = vars.lookup(f.text)
+        if v is None:
+            raise UnboundVariable(f"unbound variable '{f.text}'", f.line, f.col)
+        return arena.var(v)
+    assert isinstance(f, SList)
+    if len(f) == 0 or not isinstance(f[0], Atom):
+        raise TermError("expected (op-name term*)", f.line, f.col)
+    name = f[0].text
+    try:
+        op = sig.op_named(name)
+    except SignatureError:
+        raise TermError(f"unknown operation '{name}'", f[0].line, f[0].col) from None
+    children = tuple(_build_term(c, sig, vars, arena) for c in f.items[1:])
+    try:
+        return arena.apply(op, children)
+    except SortError as e:
+        raise SortError(e.msg, f.line, f.col) from None
 
 
 def is_sort1_pure(t: Term, split: ActionSplit) -> bool:
@@ -271,16 +270,13 @@ def is_sort1_pure(t: Term, split: ActionSplit) -> bool:
     In an action-separated signature this coincides with the term having
     the first sort.
     """
-    ops1 = {o.id for o in split.ops1}
+    return _sort1_pure(t, split.sort1, {o.id for o in split.ops1})
 
-    def walk(u: Term) -> bool:
-        if u.is_var():
-            return u.var.sort == split.sort1
-        if u.op.id not in ops1:
-            return False
-        return all(walk(c) for c in u.children)
 
-    return walk(t)
+def _sort1_pure(t: Term, sort1: int, ops1: set[int]) -> bool:
+    if t.is_var():
+        return t.var.sort == sort1
+    return t.op.id in ops1 and all(_sort1_pure(c, sort1, ops1) for c in t.children)
 
 
 def alpha_key(ident: Identity):
@@ -290,28 +286,25 @@ def alpha_key(ident: Identity):
     of the other (ignoring declared-but-unused variables).
     """
     numbering: dict[SortedVar, int] = {}
+    return (_alpha_walk(ident.lhs, numbering), _alpha_walk(ident.rhs, numbering))
 
-    def walk(t: Term):
-        if t.is_var():
-            if t.var not in numbering:
-                numbering[t.var] = len(numbering)
-            return ("v", t.var.sort, numbering[t.var])
-        return ("o", t.op.name, tuple(walk(c) for c in t.children))
 
-    return (walk(ident.lhs), walk(ident.rhs))
+def _alpha_walk(t: Term, numbering: dict[SortedVar, int]):
+    if t.is_var():
+        return ("v", t.var.sort, numbering.setdefault(t.var, len(numbering)))
+    return ("o", t.op.name, tuple(_alpha_walk(c, numbering) for c in t.children))
 
 
 def transport_term(t: Term, source: Signature, target: Signature) -> Term:
     """Rebuild a term of ``source`` in ``target``, matching sorts and ops by
     name and keeping variable names."""
-    arena = arena_of(target)
+    return _transport(t, source, target, arena_of(target))
 
-    def walk(u: Term) -> Term:
-        if u.is_var():
-            return arena.var(_transport_var(u.var, source, target))
-        return arena.apply(target.op_named(u.op.name), tuple(walk(c) for c in u.children))
 
-    return walk(t)
+def _transport(t: Term, source: Signature, target: Signature, arena: TermArena) -> Term:
+    if t.is_var():
+        return arena.var(_transport_var(t.var, source, target))
+    return arena.apply(target.op_named(t.op.name), tuple(_transport(c, source, target, arena) for c in t.children))
 
 
 def _transport_var(v: SortedVar, source: Signature, target: Signature) -> SortedVar:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from dataclasses import replace
 
@@ -480,3 +481,18 @@ def test_failure_reports_are_pinned():
         route="empty-theory",
         status=NOT_APPLICABLE,
     )
+
+
+@pytest.mark.parametrize("name", list(ENTRIES))
+def test_a_certificate_leaves_no_cyclic_garbage(name):
+    # the saturations pause the cyclic collector, so what a certificate
+    # makes around them must be freed by reference counting too
+    v, cert = load_entry(name)
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_certificate(v, cert)
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

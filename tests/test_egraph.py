@@ -736,7 +736,7 @@ def test_the_order_of_made_nodes_is_pinned(monkeypatch, name, counts, budget, ca
     assert (len(made), seen.hexdigest()) == (calls, digest)
 
 
-def test_kernels_compile_once_per_axiom_shape(captured_states):
+def test_a_variety_plans_once_and_a_copy_reuses_its_kernels(captured_states):
     # the match plans belong to the variety: a second build of the same
     # variety reuses the first build's queries and neither compiles nor
     # looks up a kernel; a fresh copy of the variety plans its queries
@@ -757,17 +757,80 @@ def test_kernels_compile_once_per_axiom_shape(captured_states):
     assert again.hits == after.hits + len(v.axioms)
 
 
-def test_a_build_leaves_no_cyclic_garbage():
-    v = load_entry_variety("elem-abelian-3")
+GARBAGE_ROWS = list(corpus_rows())
+
+
+@pytest.mark.parametrize("label,name,counts,infinite", GARBAGE_ROWS, ids=[r[0] for r in GARBAGE_ROWS])
+def test_a_build_leaves_no_cyclic_garbage(label, name, counts, infinite):
+    # _run pauses the cyclic collector, which loses nothing only while a
+    # build makes no reference cycle, so that reference counting frees all
+    # of it: on every corpus row, built or tripped
+    v = load_entry_variety(name)
+    prof = profile_of(v, counts)
+    budget = ENTRIES[name].infinite_budget if infinite else None
     gc.collect()
     gc.disable()
     try:
-        res = build_free_algebra(v, profile_of(v, (3,)))
-        assert res.algebra.sizes == (27,)
+        res = build_free_algebra(v, prof, budget)
+        assert isinstance(res, BudgetExceeded) == infinite
         del res
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class KernelFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["saturated", "trip", "watched", KernelFailed, KeyboardInterrupt])
+def test_run_pauses_the_collector_and_restores_it(monkeypatch, outcome, enabled):
+    # every kernel runs with the collector off, and however the run ends
+    # the collector is as the caller left it
+    v = load_entry_variety("boolean-groups")
+    seen = []
+    for q in v._queries:
+
+        def kernel(state, since, mark, pools, k=q.kernel):
+            seen.append(gc.isenabled())
+            if not isinstance(outcome, str):
+                raise outcome
+            return k(state, since, mark, pools)
+
+        monkeypatch.setattr(q, "kernel", kernel)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "watched":
+            comm = make_axioms(v.sig, [([("x", "elem"), ("y", "elem")], "(mul x y)", "(mul y x)")])[0]
+            assert is_consequence(v, comm) == "yes"
+        elif isinstance(outcome, str):
+            res = build_free_algebra(v, profile_of(v, (3,)), Budget(max_classes=20) if outcome == "trip" else None)
+            assert isinstance(res, BudgetExceeded) == (outcome == "trip")
+        else:
+            with pytest.raises(outcome):
+                build_free_algebra(v, profile_of(v, (3,)))
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
+
+
+def test_only_run_switches_the_collector():
+    # one place owns the collector's state: _run pauses it for a saturation
+    # and turns it back on only if it was on
+    def switches(node):
+        return [
+            ast.unparse(n.func)
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) in ("gc.disable", "gc.enable")
+        ]
+
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(egraph.__file__).parent.glob("*.py")}
+    assert not any(isinstance(n, ast.ImportFrom) and n.module == "gc" for t in trees.values() for n in ast.walk(t))
+    (run,) = (n for n in ast.walk(trees["egraph.py"]) if isinstance(n, ast.FunctionDef) and n.name == "_run")
+    assert sorted(switches(run)) == ["gc.disable", "gc.enable"]
+    assert {name: switches(t) for name, t in trees.items() if switches(t)} == {"egraph.py": switches(run)}
 
 
 def named_groups(elem, mul, inv, e):
