@@ -178,7 +178,7 @@ def _settle(report: CertReport, status: str, detail: str) -> None:
 
 
 def _sweep(
-    report: CertReport, variety: VarietyDef, profiles, check_sorts, budget: Budget
+    report: CertReport, variety: VarietyDef, profiles, check_sorts, budget: Budget | None
 ) -> dict[tuple[int, ...], FiniteAlgebra] | None:
     """Nondegeneracy plus builds plus pairwise non-isomorphism evidence,
     written into the report.  Returns the free algebras it built, keyed by
@@ -257,7 +257,6 @@ def certify_fujiwara(
 ) -> CertReport:
     if rank < 2:
         raise CertificateError("fujiwara certificates need rank >= 2")
-    budget = budget or Budget()
     delta = v.extended(extra_axioms, f"{v.name}#witness")
     report = _report(
         v,
@@ -274,7 +273,6 @@ def certify_fujiwara(
 
 def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = None) -> CertReport:
     """One witness extension per sort, swept along that sort's profile axis."""
-    budget = budget or Budget()
     sig = v.sig
     resolved = {sig.sort_named(name).id: w for name, w in witnesses.items()}
     missing = [s.name for s in sig.sorts if s.id not in resolved]
@@ -300,7 +298,7 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
 
 
 def _covers(
-    report: CertReport, variety: VarietyDef, identities, budget: Budget, message: str
+    report: CertReport, variety: VarietyDef, identities, budget: Budget | None, message: str
 ) -> bool:
     """Whether each identity, moved into the variety's signature, appears
     among its axioms (up to renaming) or is a bounded-saturation consequence
@@ -322,7 +320,6 @@ def _covers(
 def certify_action_split(
     v: VarietyDef, cert: ActionSplitCert, budget: Budget | None = None
 ) -> CertReport:
-    budget = budget or Budget()
     split = classify_action_signature(v.sig)
     if isinstance(split, NotActionSeparable):
         raise CertificateError(f"signature is not action-separated: {split.reason}")

@@ -219,7 +219,6 @@ def run_entry(name: str, budget: Budget | None = None) -> EntryResult:
 
 
 def run_corpus(names=None, budget: Budget | None = None) -> CorpusReport:
-    budget = budget or Budget()
     selected = list(ENTRIES) if not names else list(names)
     for n in selected:
         if n not in ENTRIES:
@@ -257,7 +256,6 @@ def setcoup_swap_demo(budget: Budget | None = None) -> SwapReport:
     """The sort-swap functor on couples of sets: an involution that still
     moves the one-generator free algebra to a non-isomorphic one.  It checks
     the free couples F(m, n) with m, n <= 3."""
-    budget = budget or Budget()
     v, cert = load_entry("setcoup")
     sig = v.sig
     violations: list[str] = []

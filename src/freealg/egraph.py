@@ -30,29 +30,30 @@ POPL 2022).  The hash-cons table is the relation: each canonical key
 ``(op, children...)`` with its class is one tuple of that op's table.
 Each axiom's matched side is a conjunctive query, one atom per operation
 node over integer slots, and its other side a slot-indexed build plan.
-Every key carries two clocks.  Its stamp, kept as its value in its op's
-index, is the generation (the count of rebuilds) closed after its
-canonical form or its class's root last changed; its table position, kept
-as its value in ``class_nodes``, changes only when its form does.  A query
-joins only from the keys stamped after its own last pass: the first new
-atom is the seed, the atoms before it must be old, and the join extends up
-through the use lists and down through ``class_nodes``.  An atom is a
-membership test, one hash-cons lookup and not a loop, as soon as its
-arguments are all bound.  A match made of old keys alone existed at
-the last pass and was instantiated then.  So did a match whose only new
-atom is its root key, when that key's position shows it was in the table
-at the last pass: only its class's root changed, by a merge that the
-instance's union already implies, so the instance would be a no-op, and
-the root atom's seed skips it.  Queries whose other side has a variable
-the matched side lacks, and bare-variable patterns, join in full on every
-pass.
+Time is one counter, ``clock``, which ``_enter`` advances for each key it
+enters and ``rebuild`` once as it starts.  A key's table position, its
+value in ``class_nodes``, is the clock when it entered, that is, when its
+canonical form last changed; its stamp, its value in its op's index, is
+the clock when it entered or its class's root last changed.  A query
+joins only from the keys stamped after the clock it read as its last pass
+began: the first new atom is the seed, the atoms before it must be old,
+and the join extends up through the use lists and down through
+``class_nodes``.  An atom is a membership test, one hash-cons lookup and
+not a loop, as soon as its arguments are all bound.  A match made of old
+keys alone existed at the last pass and was instantiated then.  So did a
+match whose only new atom is its root key, when that key's position is no
+later than the same reading: only its class's root changed, by a merge
+that the instance's union already implies, so the instance would be a
+no-op, and the root atom's seed skips it.  Queries whose other side has a
+variable the matched side lacks, and bare-variable patterns, join in full
+on every pass.
 
 Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
 Scholz and Subotić, CAV 2016), into the Python source of one match kernel
 that runs the join as nested loops and lookups and builds every instance
 in straight-line code (see ``_Query``).  The queries are made once per
 variety and shared by every saturation state over it, which keeps only the
-generation and the table position count each query last matched at.
+clock each query last matched at.
 Kernels compile through ``finalg.compile_source``, the compiler the
 identity checks also use, once per distinct source: a kernel's source
 holds only op ids, sort ids and slot numbers, so axioms of one shape share
@@ -198,7 +199,7 @@ class _Query:
     hold classes, one slot per operation node and one per variable.  The
     other side is a build plan (see ``finalg.plan``) over the same slots, plus
     one slot per variable the matched side lacks.  Both become the Python
-    source of one function, ``kernel(state, since, mark, pools)``,
+    source of one function, ``kernel(state, since, pools)``,
     that makes a whole pass of the axiom:
 
     * The join.  For each atom as the seed, nested levels bind every
@@ -222,10 +223,10 @@ class _Query:
       changes while a loop reads it.
     * The moved roots.  A key is stamped new when its form or its class's
       root changed, but its table position (its value in ``class_nodes``)
-      changes only with its form, and ``mark`` is the count of keys
-      entered when the query's last pass began.  So in seed 0, whose seed
-      is the root atom, a key stamped after ``since`` at a position no
-      later than ``mark`` kept its form and only moved to another class.
+      is the clock when it entered, which only a new form changes.  So in
+      seed 0, whose seed is the root atom, a key stamped after ``since``
+      at a position no later than ``since`` kept its form and only moved
+      to another class.
       A match on it whose other atoms are all stamped at or before
       ``since`` was found at the last pass with the root in a class since
       merged into the present one.  Its instance was made then, and its
@@ -245,7 +246,7 @@ class _Query:
     pattern has no atom: its matches are the classes of its sort, the
     first of ``pools``.  ``pools`` holds the sorts whose classes
     ``match_pass`` passes; ``full`` queries, which a stamp cannot filter,
-    join in full on every pass, with ``mark`` at 0.  A query holds nothing
+    join in full on every pass, with ``since`` at -1.  A query holds nothing
     of any one state, so a variety's queries serve every state over it.
     """
 
@@ -291,7 +292,7 @@ class _Query:
         reads = {a for _, args, _, _ in steps for a in args} | {top, root}
         # the matched slots that an instance reads: each match keeps these
         keep = sorted(s for s in reads if s not in built and s not in ranged)
-        lines = ["def kernel(state, since, mark, pools):"]
+        lines = ["def kernel(state, since, pools):"]
         helpers: list[str] = []
         body = ["table = state.key2class"]
         if atoms:
@@ -422,9 +423,9 @@ class _Query:
             body = [f"if {' or '.join(checks)}:", "    continue"]
             binding = names(j, set(mine) | {out})
             if j == seed and moves:
-                # class_nodes keeps the key's table position, which only a
-                # new form changes: at or below mark, the key only moved
-                moved = f"nodes[v{out}][{k}] <= mark"
+                # class_nodes keeps the clock at which the key entered: at
+                # or below since, it was there at the last pass and only moved
+                moved = f"nodes[v{out}][{k}] <= since"
                 if carry:
                     binds.append(f"moved = {moved}")
                     binding.add("moved")
@@ -501,20 +502,19 @@ class SaturationState:
         self.nodes_created = 0
         self.merges_done = 0
         self.instances = 0  # axiom instances instantiated
-        self.generation = 0  # rebuilds so far
+        self.clock = 0  # advanced by each key entered and by each rebuild
         self._losers: list[int] = []  # classes merged away, not yet repaired
         # the indexes are dicts used as ordered sets, for O(1) removal;
         # class_nodes maps each key of a class to its position in the table,
         # and _by_op each key of an op to its stamp
-        self._entered = 0  # keys entered into the table so far
         self.class_nodes: dict[int, dict[tuple, int]] = {}
         self._uses: dict[int, dict[tuple, None]] = {}
         self._by_op: dict[int, dict[tuple, int]] = {op.id: {} for op in self.sig.ops}
         self._sort_classes: dict[int, dict[int, None]] = {s.id: {} for s in self.sig.sorts}
         self.round = 0
         self._queries = variety._queries
-        # the generation and the count of keys entered when each query last matched
-        self._seen = [(-1, 0)] * len(self._queries)
+        # the clock right after the rebuild before each query's last pass
+        self._seen = [-1] * len(self._queries)
         for v in profile.variables():
             self.gen_class[v] = self._new_class(v.sort)
 
@@ -589,15 +589,16 @@ class SaturationState:
 
     def _enter(self, key: tuple, cls: int):
         """Put a canonical key of root ``cls`` at the end of the table and of
-        every index, stamped new for the next rebuild's generation."""
+        every index, after a tick of the clock, which is its table position
+        and its stamp."""
         self.key2class[key] = cls
-        self._entered += 1
+        self.clock = clock = self.clock + 1
         nodes = self.class_nodes.get(cls)
         if nodes is None:
-            self.class_nodes[cls] = {key: self._entered}
+            self.class_nodes[cls] = {key: clock}
         else:
-            nodes[key] = self._entered
-        self._by_op[key[0]][key] = self.generation + 1
+            nodes[key] = clock
+        self._by_op[key[0]][key] = clock
         # each argument class once, without a set for the common arities
         if len(key) < 3:
             args = key[1:]
@@ -614,7 +615,7 @@ class SaturationState:
                 uses[key] = None
 
     def rebuild(self):
-        """Restore congruence closure and close a generation of stamps.
+        """Restore congruence closure, after one tick of the clock.
 
         Every key is indexed as it enters the table: in the keys of its
         class (``class_nodes``, with each key's position in the table), the
@@ -637,19 +638,20 @@ class SaturationState:
         once per rebuild rather than once per merge, so every index is in
         table order again before a match kernel reads it.
 
-        A key keeps two clocks.  A key that enters or moves is stamped with
-        the generation (the count of rebuilds) that the next rebuild closes,
-        so its stamp changes exactly when its canonical form or its class's
-        root changes, and a match all of whose keys are stamped at or before
-        an earlier generation already existed then.  Its table position
-        changes only when it enters, that is, when its form changes: a moved
-        key keeps it.  A root key stamped new at an old position has only
-        moved class, and a kernel skips the matches that are new by that
-        key alone, whose instances are no-ops (see ``_Query``).
+        A key's table position is the clock when it entered, which only a
+        new canonical form changes, and its stamp the clock when it entered
+        or last moved to another root.  The clock ticks as a rebuild
+        starts, so a key moved in it is stamped after every earlier reading,
+        even one taken right after the last rebuild with no key entered
+        since; a match all of whose keys are stamped at or before a reading
+        already existed then.  A root key stamped after a reading at a
+        position no later than it has only moved class, and a kernel skips
+        the matches that are new by that key alone, whose instances are
+        no-ops (see ``_Query``).
         """
         find, parent, table, by_op = self.find, self.parent, self.key2class, self._by_op
         class_nodes, all_uses, losers = self.class_nodes, self._uses, self._losers
-        stamp = self.generation + 1
+        self.clock += 1
         unordered = set()  # classes whose keys are out of table order
         while losers:
             loser = losers.pop()
@@ -683,6 +685,7 @@ class SaturationState:
             members = class_nodes.pop(loser, None)
             if members:
                 root = find(loser)
+                stamp = self.clock
                 for key in members:
                     table[key] = root
                     by_op[key[0]][key] = stamp
@@ -701,7 +704,6 @@ class SaturationState:
             nodes = class_nodes.get(cls)
             if nodes and parent[cls] == cls:
                 class_nodes[cls] = dict(sorted(nodes.items(), key=itemgetter(1)))
-        self.generation += 1
 
     def classes_of_sort(self, sort: int) -> list[int]:
         return list(self._sort_classes[sort])
@@ -711,13 +713,13 @@ class SaturationState:
     def grow(self) -> int:
         """Apply every op to every argument-class tuple from the round start.
 
-        ``grow`` runs right after its rebuild, so the table is canonical and
-        the classes of each sort are roots, and it only makes nodes in new
+        ``grow`` starts a run, which has merged nothing, or follows a
+        ``match_pass``, which ends with a rebuild, so the table is canonical
+        and the classes of each sort are roots; it only makes nodes in new
         classes, so it merges nothing and no root changes while it runs.
         Each key it forms from those roots is therefore canonical as it
         stands: one table lookup tells whether it is there, with no ``find``.
         """
-        self.rebuild()
         created0 = self.nodes_created
         table, make = self.key2class, self._make
         roots = [self.classes_of_sort(s.id) for s in self.sig.sorts]
@@ -731,22 +733,23 @@ class SaturationState:
     def match_pass(self) -> tuple[int, int]:
         """One pass over all axioms; returns (merges, nodes created).
 
-        Each query's kernel joins only from the keys stamped since it last
-        matched: a match of old keys alone was instantiated then, and its
-        nodes and merge persist.  It also gets the count of keys entered
-        when it last matched, to tell a root key that only moved class from
-        one with a new form.  An outer node built straight into its matched
-        class counts as a merge.
+        Each query's kernel joins only from the keys stamped after the clock
+        it read as its last pass began, right after that pass's rebuild: a
+        match of old keys alone was instantiated then, and its nodes and
+        merge persist.  A root key entered no later than that reading only
+        moved class since.  An outer node built straight into its matched
+        class counts as a merge.  The pass ends with a rebuild, which
+        ``grow`` relies on.
         """
         merges = 0
         created0 = self.nodes_created
         seen = self._seen
         for i, q in enumerate(self._queries):
             self.rebuild()
-            since, mark = (-1, 0) if q.full else seen[i]
-            seen[i] = (self.generation, self._entered)
+            since = -1 if q.full else seen[i]
+            seen[i] = self.clock
             merges0 = self.merges_done
-            q.kernel(self, since, mark, [self.classes_of_sort(s) for s in q.pools])
+            q.kernel(self, since, [self.classes_of_sort(s) for s in q.pools])
             merges += self.merges_done - merges0
         self.rebuild()
         return merges, self.nodes_created - created0
