@@ -462,6 +462,55 @@ def test_is_homomorphism_rejects_each_broken_entry(name):
         assert not MorphismTable(a, broken, perms).is_homomorphism(), key
 
 
+def _validate_cases(op, sizes):
+    """Each way one entry of ``op``'s table can break, as (label, change to
+    the table, the message it must raise)."""
+    key = tuple(0 for _ in op.arg_sorts)
+    name = op.name
+    yield "wrong arity", lambda t: t.update({key + (0,): t.pop(key)}), f"has a bad key {key + (0,)}"
+    for pos, s in enumerate(op.arg_sorts):
+        for bad in (-1, sizes[s]):
+            broken = key[:pos] + (bad,) + key[pos + 1 :]
+            yield (
+                f"argument {pos} at {bad}",
+                lambda t, b=broken: t.update({b: t.pop(key)}),
+                f"has a bad key {broken}",
+            )
+    for bad in (-1, sizes[op.result_sort]):
+        yield f"result at {bad}", lambda t, b=bad: t.update({key: b}), f"maps {key} outside the carrier"
+    domain = math.prod(sizes[s] for s in op.arg_sorts)
+    yield "missing entry", lambda t: t.pop(key), f"has {domain - 1} entries, expected {domain}"
+
+
+VALIDATE_CASES = [
+    (name, label, change, message)
+    for name in ("c", "u", "f", "h")
+    for label, change, message in _validate_cases(ARITY_SIG.op_named(name), (2, 3))
+]
+
+
+@pytest.mark.parametrize(
+    "name,label,change,message",
+    VALIDATE_CASES,
+    ids=[f"{name}-{label.replace(' ', '-')}" for name, label, *_ in VALIDATE_CASES],
+)
+def test_validate_rejects_each_broken_entry(name, label, change, message):
+    # the one op-closure check on every algebra: a key of the wrong arity,
+    # an argument out of range at each position, a result out of range and
+    # a missing entry each raise, naming the op and the entry
+    sig = ARITY_SIG
+    sizes = (2, 3)
+    tables = {
+        op.id: {k: 0 for k in itertools.product(*(range(sizes[s]) for s in op.arg_sorts))}
+        for op in sig.ops
+    }
+    FiniteAlgebra(sig, sizes, tables)
+    op = sig.op_named(name)
+    change(tables[op.id])
+    with pytest.raises(AlgebraError, match=re.escape(f"table for '{name}' {message}")):
+        FiniteAlgebra(sig, sizes, tables)
+
+
 def relabeled(alg: FiniteAlgebra, perms) -> FiniteAlgebra:
     """The algebra with element e of sort s renamed perms[s][e]."""
     return FiniteAlgebra(alg.sig, alg.sizes, {
