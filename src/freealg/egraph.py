@@ -52,12 +52,16 @@ Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
 Scholz and Subotić, CAV 2016), into the Python source of one match kernel
 that runs the join as nested loops and lookups and builds every instance
 in straight-line code (see ``_Query``).  The queries are made once per
-variety and shared by every saturation state over it, which keeps only the
-clock each query last matched at.
-Kernels compile through ``finalg.compile_source``, the compiler the
-identity checks also use, once per distinct source: a kernel's source
-holds only op ids, sort ids and slot numbers, so axioms of one shape share
-a compile only when their op and sort ids match as well.
+axiom structure per process, keyed by both sides' op ids, result sorts and
+variable positions and by the declared variables' sorts (see ``_query``),
+and shared by every variety and every saturation state: a witness
+extension, a transported sort part or another variety whose axiom has the
+same structure reuses the planned and compiled query, and a state keeps
+only the clock each query last matched at.  Kernels compile through
+``finalg.compile_source``, the compiler the identity checks also use, once
+per distinct source: a kernel's source holds only op ids, sort ids and
+slot numbers, so axioms of one shape share a compile only when their op
+and sort ids match as well.
 
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.  The
@@ -109,16 +113,17 @@ class VarietyDef:
 
     @functools.cached_property
     def _queries(self) -> tuple[_Query, ...]:
-        """The axioms' match plans, made once per variety and shared by
-        every saturation state over it: each axiom matches its side with
-        more structure and merges it with the other side."""
+        """The axioms' match plans, one per axiom in order: each axiom
+        matches its side with more structure and merges it with the other
+        side.  A plan is made once per axiom structure per process and
+        shared by every variety and every state (see ``_query``)."""
         queries = []
         for ax in self.axioms:
             if ax.rhs.length > ax.lhs.length:
                 pat, other = ax.rhs, ax.lhs
             else:
                 pat, other = ax.lhs, ax.rhs
-            queries.append(_Query(pat, other, ax.vars.variables()))
+            queries.append(_query(pat, other, ax.vars.variables()))
         return tuple(queries)
 
 
@@ -247,7 +252,8 @@ class _Query:
     first of ``pools``.  ``pools`` holds the sorts whose classes
     ``match_pass`` passes; ``full`` queries, which a stamp cannot filter,
     join in full on every pass, with ``since`` at -1.  A query holds nothing
-    of any one state, so a variety's queries serve every state over it.
+    of any one state or variety, so it is made once per axiom structure per
+    process (see ``_query``) and serves every variety and every state.
     """
 
     def __init__(self, pat: Term, other: Term, declared):
@@ -483,6 +489,36 @@ class _Query:
         inner = _Query._nest(levels[NEST:], bound, emit, helpers)
         helpers[i] = "\n".join([f"def join{i}({params}):"] + ["    " + line for line in inner])
         return lines
+
+
+# each axiom structure's query, made once per process (see _query)
+_planned: dict[tuple, _Query] = {}
+
+
+def _shape(t: Term, position: dict[SortedVar, int]):
+    """``t`` as nested tuples ``(op id, result sort, children)``, with each
+    variable as its position in the declared profile."""
+    if t.is_var():
+        return position[t.var]
+    return (t.op.id, t.op.result_sort, tuple([_shape(c, position) for c in t.children]))
+
+
+def _query(pat: Term, other: Term, declared) -> _Query:
+    """The query that matches ``pat`` and builds ``other``, planned and
+    compiled once per axiom structure per process.
+
+    The key holds all that the query reads: both sides' shapes and the
+    declared variables' sorts, which give the pools of the variables
+    ``pat`` lacks.  Names are not in it, and neither are the signature's
+    other ops, so varieties whose axioms share a structure share the query.
+    This is the one place that makes a ``_Query``.
+    """
+    position = {v: i for i, v in enumerate(declared)}
+    key = (_shape(pat, position), _shape(other, position), tuple(v.sort for v in declared))
+    q = _planned.get(key)
+    if q is None:
+        q = _planned[key] = _Query(pat, other, declared)
+    return q
 
 
 class SaturationState:

@@ -21,7 +21,7 @@ from conftest import (
 )
 from corpus_reference import rows as corpus_rows
 from freealg import egraph
-from freealg.corpus import ENTRIES, INFINITE
+from freealg.corpus import ENTRIES, INFINITE, run_corpus
 from freealg.egraph import (
     Budget,
     BudgetExceeded,
@@ -770,25 +770,69 @@ def test_the_order_of_made_nodes_is_pinned(monkeypatch, name, counts, budget, ca
     assert (len(made), seen.hexdigest()) == (calls, digest)
 
 
-def test_a_variety_plans_once_and_a_copy_reuses_its_kernels(captured_states):
-    # the match plans belong to the variety: a second build of the same
-    # variety reuses the first build's queries and neither compiles nor
-    # looks up a kernel; a fresh copy of the variety plans its queries
-    # again but reuses each kernel rather than compile it again
+def test_a_variety_plans_once_and_a_copy_reuses_its_kernels(monkeypatch, captured_states):
+    # the match plans are made once per axiom structure: a second build of
+    # the same variety, and a build of a fresh copy of it, both get the
+    # first build's queries, and neither compiles nor looks up a kernel
     v = load_entry_variety("boolean-groups")
     build_free_algebra(v, profile_of(v, (2,)))
     before = compile_source.cache_info()
     build_free_algebra(v, profile_of(v, (2,)))
-    after = compile_source.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits)
-    first, second = captured_states
-    assert len(first._queries) == len(v.axioms)
-    assert all(a is b for a, b in zip(first._queries, second._queries, strict=True))
     copy = load_entry_variety("boolean-groups")
     build_free_algebra(copy, profile_of(copy, (2,)))
-    again = compile_source.cache_info()
-    assert again.misses == after.misses
-    assert again.hits == after.hits + len(v.axioms)
+    after = compile_source.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits)
+    first, *others = captured_states
+    assert len(first._queries) == len(v.axioms)
+    for other in others:
+        assert all(a is b for a, b in zip(first._queries, other._queries, strict=True))
+
+    # the key holds every field a query reads, and no name
+    def queries(sorts, ops, specs):
+        return make_variety(sorts, ops, "v", specs)._queries
+
+    comm = [([("x", "a"), ("y", "a")], "(f x y)", "(f y x)")]
+    f, g = ("f", ["a", "a"], "a"), ("g", ["a", "a"], "a")
+    # the op id
+    assert queries(["a"], [f, g], comm)[0] is not queries(["a"], [g, f], comm)[0]
+    # each variable's position
+    left = [([("x", "a"), ("y", "a")], "(f x y)", "(f x x)")]
+    assert queries(["a"], [f], comm)[0] is not queries(["a"], [f], left)[0]
+    # no name
+    renamed = [([("u", "b"), ("w", "b")], "(h u w)", "(h w u)")]
+    assert queries(["a"], [f, g], comm) == queries(["b"], [("h", ["b", "b"], "b"), ("k", ["b", "b"], "b")], renamed)
+    # the sort of a declared variable that neither side uses: its pool
+    unused = [[([("x", "a"), ("y", "a"), ("z", s)], "(f x y)", "(f y x)")] for s in "ab"]
+    assert queries(["a", "b"], [f], unused[0])[0] is not queries(["a", "b"], [f], unused[1])[0]
+    # an op's result sort
+    to_b = ("f", ["a", "a"], "b")
+    assert queries(["a", "b"], [f], comm)[0] is not queries(["a", "b"], [to_b], comm)[0]
+
+    # over the whole corpus, each query served is the one its axiom plans,
+    # and a query is made once for each distinct kernel source and pools
+    monkeypatch.setattr(egraph, "_planned", {})
+    made, served = [], []
+    init, lookup = egraph._Query.__init__, egraph._query
+
+    def init_and_count(q, *args):
+        init(q, *args)
+        made.append((q.source, tuple(q.pools)))
+
+    def lookup_and_keep(*args):
+        served.append((args, lookup(*args)))
+        return served[-1][1]
+
+    monkeypatch.setattr(egraph._Query, "__init__", init_and_count)
+    monkeypatch.setattr(egraph, "_query", lookup_and_keep)
+    run_corpus()
+    monkeypatch.undo()
+    assert served and len(made) < len(served)
+    needed = set()
+    for args, q in served:
+        fresh = egraph._Query(*args)
+        assert (fresh.source, fresh.pools, fresh.full) == (q.source, q.pools, q.full)
+        needed.add((fresh.source, tuple(fresh.pools)))
+    assert sorted(made) == sorted(needed)
 
 
 GARBAGE_ROWS = list(corpus_rows())

@@ -169,6 +169,13 @@ def test_generated_code_is_compiled_in_one_place():
     assert callers({"exec", "compile"}, sources) == ["finalg.compile_source"]
 
 
+def test_match_kernels_are_planned_in_one_place():
+    # every query comes through the per-structure cache, so no path plans
+    # an axiom that the cache already holds
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert callers({"_Query"}, sources) == ["egraph._query"]
+
+
 def test_scan_finds_every_caller():
     source = (
         "import re\n"
