@@ -53,17 +53,10 @@ class FiniteAlgebra:
                 raise AlgebraError(
                     f"table for '{op.name}' has {len(table)} entries, expected {domain}"
                 )
-            arity, limit = op.arity, self.sizes[op.result_sort]
-            # unary and binary keys are checked inline, with no generator per entry
-            n0 = self.sizes[op.arg_sorts[0]] if arity > 0 else 0
-            n1 = self.sizes[op.arg_sorts[1]] if arity > 1 else 0
+            limit = self.sizes[op.result_sort]
             for args, res in table.items():
-                if len(args) != arity or not (
-                    0 <= args[0] < n0 and 0 <= args[1] < n1
-                    if arity == 2
-                    else 0 <= args[0] < n0
-                    if arity == 1
-                    else all(0 <= a < self.sizes[s] for a, s in zip(args, op.arg_sorts))
+                if len(args) != op.arity or any(
+                    not (0 <= a < self.sizes[s]) for a, s in zip(args, op.arg_sorts)
                 ):
                     raise AlgebraError(f"table for '{op.name}' has a bad key {args}")
                 if not (0 <= res < limit):
