@@ -32,6 +32,7 @@ budget exhaustion is an Unknown status, never a refutation.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field, replace
 
 from .egraph import (
@@ -48,14 +49,14 @@ from .egraph import (
 )
 from .finalg import (
     FiniteAlgebra,
-    assemble_trivial_action,
+    eval_term,
     find_isomorphism,
     one_element_algebra,
     satisfies_all,
 )
 from .report import Report
 from .sexpr import InputError
-from .signature import NotActionSeparable, classify_action_signature, restrict_to_part
+from .signature import Op, Signature
 from .terms import (
     GeneratorProfile,
     Identity,
@@ -63,7 +64,7 @@ from .terms import (
     Term,
     alpha_key,
     arena_of,
-    is_sort1_pure,
+    free_vars,
     transport_identity,
     transport_term,
 )
@@ -297,6 +298,104 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
     return report
 
 
+@dataclass(frozen=True)
+class ActionSplit:
+    """Two-sorted split: ops confined to one sort each plus a single action.
+
+    The action has type (sort1, sort2; sort2); ops1/ops2/{action} partition
+    the signature's operations.  So no first-sort op reads the second sort,
+    and a term is sort-1-pure (uses only first-sort ops and variables)
+    exactly when it has the first sort.
+    """
+
+    sort1: int
+    sort2: int
+    ops1: tuple[Op, ...]
+    ops2: tuple[Op, ...]
+    action: Op
+
+
+def _not_separated(reason: str) -> CertificateError:
+    return CertificateError(f"signature is not action-separated: {reason}")
+
+
+def classify_action_signature(sig: Signature) -> ActionSplit:
+    """Recognize the action-separated shape, deterministically; any other
+    shape is a ``CertificateError`` that says why."""
+    if len(sig.sorts) != 2:
+        raise _not_separated(f"signature has {len(sig.sorts)} sorts, need exactly 2")
+    single: dict[int, list[Op]] = {0: [], 1: []}
+    cross: list[Op] = []
+    for op in sig.ops:
+        used = set(op.arg_sorts) | {op.result_sort}
+        if len(used) == 1:
+            single[used.pop()].append(op)
+        else:
+            cross.append(op)
+    if not cross:
+        raise _not_separated("no operation mixes the two sorts (no action)")
+    if len(cross) > 1:
+        raise _not_separated(f"operation '{cross[1].name}' is a second cross-sort operation")
+    act = cross[0]
+    if len(act.arg_sorts) != 2:
+        raise _not_separated(f"cross-sort operation '{act.name}' is not binary")
+    s1, s2 = act.arg_sorts
+    if s1 == s2 or act.result_sort != s2:
+        raise _not_separated(f"operation '{act.name}' does not have action type (1,2;2)")
+    return ActionSplit(s1, s2, tuple(single[s1]), tuple(single[s2]), act)
+
+
+_RESTRICTIONS: "weakref.WeakKeyDictionary[Signature, dict]" = weakref.WeakKeyDictionary()
+
+
+def restrict_to_part(sig: Signature, split: ActionSplit, part: int) -> Signature:
+    """One-sorted signature for one side of a split.
+
+    Memoized per parent signature, so that the certificate parser and the
+    route share one part-signature object: the witness axioms, the action
+    term and a sample algebra are parsed over it, and the route builds its
+    witness varieties and algebras over it.
+    """
+    cache = _RESTRICTIONS.setdefault(sig, {})
+    key = (split.sort1, split.sort2, part)
+    if key in cache:
+        return cache[key]
+    sort, ops = (split.sort1, split.ops1) if part == 1 else (split.sort2, split.ops2)
+    name = sig.sorts[sort].name
+    sub = Signature.make([name], [(o.name, [name] * o.arity, name) for o in ops])
+    cache[key] = sub
+    return sub
+
+
+def assemble_trivial_action(
+    full_sig: Signature,
+    split: ActionSplit,
+    h1: FiniteAlgebra,
+    h2: FiniteAlgebra,
+    s_var: SortedVar,
+    s_term: Term,
+) -> FiniteAlgebra:
+    """Combine one-sorted algebras for the two parts with the action
+    h1 o h2 = s(h2); the result is an algebra of the full signature.
+    ``s_term`` is a second-part term in ``s_var`` alone, as
+    ``certify_action_split`` checks before it saturates anything."""
+    sizes = [0, 0]
+    sizes[split.sort1] = h1.sizes[0]
+    sizes[split.sort2] = h2.sizes[0]
+    tables: dict[int, dict[tuple, int]] = {}
+    for ops, side in ((split.ops1, h1), (split.ops2, h2)):
+        for op in ops:
+            sub_op = side.sig.op_named(op.name)
+            tables[op.id] = dict(side.tables[sub_op.id])
+    act_table: dict[tuple, int] = {}
+    for j in range(h2.sizes[0]):
+        val = eval_term(h2, s_term, {s_var: j})
+        for i in range(h1.sizes[0]):
+            act_table[(i, j)] = val
+    tables[split.action.id] = act_table
+    return FiniteAlgebra(full_sig, tuple(sizes), tables)
+
+
 def _covers(
     report: CertReport, variety: VarietyDef, identities, budget: Budget | None, message: str
 ) -> bool:
@@ -321,12 +420,12 @@ def certify_action_split(
     v: VarietyDef, cert: ActionSplitCert, budget: Budget | None = None
 ) -> CertReport:
     split = classify_action_signature(v.sig)
-    if isinstance(split, NotActionSeparable):
-        raise CertificateError(f"signature is not action-separated: {split.reason}")
     if cert.sort1_rank < 2 or cert.sort2_rank < 2:
         raise CertificateError("action-split certificates need rank >= 2")
     if cert.s_term.sort != 0:
         raise CertificateError("the action term must have the second sort")
+    if any(x != cert.s_var for x in free_vars(cert.s_term)):
+        raise CertificateError(f"the action term may read only its variable '{cert.s_var.name}'")
     sig = v.sig
     sub1 = restrict_to_part(sig, split, 1)
     sub2 = restrict_to_part(sig, split, 2)
@@ -342,8 +441,14 @@ def certify_action_split(
 
     # sort-1 leg: the witness must cover every sort-1-pure axiom of v, so
     # that it is a subvariety of the variety's syntactic first-sort theory.
+    # Such an axiom reads no second-sort variable, and is taken without the
+    # ones it declares: dropping an unused variable only strengthens it.
     witness1 = VarietyDef(sub1, f"{v.name}#sort1", tuple(cert.sort1_axioms))
-    pure = (ax for ax in v.axioms if is_sort1_pure(ax.lhs, split) and is_sort1_pure(ax.rhs, split))
+    pure = (
+        Identity(GeneratorProfile.of_vars(sig, ax.vars.by_sort[split.sort1]), ax.lhs, ax.rhs)
+        for ax in v.axioms
+        if ax.lhs.sort == split.sort1
+    )
     if not _covers(report, witness1, pure, budget, "sort-1 witness does not cover the axiom {!r}"):
         return report
     if _sweep(report, witness1, _axis_profiles(1, 0, cert.sort1_rank), [0], budget) is None:

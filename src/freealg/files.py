@@ -31,19 +31,14 @@ from .certify import (
     EmptyTheoryCert,
     FujiwaraCert,
     PerSortCert,
+    classify_action_signature,
+    restrict_to_part,
 )
 from .egraph import VarietyDef
 from .finalg import AlgebraError, FiniteAlgebra
 from .sexpr import SList
-from .signature import (
-    NotActionSeparable,
-    Signature,
-    SignatureError,
-    classify_action_signature,
-    restrict_to_part,
-    validate_signature,
-)
-from .terms import GeneratorProfile, Identity, SortedVar, parse_term
+from .signature import Signature, SignatureError, validate_signature
+from .terms import GeneratorProfile, Identity, SortedVar, TermError, parse_term
 
 
 def parse_axiom(form, sig: Signature) -> Identity:
@@ -61,7 +56,10 @@ def parse_axiom(form, sig: Signature) -> Identity:
         except SignatureError:
             raise sexpr.SexprError(f"unknown sort '{sname}'", decl.line, decl.col) from None
         vs.append(SortedVar(vname, sort.id))
-    profile = GeneratorProfile.of_vars(sig, vs)
+    try:
+        profile = GeneratorProfile.of_vars(sig, vs)
+    except TermError as e:
+        raise TermError(e.msg, ax[1].line, ax[1].col) from None
     eq = ax[2]
     if not isinstance(eq, SList) or len(eq) != 3 or sexpr.head(eq) != "=":
         raise sexpr.SexprError("expected (= term term)", eq.line, eq.col)
@@ -148,8 +146,6 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
         return PerSortCert(witnesses=witnesses)
     if route == "action-split":
         split = classify_action_signature(variety.sig)
-        if isinstance(split, NotActionSeparable):
-            raise CertificateError(f"signature is not action-separated: {split.reason}")
         sub1 = restrict_to_part(variety.sig, split, 1)
         sub2 = restrict_to_part(variety.sig, split, 2)
         s_var = s_term = None
@@ -180,7 +176,9 @@ def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):
                 path = Path(base_dir or ".") / rel
                 sample = load_algebra_json(path, sub1)
             else:
-                raise CertificateError(f"unknown action-split section '{kind}'")
+                raise CertificateError(
+                    f"unknown action-split section '{kind or sexpr.unparse(f)}'", f.line, f.col
+                )
         if s_var is None or s_term is None:
             raise CertificateError("action-split certificates need an (s-term ...) section")
         if w1 is None or w2 is None:

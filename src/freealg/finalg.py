@@ -14,8 +14,8 @@ import weakref
 from dataclasses import dataclass
 
 from .sexpr import InputError
-from .signature import ActionSplit, Signature
-from .terms import Identity, SortedVar, Term, free_vars
+from .signature import Signature
+from .terms import Identity, SortedVar, Term
 
 
 class AlgebraError(InputError):
@@ -514,31 +514,3 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     assert table.is_homomorphism() and table.is_bijective()
     return table
 
-
-def assemble_trivial_action(
-    full_sig: Signature,
-    split: ActionSplit,
-    h1: FiniteAlgebra,
-    h2: FiniteAlgebra,
-    s_var: SortedVar,
-    s_term: Term,
-) -> FiniteAlgebra:
-    """Combine one-sorted algebras for the two parts with the action
-    h1 o h2 = s(h2); the result is an algebra of the full signature."""
-    if s_term.sort != 0 or any(v != s_var for v in free_vars(s_term)):
-        raise SortViolation("the action term must be a second-part term in the single declared variable")
-    sizes = [0, 0]
-    sizes[split.sort1] = h1.sizes[0]
-    sizes[split.sort2] = h2.sizes[0]
-    tables: dict[int, dict[tuple, int]] = {}
-    for ops, side in ((split.ops1, h1), (split.ops2, h2)):
-        for op in ops:
-            sub_op = side.sig.op_named(op.name)
-            tables[op.id] = dict(side.tables[sub_op.id])
-    act_table: dict[tuple, int] = {}
-    for j in range(h2.sizes[0]):
-        val = eval_term(h2, s_term, {s_var: j})
-        for i in range(h1.sizes[0]):
-            act_table[(i, j)] = val
-    tables[split.action.id] = act_table
-    return FiniteAlgebra(full_sig, tuple(sizes), tables)

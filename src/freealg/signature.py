@@ -1,5 +1,4 @@
-"""Sorted signatures: sort and operation declarations, validation, and the
-action-separated shape used by the two-sorted certificate route.
+"""Sorted signatures: sort and operation declarations and validation.
 
 After validation every sort and operation carries a dense integer id; the
 rest of the library works with ids only.  Signatures are immutable once
@@ -8,7 +7,6 @@ built and safe to share across threads.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from . import sexpr
@@ -151,83 +149,3 @@ def _declare(sort_names, op_decls) -> Signature:
 def _at(name) -> tuple:
     return (name.line, name.col) if isinstance(name, Atom) else ()
 
-
-@dataclass(frozen=True)
-class ActionSplit:
-    """Two-sorted split: ops confined to one sort each plus a single action.
-
-    The action has type (sort1, sort2; sort2); ops1/ops2/{action} partition
-    the signature's operations.
-    """
-
-    sort1: int
-    sort2: int
-    ops1: tuple[Op, ...]
-    ops2: tuple[Op, ...]
-    action: Op
-
-
-@dataclass(frozen=True)
-class NotActionSeparable:
-    reason: str
-    op: Op | None = None
-
-
-def classify_action_signature(sig: Signature):
-    """Recognize the action-separated shape; total and deterministic."""
-    if len(sig.sorts) != 2:
-        return NotActionSeparable(f"signature has {len(sig.sorts)} sorts, need exactly 2")
-    single: dict[int, list[Op]] = {0: [], 1: []}
-    cross: list[Op] = []
-    for op in sig.ops:
-        used = set(op.arg_sorts) | {op.result_sort}
-        if len(used) == 1:
-            single[used.pop()].append(op)
-        else:
-            cross.append(op)
-    if not cross:
-        return NotActionSeparable("no operation mixes the two sorts (no action)")
-    if len(cross) > 1:
-        return NotActionSeparable(
-            f"operation '{cross[1].name}' is a second cross-sort operation", cross[1]
-        )
-    act = cross[0]
-    if len(act.arg_sorts) != 2:
-        return NotActionSeparable(
-            f"cross-sort operation '{act.name}' is not binary", act
-        )
-    s1, s2 = act.arg_sorts
-    if s1 == s2 or act.result_sort != s2:
-        return NotActionSeparable(
-            f"operation '{act.name}' does not have action type (1,2;2)", act
-        )
-    return ActionSplit(
-        sort1=s1,
-        sort2=s2,
-        ops1=tuple(single[s1]),
-        ops2=tuple(single[s2]),
-        action=act,
-    )
-
-
-_RESTRICTIONS: "weakref.WeakKeyDictionary[Signature, dict]" = weakref.WeakKeyDictionary()
-
-
-def restrict_to_part(sig: Signature, split: ActionSplit, part: int) -> Signature:
-    """One-sorted signature for one side of a split.
-
-    Memoized per parent signature so repeated calls share one sub-signature
-    object.
-    """
-    cache = _RESTRICTIONS.setdefault(sig, {})
-    key = (split.sort1, split.sort2, part)
-    if key in cache:
-        return cache[key]
-    if part == 1:
-        sort, ops = split.sort1, split.ops1
-    else:
-        sort, ops = split.sort2, split.ops2
-    name = sig.sorts[sort].name
-    sub = Signature.make([name], [(o.name, [name] * o.arity, name) for o in ops])
-    cache[key] = sub
-    return sub

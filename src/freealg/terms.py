@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import sexpr
 from .sexpr import Atom, SList
-from .signature import ActionSplit, Op, Signature, SignatureError
+from .signature import Op, Signature, SignatureError
 
 
 class TermError(sexpr.InputError):
@@ -180,17 +180,6 @@ class GeneratorProfile:
         return f"GeneratorProfile({self.describe()})"
 
 
-def term_profile_iso(x: GeneratorProfile, y: GeneratorProfile, sig: Signature) -> bool:
-    """Whether the term algebras on the two profiles are isomorphic.
-
-    For a shared signature this holds exactly when the per-sort generator
-    counts agree.
-    """
-    if x.sig is not sig or y.sig is not sig:
-        raise TermError("profiles must be over the given signature")
-    return x.counts() == y.counts()
-
-
 @dataclass(frozen=True)
 class Identity:
     """A pair of same-sort terms together with their declared variables."""
@@ -262,21 +251,6 @@ def _build_term(f, sig: Signature, vars: GeneratorProfile, arena: TermArena) -> 
         return arena.apply(op, children)
     except SortError as e:
         raise SortError(e.msg, f.line, f.col) from None
-
-
-def is_sort1_pure(t: Term, split: ActionSplit) -> bool:
-    """Whether a term uses only first-class ops and first-sort variables.
-
-    In an action-separated signature this coincides with the term having
-    the first sort.
-    """
-    return _sort1_pure(t, split.sort1, {o.id for o in split.ops1})
-
-
-def _sort1_pure(t: Term, sort1: int, ops1: set[int]) -> bool:
-    if t.is_var():
-        return t.var.sort == sort1
-    return t.op.id in ops1 and all(_sort1_pure(c, sort1, ops1) for c in t.children)
 
 
 def alpha_key(ident: Identity):

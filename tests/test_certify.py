@@ -19,13 +19,14 @@ from freealg.certify import (
     certify_empty_theory,
     certify_fujiwara,
     certify_per_sort,
+    classify_action_signature,
+    restrict_to_part,
     run_certificate,
 )
 from freealg import certify
 from freealg.corpus import ENTRIES, load_entry
 from freealg.egraph import Budget, build_free_algebra
 from freealg.finalg import find_isomorphism
-from freealg.signature import classify_action_signature, restrict_to_part
 from freealg.terms import GeneratorProfile, SortedVar, arena_of
 from functor import identity_morphism
 
@@ -273,6 +274,18 @@ def test_action_split_rejects_a_malformed_action_term_before_saturating(captured
     assert u.sort == 1
     with pytest.raises(CertificateError, match="second sort"):
         certify_action_split(v, replace(cert, s_term=u))
+    assert captured_states == []
+
+
+def test_action_split_rejects_a_stray_action_variable_before_saturating(captured_states):
+    # the action term may read only its one declared variable; a second-sort
+    # term in another variable is refused before any saturation runs
+    v, cert = load_entry("semigroup-actions-trivial")
+    sub2 = restrict_to_part(v.sig, classify_action_signature(v.sig), 2)
+    stray = arena_of(sub2).var(SortedVar("q", 0))
+    assert cert.s_var != stray.var
+    with pytest.raises(CertificateError, match="only its variable 'w'"):
+        certify_action_split(v, replace(cert, s_term=stray))
     assert captured_states == []
 
 

@@ -14,9 +14,9 @@ from conftest import (
     make_variety,
     serialize_variety,
 )
+from freealg.certify import classify_action_signature, restrict_to_part
 from freealg.cli import main
 from freealg.finalg import one_element_algebra
-from freealg.signature import classify_action_signature, restrict_to_part
 
 
 SCHEMA = json.loads(
@@ -365,6 +365,46 @@ def test_certify_malformed_sample_h1(tmp_path, capsys, form):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "sample-h1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["x", "()", "((a) b)"])
+def test_certify_names_a_stray_action_split_form(tmp_path, capsys, form):
+    cert = tmp_path / "stray.cert"
+    text = _with_section("semigroup-actions-trivial.cert", form)
+    cert.write_text(text)
+    assert main(["certify", corpus_path("semigroup-actions-trivial.var"), str(cert)]) == 1
+    line = text.count("\n")  # the form opens the last line, after two spaces
+    assert capsys.readouterr().err == f"error: {line}:2: unknown action-split section '{form}'\n"
+
+
+def test_first_sort_axiom_may_declare_an_unused_second_sort_variable(tmp_path, capsys):
+    # the unused variable is dropped when the route selects the axiom, which
+    # leaves the identity as strong or stronger, so the same witness covers it
+    text = Path(corpus_path("semigroup-actions-trivial.var")).read_text()
+    declared = "(axiom ((x s) (y s) (z s))"
+    assert text.count(declared) == 1
+    variety = tmp_path / "unused.var"
+    variety.write_text(text.replace(declared, "(axiom ((x s) (y s) (z s) (v el))"))
+    cert = corpus_path("semigroup-actions-trivial.cert")
+    reports = []
+    for var in (str(variety), corpus_path("semigroup-actions-trivial.var")):
+        out = tmp_path / "r.json"
+        assert main(["certify", var, cert, "--json", str(out)]) == 0
+        data = validate_report(out)
+        data.pop("timings")
+        reports.append(data)
+    assert reports[0] == reports[1]
+
+
+def test_repeated_axiom_variable_is_reported_at_its_list(tmp_path, capsys):
+    variety = tmp_path / "twice.var"
+    variety.write_text(
+        "(signature (sort elem) (op mul (elem elem) elem))\n"
+        "(variety twice\n"
+        "  (axiom ((x elem) (x elem)) (= x x)))\n"
+    )
+    assert main(["free", str(variety), "elem=1"]) == 1
+    assert capsys.readouterr().err == "error: 3:9: duplicate variable name 'x'\n"
 
 
 @pytest.mark.parametrize(

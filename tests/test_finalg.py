@@ -24,20 +24,20 @@ from conftest import (
 )
 from corpus_reference import rows
 from freealg import finalg
+from freealg.certify import assemble_trivial_action, classify_action_signature, restrict_to_part
 from freealg.egraph import build_free_algebra
 from freealg.finalg import (
     AlgebraError,
     Counterexample,
     FiniteAlgebra,
     MorphismTable,
-    assemble_trivial_action,
     eval_term,
     find_isomorphism,
     one_element_algebra,
     satisfies_all,
     satisfies_identity,
 )
-from freealg.signature import Signature, classify_action_signature, restrict_to_part
+from freealg.signature import Signature
 from freealg.terms import GeneratorProfile, Identity, SortedVar, Term, arena_of, parse_term
 from functor import identity_morphism
 
@@ -634,19 +634,6 @@ def test_assemble_empty_second_sort(action_parts):
     assert out.sizes[split.sort2] == 0
     assert out.tables[v.sig.op_named("act").id] == {}
     assert satisfies_all(out, v.axioms) is True
-
-
-def test_assemble_rejects_malformed_term(action_parts):
-    from freealg.finalg import SortViolation
-
-    v, split, sub1, sub2 = action_parts
-    h1 = make_algebra(sub1, {"s": 1}, {"mul": lambda x, y: 0})
-    h2 = FiniteAlgebra(sub2, (2,), {})
-    w = SortedVar("w", 0)
-    other = SortedVar("q", 0)
-    stray = parse_term("q", sub2, GeneratorProfile.of_vars(sub2, [other]))
-    with pytest.raises(SortViolation):
-        assemble_trivial_action(v.sig, split, h1, h2, w, stray)
 
 
 def test_assembly_always_lands_in_the_variety(action_parts):

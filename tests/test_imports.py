@@ -176,6 +176,15 @@ def test_match_kernels_are_planned_in_one_place():
     assert callers({"_Query"}, sources) == ["egraph._query"]
 
 
+def test_the_action_split_is_decomposed_in_one_place():
+    # the parser and the route share one classification and one pair of
+    # part signatures; only the route glues the parts back together
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    owners = ["certify.certify_action_split", "files.parse_certificate_document"]
+    assert callers({"classify_action_signature", "restrict_to_part"}, sources) == owners
+    assert callers({"assemble_trivial_action"}, sources) == ["certify.certify_action_split"]
+
+
 def test_scan_finds_every_caller():
     source = (
         "import re\n"

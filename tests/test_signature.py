@@ -1,17 +1,14 @@
 import pytest
 
 from conftest import load_entry_variety
-from freealg.sexpr import parse_one
-from freealg.signature import (
+from freealg.certify import (
     ActionSplit,
-    DuplicateName,
-    NotActionSeparable,
-    Signature,
-    UnknownSort,
+    CertificateError,
     classify_action_signature,
     restrict_to_part,
-    validate_signature,
 )
+from freealg.sexpr import parse_one
+from freealg.signature import DuplicateName, Signature, UnknownSort, validate_signature
 
 
 def test_minimal_signature():
@@ -68,14 +65,17 @@ def test_classify_rejects_three_sorts():
         ["in", "state", "out"],
         [("step", ["in", "state"], "state"), ("emit", ["in", "state"], "out")],
     )
-    res = classify_action_signature(sig)
-    assert isinstance(res, NotActionSeparable)
-    assert "3 sorts" in res.reason
+    with pytest.raises(
+        CertificateError,
+        match=r"^signature is not action-separated: signature has 3 sorts, need exactly 2$",
+    ):
+        classify_action_signature(sig)
 
 
 def test_classify_rejects_one_sort():
     sig = Signature.make(["elem"], [("mul", ["elem", "elem"], "elem")])
-    assert isinstance(classify_action_signature(sig), NotActionSeparable)
+    with pytest.raises(CertificateError, match=r"signature has 1 sorts, need exactly 2$"):
+        classify_action_signature(sig)
 
 
 def test_classify_rejects_second_cross_op():
@@ -83,18 +83,22 @@ def test_classify_rejects_second_cross_op():
         ["a", "b"],
         [("act", ["a", "b"], "b"), ("other", ["b", "a"], "a")],
     )
-    res = classify_action_signature(sig)
-    assert isinstance(res, NotActionSeparable)
-    assert res.op is not None
+    with pytest.raises(
+        CertificateError, match=r"operation 'other' is a second cross-sort operation$"
+    ):
+        classify_action_signature(sig)
 
 
 def test_classify_rejects_wrong_action_shape():
     sig = Signature.make(["a", "b"], [("u", ["a"], "b")])
-    res = classify_action_signature(sig)
-    assert isinstance(res, NotActionSeparable)
+    with pytest.raises(CertificateError, match=r"cross-sort operation 'u' is not binary$"):
+        classify_action_signature(sig)
     # result sort must equal the second argument sort
     sig2 = Signature.make(["a", "b"], [("act", ["a", "b"], "a")])
-    assert isinstance(classify_action_signature(sig2), NotActionSeparable)
+    with pytest.raises(
+        CertificateError, match=r"operation 'act' does not have action type \(1,2;2\)$"
+    ):
+        classify_action_signature(sig2)
 
 
 def test_split_partitions_ops():

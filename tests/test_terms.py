@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from bruteforce import enumerate_terms, substitute
 from conftest import load_entry_variety, make_algebra, make_axioms, profile_of
+from freealg.certify import classify_action_signature, restrict_to_part
 from freealg.corpus import hom_from_gen_images, load_entry
 from freealg.egraph import build_free_algebra
 from freealg.finalg import AlgebraError, MorphismTable, SortViolation, eval_term
-from freealg.signature import Signature, classify_action_signature, restrict_to_part
+from freealg.signature import Signature
 from freealg.terms import (
     GeneratorProfile,
     Identity,
@@ -19,9 +20,7 @@ from freealg.terms import (
     UnboundVariable,
     alpha_key,
     arena_of,
-    is_sort1_pure,
     parse_term,
-    term_profile_iso,
     term_to_text,
     transport_identity,
     transport_term,
@@ -188,45 +187,23 @@ def test_extension_uniqueness(boolean_groups):
         assert table.maps[t.sort][elem] == eval_term(dst.algebra, t, images)
 
 
-def test_is_sort1_pure_examples(action_sig):
-    split = classify_action_signature(action_sig)
-    prof = GeneratorProfile.from_counts(action_sig, {"s": 2, "el": 1})
-    assert is_sort1_pure(parse_term("(mul s1 s2)", action_sig, prof), split)
-    assert not is_sort1_pure(parse_term("(act s1 el1)", action_sig, prof), split)
-    assert not is_sort1_pure(parse_term("el1", action_sig, prof), split)
-
-
 def test_is_sort1_pure_matches_sort_exhaustively(action_sig):
     # in an action-separated signature, first-sort terms are exactly the
-    # terms built from first-class ops and first-sort generators
+    # terms built from first-class ops and first-sort generators, so the
+    # action-split route selects its first-sort axioms by sort
     split = classify_action_signature(action_sig)
+    ops1 = {o.id for o in split.ops1}
+
+    def pure(t):
+        if t.is_var():
+            return t.var.sort == split.sort1
+        return t.op.id in ops1 and all(map(pure, t.children))
+
     prof = GeneratorProfile.from_counts(action_sig, {"s": 1, "el": 1})
     terms = enumerate_terms(action_sig, prof, max_length=4)
     assert len(terms) > 1000
     for t in terms:
-        assert is_sort1_pure(t, split) == (t.sort == split.sort1)
-
-
-def test_term_profile_iso(graphs_variety):
-    sig = graphs_variety.sig
-    x = GeneratorProfile.from_counts(sig, {"edge": 2, "vertex": 1})
-    y = GeneratorProfile.from_counts(sig, {"edge": 2, "vertex": 1})
-    z = GeneratorProfile.from_counts(sig, {"edge": 1, "vertex": 2})
-    assert term_profile_iso(x, y, sig)
-    assert not term_profile_iso(x, z, sig)
-
-
-def test_term_profile_iso_setcoup():
-    sig = load_entry_variety("setcoup").sig
-    a = GeneratorProfile.from_counts(sig, {"a": 1})
-    b = GeneratorProfile.from_counts(sig, {"b": 1})
-    assert not term_profile_iso(a, b, sig)
-
-
-def test_term_profile_iso_empty_vs_one(semigroup_sig):
-    empty = GeneratorProfile.from_counts(semigroup_sig, {})
-    one = GeneratorProfile.from_counts(semigroup_sig, {"elem": 1})
-    assert not term_profile_iso(empty, one, semigroup_sig)
+        assert pure(t) == (t.sort == split.sort1)
 
 
 def test_length_monotone_under_substitution(comm_idem):
