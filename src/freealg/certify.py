@@ -150,17 +150,6 @@ class CertReport(Report):
         return self.status in (CERTIFIED, CERTIFIED_CONDITIONAL)
 
 
-def _axis_profiles(nsorts: int, sort: int, rank: int):
-    for n in range(rank + 1):
-        counts = [0] * nsorts
-        counts[sort] = n
-        yield tuple(counts)
-
-
-def _grid_profiles(nsorts: int, rank: int):
-    yield from itertools.product(range(rank + 1), repeat=nsorts)
-
-
 def _report(v: VarietyDef, route: str, status: str, rank, detail: str) -> CertReport:
     """A report on ``v`` with no evidence yet."""
     return CertReport(
@@ -179,19 +168,21 @@ def _settle(report: CertReport, status: str, detail: str) -> None:
 
 
 def _sweep(
-    report: CertReport, variety: VarietyDef, profiles, check_sorts, budget: Budget | None
+    report: CertReport, variety: VarietyDef, sorts, rank: int, budget: Budget | None
 ) -> dict[tuple[int, ...], FiniteAlgebra] | None:
     """Nondegeneracy plus builds plus pairwise non-isomorphism evidence,
     written into the report.  Returns the free algebras it built, keyed by
     profile counts, or None once that evidence settles the verdict.
 
-    Each nondegeneracy run saturates the free algebra on two generators of
-    its sort, under the same budget, and that algebra is the sweep's on the
-    same profile (see ``nondegeneracy_check``), so the sweep takes it
-    instead of building it again.  Ranks are at least 2, so every one of
-    these profiles is swept."""
+    Each sort in ``sorts`` is checked nondegenerate, and the profiles count
+    0..rank generators on each of them and none on every other sort, in
+    ``itertools.product`` order.  Each nondegeneracy run saturates the free
+    algebra on two generators of its sort, under the same budget, and that
+    algebra is the sweep's on the same profile (see
+    ``nondegeneracy_check``), so the sweep takes it instead of building it
+    again.  Ranks are at least 2, so every one of these profiles is swept."""
     done: dict[tuple[int, ...], FreeAlgebraResult] = {}
-    for s in check_sorts:
+    for s in sorts:
         nondeg = nondegeneracy_check(variety, s, budget)
         report.nondegeneracy[variety.sig.sorts[s].name] = nondeg.verdict
         if nondeg.verdict == DEGENERATE:
@@ -205,7 +196,8 @@ def _sweep(
         done[nondeg.build.profile.counts()] = nondeg.build
     sig = variety.sig
     builds: dict[tuple[int, ...], FiniteAlgebra] = {}
-    for counts in profiles:
+    axes = [range(rank + 1) if s.id in sorts else (0,) for s in sig.sorts]
+    for counts in itertools.product(*axes):
         res = done.get(counts)
         if res is None:
             res = build_free_algebra(variety, GeneratorProfile.of_counts(sig, counts), budget)
@@ -268,7 +260,7 @@ def certify_fujiwara(
         "non-isomorphic free algebras up to the rank; the quotient functor "
         "transports any isomorphism of the parent's free algebras to it",
     )
-    _sweep(report, delta, _grid_profiles(len(v.sig.sorts), rank), range(len(v.sig.sorts)), budget)
+    _sweep(report, delta, range(len(v.sig.sorts)), rank, budget)
     return report
 
 
@@ -293,7 +285,7 @@ def certify_per_sort(v: VarietyDef, witnesses: dict, budget: Budget | None = Non
     for s in sig.sorts:
         w = resolved[s.id]
         delta = v.extended(w.extra_axioms, f"{v.name}#{s.name}")
-        if _sweep(report, delta, _axis_profiles(len(sig.sorts), s.id, w.rank), [s.id], budget) is None:
+        if _sweep(report, delta, [s.id], w.rank, budget) is None:
             break
     return report
 
@@ -416,19 +408,30 @@ def _covers(
     return True
 
 
+def _is_over(t: Term, sub: Signature) -> bool:
+    """Whether ``t`` is a term of the one-sorted part signature ``sub``:
+    each op is one of ``sub``'s and each variable has its one sort."""
+    if t.is_var():
+        return t.var.sort == 0
+    return sub.op_by_name.get(t.op.name) == t.op and all(_is_over(c, sub) for c in t.children)
+
+
 def certify_action_split(
     v: VarietyDef, cert: ActionSplitCert, budget: Budget | None = None
 ) -> CertReport:
     split = classify_action_signature(v.sig)
     if cert.sort1_rank < 2 or cert.sort2_rank < 2:
         raise CertificateError("action-split certificates need rank >= 2")
-    if cert.s_term.sort != 0:
-        raise CertificateError("the action term must have the second sort")
-    if any(x != cert.s_var for x in free_vars(cert.s_term)):
-        raise CertificateError(f"the action term may read only its variable '{cert.s_var.name}'")
     sig = v.sig
     sub1 = restrict_to_part(sig, split, 1)
     sub2 = restrict_to_part(sig, split, 2)
+    if not _is_over(cert.s_term, sub2):
+        raise CertificateError(
+            f"the action term must be a term of the second sort '{sub2.sorts[0].name}' "
+            "over its operations alone"
+        )
+    if any(x != cert.s_var for x in free_vars(cert.s_term)):
+        raise CertificateError(f"the action term may read only its variable '{cert.s_var.name}'")
     report = _report(
         v,
         "action-split",
@@ -451,7 +454,7 @@ def certify_action_split(
     )
     if not _covers(report, witness1, pure, budget, "sort-1 witness does not cover the axiom {!r}"):
         return report
-    if _sweep(report, witness1, _axis_profiles(1, 0, cert.sort1_rank), [0], budget) is None:
+    if _sweep(report, witness1, [0], cert.sort1_rank, budget) is None:
         return report
 
     # sort-2 leg: extend v with the trivial-action identity for the declared
@@ -474,7 +477,7 @@ def certify_action_split(
         "second-sort axiom {!r} is not a confirmed consequence of the trivial-action extension",
     ):
         return report
-    builds = _sweep(report, witness2, _axis_profiles(1, 0, cert.sort2_rank), [0], budget)
+    builds = _sweep(report, witness2, [0], cert.sort2_rank, budget)
     if builds is None:
         return report
 

@@ -79,6 +79,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+from collections import defaultdict
 from operator import itemgetter
 from dataclasses import dataclass, field
 
@@ -542,9 +543,10 @@ class SaturationState:
         self._losers: list[int] = []  # classes merged away, not yet repaired
         # the indexes are dicts used as ordered sets, for O(1) removal;
         # class_nodes maps each key of a class to its position in the table,
-        # and _by_op each key of an op to its stamp
-        self.class_nodes: dict[int, dict[tuple, int]] = {}
-        self._uses: dict[int, dict[tuple, None]] = {}
+        # and _by_op each key of an op to its stamp; a class's list appears
+        # when a key enters it, since every read uses get, which inserts none
+        self.class_nodes: defaultdict[int, dict[tuple, int]] = defaultdict(dict)
+        self._uses: defaultdict[int, dict[tuple, None]] = defaultdict(dict)
         self._by_op: dict[int, dict[tuple, int]] = {op.id: {} for op in self.sig.ops}
         self._sort_classes: dict[int, dict[int, None]] = {s.id: {} for s in self.sig.sorts}
         self.round = 0
@@ -600,12 +602,8 @@ class SaturationState:
         straight into class ``into`` when given, which counts as a merge;
         returns its class.  Every node is made here, and checked against
         the class cap."""
-        if into is None:  # _new_class, inline on the path of every node
-            cls = len(self.parent)
-            self.parent.append(cls)
-            self.class_sort.append(sort)
-            self._sort_classes[sort][cls] = None
-            self.n_live += 1
+        if into is None:
+            cls = self._new_class(sort)
         else:
             cls = self.find(into)
             self.merges_done += 1
@@ -626,29 +624,16 @@ class SaturationState:
     def _enter(self, key: tuple, cls: int):
         """Put a canonical key of root ``cls`` at the end of the table and of
         every index, after a tick of the clock, which is its table position
-        and its stamp."""
+        and its stamp.  A repeated argument, as in ``(op, a, a)``, writes
+        the same use-list entry again, and a dict keeps it once and in
+        place, so it needs no case of its own."""
         self.key2class[key] = cls
         self.clock = clock = self.clock + 1
-        nodes = self.class_nodes.get(cls)
-        if nodes is None:
-            self.class_nodes[cls] = {key: clock}
-        else:
-            nodes[key] = clock
+        self.class_nodes[cls][key] = clock
         self._by_op[key[0]][key] = clock
-        # each argument class once, without a set for the common arities
-        if len(key) < 3:
-            args = key[1:]
-        elif len(key) == 3:
-            args = key[1:2] if key[1] == key[2] else key[1:]
-        else:
-            args = set(key[1:])
-        all_uses = self._uses
-        for c in args:
-            uses = all_uses.get(c)
-            if uses is None:
-                all_uses[c] = {key: None}
-            else:
-                uses[key] = None
+        uses = self._uses
+        for c in key[1:]:
+            uses[c][key] = None
 
     def rebuild(self):
         """Restore congruence closure, after one tick of the clock.

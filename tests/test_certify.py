@@ -129,6 +129,21 @@ def test_fujiwara_sweep_build_budget_unknown(boolean_groups):
     assert report.iso_matrix == ()
 
 
+def test_fujiwara_sweeps_a_grid_over_two_sorts(graphs_variety):
+    # with no extra axioms the witness is the variety of graphs itself:
+    # both sorts are checked, and the profiles run over the whole grid of
+    # edge and vertex counts, with e edges and v + 2e vertices
+    report = certify_fujiwara(graphs_variety, [], 2)
+    assert report.status == CERTIFIED
+    assert report.sorts == ("edge", "vertex")
+    assert report.nondegeneracy == {"edge": "nondegenerate", "vertex": "nondegenerate"}
+    grid = list(itertools.product(range(3), repeat=2))
+    assert [p.counts for p in report.profiles] == grid
+    assert [p.sizes for p in report.profiles] == [(e, v + 2 * e) for e, v in grid]
+    assert len(report.iso_matrix) == 36
+    assert all(not c.isomorphic for c in report.iso_matrix)
+
+
 def test_fujiwara_rank_monotone(boolean_groups):
     strength = {CERTIFIED: 2, CERTIFIED_CONDITIONAL: 2, UNKNOWN: 1, NOT_APPLICABLE: 1, "refuted": 0}
     low = certify_fujiwara(boolean_groups, [], 2)
@@ -274,6 +289,20 @@ def test_action_split_rejects_a_malformed_action_term_before_saturating(captured
     assert u.sort == 1
     with pytest.raises(CertificateError, match="second sort"):
         certify_action_split(v, replace(cert, s_term=u))
+    assert captured_states == []
+
+
+def test_action_split_rejects_a_full_signature_action_term_before_saturating(captured_states):
+    # (mul w w) built in the full signature has sort id 0 and reads only w,
+    # but mul is a first-sort op and w there has the first sort: the term is
+    # not over the second part, and is refused before any saturation runs
+    v, cert = load_entry("semigroup-actions-trivial")
+    arena = arena_of(v.sig)
+    w = arena.var(SortedVar("w", 0))
+    term = arena.apply(v.sig.op_named("mul"), (w, w))
+    assert (term.sort, w.var) == (0, cert.s_var)
+    with pytest.raises(CertificateError, match="second sort 'el'"):
+        certify_action_split(v, replace(cert, s_term=term))
     assert captured_states == []
 
 

@@ -146,8 +146,8 @@ def test_scan_finds_an_unreached_definition():
     assert unreached({"mod": source}, {(None, "entry")}) == ["mod.C.m", "mod.unused"]
 
 
-def callers(names: set[str], sources: dict[str, str]) -> list[str]:
-    """The definitions that call a bare name in ``names``, as
+def calling(matches, sources: dict[str, str]) -> list[str]:
+    """The definitions holding a call whose callee ``matches``, as
     ``module.Class.function`` paths; module-level calls count as the module."""
     found = set()
     for module, text in sources.items():
@@ -158,10 +158,26 @@ def callers(names: set[str], sources: dict[str, str]) -> list[str]:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     stack.append((child, f"{where}.{child.name}"))
                     continue
-                if isinstance(child, ast.Call) and getattr(child.func, "id", None) in names:
+                if isinstance(child, ast.Call) and matches(child.func):
                     found.add(where)
                 stack.append((child, where))
     return sorted(found)
+
+
+def callers(names: set[str], sources: dict[str, str]) -> list[str]:
+    """The definitions that call a bare name in ``names``."""
+    return calling(lambda f: getattr(f, "id", None) in names, sources)
+
+
+def appenders(attr: str, sources: dict[str, str]) -> list[str]:
+    """The definitions that call ``x.<attr>.append``, for any ``x``."""
+    return calling(
+        lambda f: isinstance(f, ast.Attribute)
+        and f.attr == "append"
+        and isinstance(f.value, ast.Attribute)
+        and f.value.attr == attr,
+        sources,
+    )
 
 
 def test_generated_code_is_compiled_in_one_place():
@@ -196,3 +212,21 @@ def test_scan_finds_every_caller():
         "exec('pass')\n"
     )
     assert callers({"exec", "compile"}, {"mod": source}) == ["mod", "mod.C.m.inner", "mod.f"]
+
+
+def test_every_class_is_made_in_one_place():
+    # generators and nodes alike get their class, its sort and its place
+    # among its sort's roots from one method
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert appenders("parent", sources) == ["egraph.SaturationState._new_class"]
+
+
+def test_scan_finds_every_appender():
+    source = (
+        "class S:\n"
+        "    def make(self): self.parent.append(0)\n"
+        "    def other(self): self.parents.append(0); parent.append(1); self.parent.extend([2])\n"
+        "def grow(state):\n"
+        "    def inner(): state.parent.append(1)\n"
+    )
+    assert appenders("parent", {"mod": source}) == ["mod.S.make", "mod.grow.inner"]
