@@ -67,6 +67,16 @@ Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.  The
 class cap is checked in ``_make`` and, for the generators, at round 0.
 
+Each saturation runs once per structure per process: ``_saturate``, the
+one driver behind ``build_free_algebra``, ``nondegeneracy_check`` and
+``is_consequence``, memoizes its outcome under a key of all that a run
+reads.  That is the number of sorts, each op's argument and result sorts
+in id order, each axiom's shapes and declared sorts, the profile's
+variables with their names, the watched pair's shapes and the budget.  No
+sort or op name is in it, so the bundled witnesses that differ only by
+their names are saturated once, and each later caller gets a fresh result
+over its own names.
+
 The cyclic garbage collector is paused while ``_run`` drives the rounds of
 any saturation, and turned back on afterwards only if it was on.  A
 saturation makes no reference cycle, so reference counting frees every
@@ -81,7 +91,7 @@ import gc
 import itertools
 from collections import defaultdict
 from operator import itemgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .finalg import NEST, FiniteAlgebra, compile_source, plan, tuple_source
 from .report import Report
@@ -126,6 +136,20 @@ class VarietyDef:
                 pat, other = ax.lhs, ax.rhs
             queries.append(_query(pat, other, ax.vars.variables()))
         return tuple(queries)
+
+    @functools.cached_property
+    def _structure(self) -> tuple:
+        """All that a saturation reads of the variety, and no name: the
+        number of sorts, each op's argument and result sorts in id order,
+        and each axiom as both sides' shapes and its declared variables'
+        sorts (see ``_saturate``)."""
+        axioms = []
+        for ax in self.axioms:
+            declared = ax.vars.variables()
+            position = {v: i for i, v in enumerate(declared)}
+            axioms.append((_shape(ax.lhs, position), _shape(ax.rhs, position), tuple(v.sort for v in declared)))
+        ops = tuple((op.arg_sorts, op.result_sort) for op in self.sig.ops)
+        return (len(self.sig.sorts), ops, tuple(axioms))
 
 
 @dataclass(frozen=True)
@@ -912,12 +936,90 @@ def freeze(state: SaturationState) -> FreeAlgebraResult:
     )
 
 
+# each saturation's outcome, kept once per structure per process (see _saturate)
+_saturated: dict[tuple, object] = {}
+
+
+def _saturate(variety: VarietyDef, profile: GeneratorProfile, budget: Budget, watch=None):
+    """Saturate on the profile: the frozen free algebra, the watched pair's
+    merge round, or the ``BudgetExceeded`` of a trip, as ``_run`` ends.
+
+    Outcomes are kept once per structure per process.  The key holds all
+    that a run reads: the variety's ``_structure`` (sort count, each op's
+    sorts in id order, each axiom's shapes and declared sorts), the
+    profile's variables with their names, which extraction breaks ties by,
+    the watched pair's shapes by profile position, and the budget.  Sort
+    and op names are not in it, as the engine reads none, so a witness
+    that differs from an earlier one by its names alone is served from the
+    first.  A miss runs, freezes a saturated state and returns the result
+    as made; a hit returns a fresh result over the caller's variety and
+    profile, with tables that ``FiniteAlgebra`` checks again,
+    representatives rebuilt by op id in the caller's arena, and its own
+    stats.  A run that raises keeps nothing.  This is the one place that
+    makes a ``SaturationState``, runs it and freezes it.
+    """
+    variables = profile.variables()
+    position = {v: i for i, v in enumerate(variables)}
+    watched = None if watch is None else tuple(_shape(t, position) for t in watch)
+    key = (variety._structure, variables, watched, budget)
+    kept = _saturated.get(key)
+    if kept is None:
+        state = SaturationState(variety, profile, budget)
+        outcome = _run(state, watch)
+        if outcome is None:
+            outcome = freeze(state)
+            _saturated[key] = (
+                outcome.algebra.sizes,
+                _copy_tables(outcome.algebra.tables),
+                tuple(outcome.gen_images.values()),
+                tuple(tuple(_shape(t, position) for t in col) for col in outcome.reps),
+                tuple(outcome.stats.rounds),
+            )
+        elif isinstance(outcome, BudgetExceeded):
+            _saturated[key] = _copy_trip(outcome)
+        else:
+            _saturated[key] = outcome  # the watched pair's round
+        return outcome
+    if isinstance(kept, BudgetExceeded):
+        return _copy_trip(kept)
+    if isinstance(kept, int):
+        return kept
+    sizes, tables, images, reps, rounds = kept
+    sig = variety.sig
+    arena = arena_of(sig)
+    return FreeAlgebraResult(
+        variety=variety,
+        profile=profile,
+        algebra=FiniteAlgebra(sig, sizes, _copy_tables(tables)),
+        gen_images=dict(zip(variables, images)),
+        reps=tuple(tuple(_unshape(s, arena, sig.ops, variables) for s in col) for col in reps),
+        stats=BuildStats(list(rounds)),
+    )
+
+
+def _copy_tables(tables: dict[int, dict[tuple, int]]) -> dict[int, dict[tuple, int]]:
+    return {op: dict(table) for op, table in tables.items()}
+
+
+def _copy_trip(trip: BudgetExceeded) -> BudgetExceeded:
+    return replace(trip, stats=BuildStats(list(trip.stats.rounds)))
+
+
+def _unshape(shape, arena, ops, variables) -> Term:
+    """The term of a ``_shape``, with each position's variable."""
+    if isinstance(shape, int):
+        return arena.var(variables[shape])
+    return arena.apply(ops[shape[0]], tuple([_unshape(c, arena, ops, variables) for c in shape[2]]))
+
+
 def build_free_algebra(variety: VarietyDef, profile: GeneratorProfile, budget: Budget | None = None):
     """Saturate to the finite free algebra on the profile, or report budget
-    exhaustion (a possibly infinite free algebra)."""
-    state = SaturationState(variety, profile, budget or Budget())
-    outcome = _run(state)
-    return freeze(state) if outcome is None else outcome
+    exhaustion (a possibly infinite free algebra).
+
+    The outcome is memoized per structure per process (see ``_saturate``),
+    keyed by the sort count, each op's sorts, each axiom's shapes and
+    declared sorts, the profile's variables and the budget, not by names."""
+    return _saturate(variety, profile, budget or Budget())
 
 
 NONDEGENERATE = "nondegenerate"
@@ -945,24 +1047,28 @@ def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None
     the watched generators are classes already, so watching makes no node,
     and as they never merge the run does the same rounds as an unwatched
     build.
+
+    The outcome is memoized per structure per process (see ``_saturate``),
+    keyed by the sort count, each op's sorts, each axiom's shapes and
+    declared sorts, the two generators' names, the watched pair and the
+    budget, not by names of sorts or ops.
     """
     sig = variety.sig
     name = sig.sorts[sort_id].name
     profile = GeneratorProfile.from_counts(sig, {name: 2})
     v1, v2 = profile.variables()
     arena = arena_of(sig)
-    state = SaturationState(variety, profile, budget or Budget())
-    outcome = _run(state, watch=(arena.var(v1), arena.var(v2)))
+    outcome = _saturate(variety, profile, budget or Budget(), watch=(arena.var(v1), arena.var(v2)))
     if isinstance(outcome, BudgetExceeded):
         return NondegeneracyReport(
             UNKNOWN, f"budget exhausted ({outcome.limit}) with the generators still distinct"
         )
-    if outcome is not None:
+    if isinstance(outcome, int):
         return NondegeneracyReport(
             DEGENERATE, f"generators of sort '{name}' merged in round {outcome}"
         )
     return NondegeneracyReport(
-        NONDEGENERATE, f"saturated with distinct sort-'{name}' generators", freeze(state)
+        NONDEGENERATE, f"saturated with distinct sort-'{name}' generators", outcome
     )
 
 
@@ -977,9 +1083,13 @@ def is_consequence(variety: VarietyDef, ident: Identity, budget: Budget | None =
     'yes' means the two sides merged (every merge is congruence-derivable),
     'no' means saturation completed with the sides in distinct classes,
     'unknown' means the budget tripped first.
+
+    The outcome is memoized per structure per process (see ``_saturate``),
+    keyed by the sort count, each op's sorts, each axiom's shapes and
+    declared sorts, the identity's declared variables, its two sides'
+    shapes and the budget, not by names of sorts or ops.
     """
-    state = SaturationState(variety, ident.vars, budget or Budget())
-    outcome = _run(state, watch=(ident.lhs, ident.rhs))
+    outcome = _saturate(variety, ident.vars, budget or Budget(), watch=(ident.lhs, ident.rhs))
     if isinstance(outcome, BudgetExceeded):
         return CONSEQUENCE_UNKNOWN
-    return CONSEQUENCE_NO if outcome is None else CONSEQUENCE_YES
+    return CONSEQUENCE_YES if isinstance(outcome, int) else CONSEQUENCE_NO

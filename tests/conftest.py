@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from freealg import egraph
 from freealg.corpus import load_entry
 from freealg.egraph import SaturationState, VarietyDef
 from freealg.finalg import FiniteAlgebra
@@ -48,6 +49,14 @@ GROUP_AXIOMS = [
 ]
 
 GROUP_OPS = [("mul", ["elem", "elem"], "elem"), ("inv", ["elem"], "elem"), ("e", [], "elem")]
+
+
+@pytest.fixture(autouse=True)
+def fresh_saturations():
+    """Each test starts with no saturation outcome memoized, as a fresh
+    process does, so a test that spies on or patches the engine sees its
+    builds run."""
+    egraph._saturated.clear()
 
 
 @pytest.fixture

@@ -192,6 +192,13 @@ def test_match_kernels_are_planned_in_one_place():
     assert callers({"_Query"}, sources) == ["egraph._query"]
 
 
+def test_saturations_are_run_in_one_place():
+    # every run goes through the per-structure memo, so no path saturates
+    # a structure that the memo already holds
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert callers({"SaturationState", "_run", "freeze"}, sources) == ["egraph._saturate"]
+
+
 def test_the_action_split_is_decomposed_in_one_place():
     # the parser and the route share one classification and one pair of
     # part signatures; only the route glues the parts back together
