@@ -41,7 +41,6 @@ from .egraph import (
     CONSEQUENCE_YES,
     DEGENERATE,
     NONDEGENERATE,
-    FreeAlgebraResult,
     VarietyDef,
     build_free_algebra,
     is_consequence,
@@ -176,12 +175,7 @@ def _sweep(
 
     Each sort in ``sorts`` is checked nondegenerate, and the profiles count
     0..rank generators on each of them and none on every other sort, in
-    ``itertools.product`` order.  Each nondegeneracy run saturates the free
-    algebra on two generators of its sort, under the same budget, and that
-    algebra is the sweep's on the same profile (see
-    ``nondegeneracy_check``), so the sweep takes it instead of building it
-    again.  Ranks are at least 2, so every one of these profiles is swept."""
-    done: dict[tuple[int, ...], FreeAlgebraResult] = {}
+    ``itertools.product`` order."""
     for s in sorts:
         nondeg = nondegeneracy_check(variety, s, budget)
         report.nondegeneracy[variety.sig.sorts[s].name] = nondeg.verdict
@@ -193,14 +187,11 @@ def _sweep(
             return _settle(
                 report, UNKNOWN, f"nondegeneracy of '{variety.name}' undecided: {nondeg.detail}"
             )
-        done[nondeg.build.profile.counts()] = nondeg.build
     sig = variety.sig
     builds: dict[tuple[int, ...], FiniteAlgebra] = {}
     axes = [range(rank + 1) if s.id in sorts else (0,) for s in sig.sorts]
     for counts in itertools.product(*axes):
-        res = done.get(counts)
-        if res is None:
-            res = build_free_algebra(variety, GeneratorProfile.of_counts(sig, counts), budget)
+        res = build_free_algebra(variety, GeneratorProfile.of_counts(sig, counts), budget)
         if isinstance(res, BudgetExceeded):
             report.profiles += (
                 ProfileEvidence(counts, None, "budget", f"{res.limit} limit at round {res.rounds}"),

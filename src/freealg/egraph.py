@@ -52,12 +52,13 @@ Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
 Scholz and Subotić, CAV 2016), into the Python source of one match kernel
 that runs the join as nested loops and lookups and builds every instance
 in straight-line code (see ``_Query``).  The queries are made once per
-axiom structure per process, keyed by both sides' op ids, result sorts and
-variable positions and by the declared variables' sorts (see ``_query``),
-and shared by every variety and every saturation state: a witness
-extension, a transported sort part or another variety whose axiom has the
-same structure reuses the planned and compiled query, and a state keeps
-only the clock each query last matched at.  Kernels compile through
+axiom structure per process, keyed by the axiom's entry in
+``VarietyDef._structure``, which holds both sides' op ids, result sorts
+and variable positions and the declared variables' sorts, and shared by
+every variety and every saturation state: a witness extension, a
+transported sort part or another variety whose axiom has the same
+structure reuses the planned and compiled query, and a state keeps only
+the clock each query last matched at.  Kernels compile through
 ``finalg.compile_source``, the compiler the identity checks also use, once
 per distinct source: a kernel's source holds only op ids, sort ids and
 slot numbers, so axioms of one shape share a compile only when their op
@@ -70,12 +71,9 @@ class cap is checked in ``_make`` and, for the generators, at round 0.
 Each saturation runs once per structure per process: ``_saturate``, the
 one driver behind ``build_free_algebra``, ``nondegeneracy_check`` and
 ``is_consequence``, memoizes its outcome under a key of all that a run
-reads.  That is the number of sorts, each op's argument and result sorts
-in id order, each axiom's shapes and declared sorts, the profile's
-variables with their names, the watched pair's shapes and the budget.  No
-sort or op name is in it, so the bundled witnesses that differ only by
-their names are saturated once, and each later caller gets a fresh result
-over its own names.
+reads and of no sort or op name (see ``_saturate``).  So the bundled
+witnesses that differ only by their names are saturated once, and each
+later caller gets a fresh result over its own names.
 
 The cyclic garbage collector is paused while ``_run`` drives the rounds of
 any saturation, and turned back on afterwards only if it was on.  A
@@ -126,15 +124,22 @@ class VarietyDef:
     def _queries(self) -> tuple[_Query, ...]:
         """The axioms' match plans, one per axiom in order: each axiom
         matches its side with more structure and merges it with the other
-        side.  A plan is made once per axiom structure per process and
-        shared by every variety and every state (see ``_query``)."""
+        side.  A plan is made once per axiom structure per process, keyed
+        by the axiom's entry in ``_structure``, and shared by every variety
+        and every state.  That entry holds all that the plan reads: both
+        sides' shapes and the declared variables' sorts, which give the
+        pools of the variables the matched side lacks.  This is the one
+        place that makes a ``_Query``."""
         queries = []
-        for ax in self.axioms:
-            if ax.rhs.length > ax.lhs.length:
-                pat, other = ax.rhs, ax.lhs
-            else:
-                pat, other = ax.lhs, ax.rhs
-            queries.append(_query(pat, other, ax.vars.variables()))
+        for ax, key in zip(self.axioms, self._structure[2]):
+            q = _planned.get(key)
+            if q is None:
+                if ax.rhs.length > ax.lhs.length:
+                    pat, other = ax.rhs, ax.lhs
+                else:
+                    pat, other = ax.lhs, ax.rhs
+                q = _planned[key] = _Query(pat, other, ax.vars.variables())
+            queries.append(q)
         return tuple(queries)
 
     @functools.cached_property
@@ -278,7 +283,8 @@ class _Query:
     ``match_pass`` passes; ``full`` queries, which a stamp cannot filter,
     join in full on every pass, with ``since`` at -1.  A query holds nothing
     of any one state or variety, so it is made once per axiom structure per
-    process (see ``_query``) and serves every variety and every state.
+    process (see ``VarietyDef._queries``) and serves every variety and
+    every state.
     """
 
     def __init__(self, pat: Term, other: Term, declared):
@@ -516,7 +522,7 @@ class _Query:
         return lines
 
 
-# each axiom structure's query, made once per process (see _query)
+# each axiom structure's query, made once per process (see VarietyDef._queries)
 _planned: dict[tuple, _Query] = {}
 
 
@@ -526,24 +532,6 @@ def _shape(t: Term, position: dict[SortedVar, int]):
     if t.is_var():
         return position[t.var]
     return (t.op.id, t.op.result_sort, tuple([_shape(c, position) for c in t.children]))
-
-
-def _query(pat: Term, other: Term, declared) -> _Query:
-    """The query that matches ``pat`` and builds ``other``, planned and
-    compiled once per axiom structure per process.
-
-    The key holds all that the query reads: both sides' shapes and the
-    declared variables' sorts, which give the pools of the variables
-    ``pat`` lacks.  Names are not in it, and neither are the signature's
-    other ops, so varieties whose axioms share a structure share the query.
-    This is the one place that makes a ``_Query``.
-    """
-    position = {v: i for i, v in enumerate(declared)}
-    key = (_shape(pat, position), _shape(other, position), tuple(v.sort for v in declared))
-    q = _planned.get(key)
-    if q is None:
-        q = _planned[key] = _Query(pat, other, declared)
-    return q
 
 
 class SaturationState:
@@ -952,7 +940,11 @@ def _saturate(variety: VarietyDef, profile: GeneratorProfile, budget: Budget, wa
     and op names are not in it, as the engine reads none, so a witness
     that differs from an earlier one by its names alone is served from the
     first.  A miss runs, freezes a saturated state and returns the result
-    as made; a hit returns a fresh result over the caller's variety and
+    as made.  When every watched term is a generator, a saturated outcome
+    is kept under the unwatched key too: watching a generator makes no
+    node, and a pair that never merges stops no round early, so that run
+    is the unwatched build, with the same tables, images, representatives
+    and stats.  A hit returns a fresh result over the caller's variety and
     profile, with tables that ``FiniteAlgebra`` checks again,
     representatives rebuilt by op id in the caller's arena, and its own
     stats.  A run that raises keeps nothing.  This is the one place that
@@ -975,6 +967,8 @@ def _saturate(variety: VarietyDef, profile: GeneratorProfile, budget: Budget, wa
                 tuple(tuple(_shape(t, position) for t in col) for col in outcome.reps),
                 tuple(outcome.stats.rounds),
             )
+            if watched is not None and all(isinstance(w, int) for w in watched):
+                _saturated[(variety._structure, variables, None, budget)] = _saturated[key]
         elif isinstance(outcome, BudgetExceeded):
             _saturated[key] = _copy_trip(outcome)
         else:
@@ -1016,9 +1010,7 @@ def build_free_algebra(variety: VarietyDef, profile: GeneratorProfile, budget: B
     """Saturate to the finite free algebra on the profile, or report budget
     exhaustion (a possibly infinite free algebra).
 
-    The outcome is memoized per structure per process (see ``_saturate``),
-    keyed by the sort count, each op's sorts, each axiom's shapes and
-    declared sorts, the profile's variables and the budget, not by names."""
+    The outcome is memoized per structure per process (see ``_saturate``)."""
     return _saturate(variety, profile, budget or Budget())
 
 
@@ -1031,7 +1023,6 @@ UNKNOWN = "unknown"
 class NondegeneracyReport:
     verdict: str
     detail: str
-    build: FreeAlgebraResult | None = None  # the frozen run, when nondegenerate
 
 
 def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None = None) -> NondegeneracyReport:
@@ -1042,16 +1033,7 @@ def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None
     saturated run with distinct classes is a proof of nondegeneracy, and a
     budget trip leaves the question open.
 
-    A nondegenerate report carries the frozen free algebra of its run, which
-    is the one ``build_free_algebra`` gives on the same profile and budget:
-    the watched generators are classes already, so watching makes no node,
-    and as they never merge the run does the same rounds as an unwatched
-    build.
-
-    The outcome is memoized per structure per process (see ``_saturate``),
-    keyed by the sort count, each op's sorts, each axiom's shapes and
-    declared sorts, the two generators' names, the watched pair and the
-    budget, not by names of sorts or ops.
+    The outcome is memoized per structure per process (see ``_saturate``).
     """
     sig = variety.sig
     name = sig.sorts[sort_id].name
@@ -1067,9 +1049,7 @@ def nondegeneracy_check(variety: VarietyDef, sort_id: int, budget: Budget | None
         return NondegeneracyReport(
             DEGENERATE, f"generators of sort '{name}' merged in round {outcome}"
         )
-    return NondegeneracyReport(
-        NONDEGENERATE, f"saturated with distinct sort-'{name}' generators", outcome
-    )
+    return NondegeneracyReport(NONDEGENERATE, f"saturated with distinct sort-'{name}' generators")
 
 
 CONSEQUENCE_YES = "yes"
@@ -1084,10 +1064,7 @@ def is_consequence(variety: VarietyDef, ident: Identity, budget: Budget | None =
     'no' means saturation completed with the sides in distinct classes,
     'unknown' means the budget tripped first.
 
-    The outcome is memoized per structure per process (see ``_saturate``),
-    keyed by the sort count, each op's sorts, each axiom's shapes and
-    declared sorts, the identity's declared variables, its two sides'
-    shapes and the budget, not by names of sorts or ops.
+    The outcome is memoized per structure per process (see ``_saturate``).
     """
     outcome = _saturate(variety, ident.vars, budget or Budget(), watch=(ident.lhs, ident.rhs))
     if isinstance(outcome, BudgetExceeded):

@@ -22,6 +22,7 @@ as zero-argument applications.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from . import sexpr
@@ -109,9 +110,13 @@ def _parse_witness(forms, sig: Signature, where: str) -> tuple[int, tuple[Identi
     if len(ranks) != 1 or len(ranks[0]) != 2:
         raise CertificateError(f"{where} needs exactly one (rank N)")
     try:
-        return int(sexpr.atom_text(ranks[0][1], "rank")), tuple(axioms)
+        rank = int(sexpr.atom_text(ranks[0][1], "rank"))
     except ValueError:
         raise CertificateError(f"{where}: rank must be an integer") from None
+    # a sweep ranges over 0..rank, and a range longer than sys.maxsize fails
+    if rank > sys.maxsize - 1:
+        raise CertificateError(f"{where}: rank must be at most {sys.maxsize - 1}")
+    return rank, tuple(axioms)
 
 
 def parse_certificate_document(text: str, variety: VarietyDef, base_dir=None):

@@ -23,9 +23,9 @@ from freealg.certify import (
     restrict_to_part,
     run_certificate,
 )
-from freealg import certify
+from freealg import certify, egraph
 from freealg.corpus import ENTRIES, load_entry
-from freealg.egraph import Budget, build_free_algebra
+from freealg.egraph import NONDEGENERATE, Budget, build_free_algebra
 from freealg.finalg import find_isomorphism
 from freealg.terms import GeneratorProfile, SortedVar, arena_of
 from functor import identity_morphism
@@ -407,32 +407,37 @@ def test_each_free_algebra_is_built_once_per_certificate(name, states, captured_
         assert made == [(2,), (0,), (1,)]
 
 
-def test_nondegeneracy_runs_return_the_sweeps_build(monkeypatch):
+def test_each_nondegeneracy_run_serves_the_sweeps_build(monkeypatch, captured_states):
+    # each run watches two generators, which make no node, and saturates
+    # with them apart, so the memo serves its algebra to the sweep's build
+    # on the same profile and budget as if that build had run
     runs = []
     check = certify.nondegeneracy_check
 
-    def recording(variety, sort, budget):
+    def check_then_build(variety, sort, budget):
         report = check(variety, sort, budget)
-        runs.append((variety, sort, budget, report))
+        counts = [0] * len(variety.sig.sorts)
+        counts[sort] = 2
+        profile = GeneratorProfile.of_counts(variety.sig, counts)
+        made = len(captured_states)
+        served = build_free_algebra(variety, profile, budget)
+        runs.append((variety, profile, budget, report, len(captured_states) - made, served))
         return report
 
-    monkeypatch.setattr(certify, "nondegeneracy_check", recording)
+    monkeypatch.setattr(certify, "nondegeneracy_check", check_then_build)
     for name in ENTRIES:
         v, cert = load_entry(name)
         assert run_certificate(v, cert).certified
     assert len(runs) == 13  # every witness of every bundled certificate
-    for variety, sort, budget, report in runs:
-        got = report.build
-        assert got is not None
-        counts = [0] * len(variety.sig.sorts)
-        counts[sort] = 2
-        assert got.profile.counts() == tuple(counts)
-        fresh = build_free_algebra(variety, got.profile, budget)
-        assert got.algebra.sizes == fresh.algebra.sizes
-        assert got.algebra.tables == fresh.algebra.tables
-        assert got.gen_images == fresh.gen_images
-        assert got.reps == fresh.reps
-        assert got.stats == fresh.stats
+    for variety, profile, budget, report, states, served in runs:
+        assert report.verdict == NONDEGENERATE and states == 0
+        egraph._saturated.clear()
+        fresh = build_free_algebra(variety, profile, budget)
+        assert served.algebra.sizes == fresh.algebra.sizes
+        assert served.algebra.tables == fresh.algebra.tables
+        assert served.gen_images == fresh.gen_images
+        assert served.reps == fresh.reps
+        assert served.stats == fresh.stats
 
 
 def _swept(rank):

@@ -538,6 +538,41 @@ def test_unreadable_input_is_an_error(tmp_path, capsys, case):
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+HUGE_RANK = "99999999999999999999"  # past sys.maxsize, so past any range
+
+# certificates whose rank is an integer that no sweep could range over
+HUGE_RANKS = {
+    "fujiwara": (
+        "boolean-groups.var",
+        lambda: f"(certificate fujiwara (rank {HUGE_RANK}))",
+        "fujiwara certificate",
+    ),
+    "per-sort": (
+        "boolean-groups.var",
+        lambda: f"(certificate per-sort (sort elem (rank {HUGE_RANK})))",
+        "per-sort witness for 'elem'",
+    ),
+    "action-split": (
+        "semigroup-actions-trivial.var",
+        lambda: Path(corpus_path("semigroup-actions-trivial.cert")).read_text().replace(
+            "(sort2-axioms (rank 3)", f"(sort2-axioms (rank {HUGE_RANK})", 1
+        ),
+        "sort2-axioms",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(HUGE_RANKS))
+def test_a_rank_too_large_to_sweep_is_an_input_error(tmp_path, capsys, route):
+    variety, text, section = HUGE_RANKS[route]
+    cert = tmp_path / "huge.cert"
+    cert.write_text(text())
+    assert HUGE_RANK in cert.read_text()
+    assert main(["certify", corpus_path(variety), str(cert)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and section in err and "at most" in err and "Traceback" not in err
+
+
 DEEP_TERM = "(f " * 1200 + "x" + ")" * 1200
 
 # inputs nested past the interpreter's recursion limit

@@ -122,13 +122,36 @@ def test_nondegeneracy_boolean(boolean_groups):
     assert nondegeneracy_check(boolean_groups, 0).verdict == NONDEGENERATE
 
 
-def test_only_a_nondegenerate_run_returns_its_build(boolean_groups):
-    report = nondegeneracy_check(boolean_groups, 0)
-    assert report.build.algebra.sizes == (4,)
-    assert report.build.stats.rounds[-1].nodes_created == 0
-    degenerate = nondegeneracy_check(collapse_variety(), 0)
-    assert degenerate.verdict == DEGENERATE and degenerate.build is None
+def test_a_nondegenerate_run_serves_the_unwatched_build(boolean_groups, captured_states):
+    # the watched generators make no node and never merge, so the run is
+    # the unwatched build on its profile, and the memo serves it as one
+    assert nondegeneracy_check(boolean_groups, 0).verdict == NONDEGENERATE
+    res = build_free_algebra(boolean_groups, profile_of(boolean_groups, (2,)))
+    assert len(captured_states) == 1
+    assert res.algebra.sizes == (4,)
+    assert res.stats.rounds[-1].nodes_created == 0
+
+
+def test_a_degenerate_run_serves_no_build(captured_states):
+    v = collapse_variety()
+    degenerate = nondegeneracy_check(v, 0)
+    assert degenerate.verdict == DEGENERATE
     assert degenerate.detail.endswith("merged in round 1")  # stopped at the watched merge
+    profile = profile_of(v, (2,))
+    assert (v._structure, profile.variables(), None, Budget()) not in egraph._saturated
+    build_free_algebra(v, profile)
+    assert len(captured_states) == 2
+
+
+def test_a_watched_node_keeps_its_run_under_its_own_key(left_zero, captured_states):
+    # watching (mul x y) makes a node before the first round, so the run is
+    # not the unwatched build on x, y, and a build on that profile runs anew
+    ident = make_axioms(left_zero.sig, [([("x", "elem"), ("y", "elem")], "(mul x y)", "y")])[0]
+    assert is_consequence(left_zero, ident) == "no"
+    (key,) = egraph._saturated
+    assert isinstance(key[2][0], tuple) and key[2][1] == 1  # a node, and the generator y
+    build_free_algebra(left_zero, ident.vars)
+    assert len(captured_states) == 2
 
 
 def test_nondegeneracy_unknown_on_budget():
@@ -815,24 +838,26 @@ def test_a_variety_plans_once_and_a_copy_reuses_its_kernels(monkeypatch, capture
     # and a query is made once for each distinct kernel source and pools
     monkeypatch.setattr(egraph, "_planned", {})
     made, served = [], []
-    init, lookup = egraph._Query.__init__, egraph._query
+    init, plan = egraph._Query.__init__, egraph.VarietyDef._queries.func
 
     def init_and_count(q, *args):
         init(q, *args)
         made.append((q.source, tuple(q.pools)))
 
-    def lookup_and_keep(*args):
-        served.append((args, lookup(*args)))
-        return served[-1][1]
+    def plan_and_keep(variety):
+        queries = plan(variety)
+        served.extend(zip(variety.axioms, queries, strict=True))
+        return queries
 
     monkeypatch.setattr(egraph._Query, "__init__", init_and_count)
-    monkeypatch.setattr(egraph, "_query", lookup_and_keep)
+    monkeypatch.setattr(egraph.VarietyDef, "_queries", property(plan_and_keep))
     run_corpus()
     monkeypatch.undo()
     assert served and len(made) < len(served)
     needed = set()
-    for args, q in served:
-        fresh = egraph._Query(*args)
+    for ax, q in served:
+        pat, other = (ax.rhs, ax.lhs) if ax.rhs.length > ax.lhs.length else (ax.lhs, ax.rhs)
+        fresh = egraph._Query(pat, other, ax.vars.variables())
         assert (fresh.source, fresh.pools, fresh.full) == (q.source, q.pools, q.full)
         needed.add((fresh.source, tuple(fresh.pools)))
     assert sorted(made) == sorted(needed)
