@@ -166,6 +166,19 @@ def _settle(report: CertReport, status: str, detail: str) -> None:
     report.detail = detail
 
 
+def _grid(axes):
+    """The tuples of ``itertools.product(*axes)``, in its order, made one at
+    a time.  ``product`` turns each axis into a tuple before it yields
+    anything, and an axis ``range(rank + 1)`` of a rank the parser accepts
+    may not fit in memory, though a sweep ends at its first budget trip."""
+    if not axes:
+        yield ()
+        return
+    for head in axes[0]:
+        for rest in _grid(axes[1:]):
+            yield (head, *rest)
+
+
 def _sweep(
     report: CertReport, variety: VarietyDef, sorts, rank: int, budget: Budget | None
 ) -> dict[tuple[int, ...], FiniteAlgebra] | None:
@@ -175,7 +188,7 @@ def _sweep(
 
     Each sort in ``sorts`` is checked nondegenerate, and the profiles count
     0..rank generators on each of them and none on every other sort, in
-    ``itertools.product`` order."""
+    ``itertools.product`` order, made one at a time (see ``_grid``)."""
     for s in sorts:
         nondeg = nondegeneracy_check(variety, s, budget)
         report.nondegeneracy[variety.sig.sorts[s].name] = nondeg.verdict
@@ -190,7 +203,7 @@ def _sweep(
     sig = variety.sig
     builds: dict[tuple[int, ...], FiniteAlgebra] = {}
     axes = [range(rank + 1) if s.id in sorts else (0,) for s in sig.sorts]
-    for counts in itertools.product(*axes):
+    for counts in _grid(axes):
         res = build_free_algebra(variety, GeneratorProfile.of_counts(sig, counts), budget)
         if isinstance(res, BudgetExceeded):
             report.profiles += (

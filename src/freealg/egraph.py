@@ -13,17 +13,19 @@ their use lists back in canonical form and merging the classes of keys
 that then coincide.  Most repaired keys meet their canonical form in their
 own class, and are dropped, not merged.  A loser's keys join its root's
 keys as they stand, and each class that such moves leave out of table
-order is sorted back once per rebuild, not once per merge.  Keys are
-indexed as they enter the hash-cons table, so the match indexes need no
-scan either.  A round that creates no nodes and merges nothing witnesses
-saturation: the quotient is closed under all operations, satisfies all
-axioms, and is exactly the congruence generated by the axiom instances,
-i.e. the free algebra on the profile.  Nodes are only ever created by
-``_make``, entries leave the table and its indexes only in ``rebuild``,
-and representatives are extracted once, when the saturated state is
-frozen.  Extraction compares the canonical keys of candidate terms without
-making them, as egg's extractor compares costs (Willsey et al., POPL
-2021), and then makes one term per class.
+order is sorted back once per rebuild, not once per merge.  A key enters
+the hash-cons table at once, and its index entries wait in a queue that
+the next rebuild writes, in entry order, before it reads anything; so the
+match indexes need no scan either.  A round that creates no nodes and
+merges nothing witnesses saturation: the quotient is closed under all
+operations, satisfies all axioms, and is exactly the congruence generated
+by the axiom instances, i.e. the free algebra on the profile.  Nodes are
+only ever created by ``_make``, entries are written to the indexes, and
+leave them and the table, only in ``rebuild``, and representatives are
+extracted once, when the saturated state is frozen.  Extraction compares
+the canonical keys of candidate terms without making them, as egg's
+extractor compares costs (Willsey et al., POPL 2021), and then makes one
+term per class.
 
 MATCH is relational and semi-naive (Zhang et al., "Relational E-Matching",
 POPL 2022).  The hash-cons table is the relation: each canonical key
@@ -31,38 +33,41 @@ POPL 2022).  The hash-cons table is the relation: each canonical key
 Each axiom's matched side is a conjunctive query, one atom per operation
 node over integer slots, and its other side a slot-indexed build plan.
 Time is one counter, ``clock``, which ``_enter`` advances for each key it
-enters and ``rebuild`` once as it starts.  A key's table position, its
-value in ``class_nodes``, is the clock when it entered, that is, when its
-canonical form last changed; its stamp, its value in its op's index, is
-the clock when it entered or its class's root last changed.  A query
-joins only from the keys stamped after the clock it read as its last pass
-began: the first new atom is the seed, the atoms before it must be old,
-and the join extends up through the use lists and down through
-``class_nodes``.  An atom is a membership test, one hash-cons lookup and
-not a loop, as soon as its arguments are all bound.  A match made of old
-keys alone existed at the last pass and was instantiated then.  So did a
-match whose only new atom is its root key, when that key's position is no
-later than the same reading: only its class's root changed, by a merge
-that the instance's union already implies, so the instance would be a
-no-op, and the root atom's seed skips it.  Queries whose other side has a
-variable the matched side lacks, and bare-variable patterns, join in full
-on every pass.
+enters and ``rebuild`` once, after it indexes the queued keys.  A key's
+table position, its value in ``class_nodes``, is the clock when it
+entered, that is, when its canonical form last changed; its stamp, its
+value in its op's index, is the clock when it entered or its class's root
+last changed.  A query joins only from the keys stamped after the clock it
+read as its last pass began: the first new atom is the seed, the atoms
+before it must be old, and the join extends up through the use lists and
+down through ``class_nodes``.  An atom is a membership test, one
+hash-cons lookup and not a loop, as soon as its arguments are all bound.
+A match made of old keys alone existed at the last pass and was
+instantiated then.  So did a match whose only new atom is its root key,
+when that key's position is no later than the same reading: only its
+class's root changed, by a merge that the instance's union already
+implies, so the instance would be a no-op, and the root atom's seed skips
+it.  Queries whose other side has a variable the matched side lacks, and
+bare-variable patterns, join in full on every pass.
 
 Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
 Scholz and Subotić, CAV 2016), into the Python source of one match kernel
-that runs the join as nested loops and lookups and builds every instance
-in straight-line code (see ``_Query``).  The queries are made once per
-axiom structure per process, keyed by the axiom's entry in
-``VarietyDef._structure``, which holds both sides' op ids, result sorts
-and variable positions and the declared variables' sorts, and shared by
-every variety and every saturation state: a witness extension, a
-transported sort part or another variety whose axiom has the same
-structure reuses the planned and compiled query, and a state keeps only
-the clock each query last matched at.  Kernels compile through
-``finalg.compile_source``, the compiler the identity checks also use, once
-per distinct source: a kernel's source holds only op ids, sort ids and
-slot numbers, so axioms of one shape share a compile only when their op
-and sort ids match as well.
+that runs the join as nested loops and lookups and builds each instance in
+straight-line code at the join's innermost level (see ``_Query``).  As in
+Soufflé, what an instance derives goes where the loops do not read: its
+new keys wait in the index queue until the next rebuild, so a kernel
+holds no list of matches, and a budget trip stops the join at the match
+whose instance trips.  The queries are made once per axiom structure per
+process, keyed by the axiom's entry in ``VarietyDef._structure``, which
+holds both sides' op ids, result sorts and variable positions and the
+declared variables' sorts, and shared by every variety and every
+saturation state: a witness extension, a transported sort part or another
+variety whose axiom has the same structure reuses the planned and
+compiled query, and a state keeps only the clock each query last matched
+at.  Kernels compile through ``finalg.compile_source``, the compiler the
+identity checks also use, once per distinct source: a kernel's source
+holds only op ids, sort ids and slot numbers, so axioms of one shape share
+a compile only when their op and sort ids match as well.
 
 Saturation may never happen (free algebras can be infinite); the budget
 turns that into an explicit BudgetExceeded result, never an error.  The
@@ -253,9 +258,13 @@ class _Query:
       only older keys (their stamps are read from the op index) and the
       atoms after it any key, so each match comes from exactly one seed;
       with ``since`` at -1 every key is new, and seed 0 alone finds every
-      match.  The matches are collected, as tuples of the slots the
-      instances read, before the first instance builds, so no index
-      changes while a loop reads it.
+      match.  Each match builds its instance where the join finds it, so
+      the join reads the indexes while instances make keys: ``_enter``
+      puts each new key in the table but only queues its index entries,
+      and a lookup accepts a key only when its op's index holds it.  So
+      no index changes while a loop reads it, no key made in the same
+      kernel run is joined, and the matches and their order are those of
+      the indexes as the kernel began.
     * The moved roots.  A key is stamped new when its form or its class's
       root changed, but its table position (its value in ``class_nodes``)
       is the clock when it entered, which only a new form changes.  So in
@@ -269,11 +278,13 @@ class _Query:
       stamp check on atom 0, so every match kept comes from the same seed
       and in the same order as without the skip.
     * The instances.  Each match, with each combination of classes from
-      ``pools`` for the missing variables, is one instance: the kernel
-      looks the other side's nodes up in the hash-cons table, has
-      ``_make`` enter a missing one, and unions the result with the matched
-      class; a missing outer node goes straight into the matched class.
-      A node past the class cap trips in ``_make``, mid-instance.
+      ``pools`` for the missing variables, is one instance, built at the
+      innermost level of its seed's join, inside the moved-root check: the
+      kernel looks the other side's nodes up in the hash-cons table, which
+      holds every key made so far, has ``_make`` enter a missing one, and
+      unions the result with the matched class; a missing outer node goes
+      straight into the matched class.  A node past the class cap trips
+      in ``_make``, mid-instance, and ends the join with it.
 
     Only op ids, sort ids and slot numbers enter the source, so no name
     from a definition file reaches it, and axioms of one shape share a
@@ -324,52 +335,43 @@ class _Query:
         return out
 
     def _source(self, atoms, root: int, ranged, steps, top: int) -> str:
-        """The kernel's source: the joins, then the instance loop."""
+        """The kernel's source: each seed's join, with the instance of each
+        match built at its innermost level."""
         built = {out for *_, out in steps}
-        reads = {a for _, args, _, _ in steps for a in args} | {top, root}
-        # the matched slots that an instance reads: each match keeps these
-        keep = sorted(s for s in reads if s not in built and s not in ranged)
         lines = ["def kernel(state, since, pools):"]
         helpers: list[str] = []
-        body = ["table = state.key2class"]
-        if atoms:
-            body += [
-                "by_op = state._by_op",
-                "nodes = state.class_nodes",
-                "uses = state._uses",
-                "found = []",
-                "add = found.append",
-            ]
-            add = f"add(({_names(keep)}))" if len(keep) > 1 else f"add(v{keep[0]})"
-            for seed in range(1 if self.full else len(atoms)):
-                moves = seed == 0 and not self.full  # seed 0 skips moved roots
-                emit = [add]
-                if moves and len(atoms) > 1:
-                    # a match on a moved root key is new only by its other atoms
-                    fresh = (f"by_op[{op}][k{j}] > since" for j, (op, _, _) in enumerate(atoms) if j)
-                    emit = [f"if not moved or {' or '.join(fresh)}:", "    " + add]
-                join = self._nest(self._join_order(atoms, seed, moves), set(), emit, helpers)
-                if seed == 1:
-                    body.append("if since >= 0:")
-                body += join if seed == 0 else ["    " + line for line in join]
-        body += [
+        body = [
+            "table = state.key2class",
             "parent = state.parent",
             "find = state.find",
             "make = state._make",
             "union = state._union",
             "n = 0",
         ]
-        loops = []
-        if atoms:
-            loops.append(f"for {_names(keep)} in found:")
+        instance = ["n += 1", *self._build_lines(steps, top, root, built)]
         if len(ranged) == 1:
-            loops.append(f"for v{ranged[0]} in pools[0]:")
+            instance = [f"for v{ranged[0]} in pools[0]:", *("    " + line for line in instance)]
         elif ranged:
-            loops.append(f"for {_names(ranged)} in product(*pools):")
-        inner = ["n += 1", *self._build_lines(steps, top, root, built)]
-        for depth, loop in enumerate(loops):
-            body.append("    " * depth + loop)
-        body += ["    " * len(loops) + line for line in inner]
+            instance = [f"for {_names(ranged)} in product(*pools):", *("    " + line for line in instance)]
+        if atoms:
+            body += [
+                "by_op = state._by_op",
+                "nodes = state.class_nodes",
+                "uses = state._uses",
+            ]
+            for seed in range(1 if self.full else len(atoms)):
+                moves = seed == 0 and not self.full  # seed 0 skips moved roots
+                emit = instance
+                if moves and len(atoms) > 1:
+                    # a match on a moved root key is new only by its other atoms
+                    fresh = (f"by_op[{op}][k{j}] > since" for j, (op, _, _) in enumerate(atoms) if j)
+                    emit = [f"if not moved or {' or '.join(fresh)}:", *("    " + line for line in instance)]
+                join = self._nest(self._join_order(atoms, seed, moves), set(), emit, helpers)
+                if seed == 1:
+                    body.append("if since >= 0:")
+                body += join if seed == 0 else ["    " + line for line in join]
+        else:
+            body += instance
         body.append("state.instances += n")
         lines += ["    " + line for line in body]
         return "\n".join(lines + helpers) + "\n"
@@ -433,8 +435,12 @@ class _Query:
             else:
                 head.append(f"v{out} = table.get({k})")
                 test = f"v{out} is not None"
+            # a key made since the kernel began is in the table but in no
+            # index yet, and no loop could reach it
             if j < seed:
-                test += f" and by_op[{op}][{k}] <= since"
+                test += f" and by_op[{op}].get({k}, since + 1) <= since"
+            else:
+                test += f" and {k} in by_op[{op}]"
             bound.add(out)
             levels.append((head + [f"if {test}:"], [], names(j, {out})))
 
@@ -443,22 +449,22 @@ class _Query:
             k = f"k{j}"
             # the seed's loop runs over its op's keys alone
             checks = ["gen <= since"] if j == seed else [f"{k}[0] != {op}"]
-            binds, mine = [], {}
+            binds, first = [], {}
             for pos, slot in enumerate(args, 1):
-                if slot in mine:
-                    checks.append(f"{k}[{pos}] != {k}[{mine[slot]}]")
+                if slot in first:
+                    checks.append(f"{k}[{pos}] != {k}[{first[slot]}]")
                 elif slot in bound:
                     checks.append(f"{k}[{pos}] != v{slot}")
                 else:
                     binds.append(f"v{slot} = {k}[{pos}]")
-                    mine[slot] = pos
+                    first[slot] = pos
             if j < seed:
                 checks.append(f"by_op[{op}][{k}] > since")
             if out not in bound:  # the seed, or reached up from a child
                 binds.append(f"v{out} = table[{k}]")
-            bound.update(mine, (out,))
+            bound.update(first, (out,))
             body = [f"if {' or '.join(checks)}:", "    continue"]
-            binding = names(j, set(mine) | {out})
+            binding = names(j, set(first) | {out})
             if j == seed and moves:
                 # class_nodes keeps the clock at which the key entered: at
                 # or below since, it was there at the last pass and only moved
@@ -501,9 +507,11 @@ class _Query:
 
     @staticmethod
     def _nest(levels, bound: set, emit: list[str], helpers: list) -> list[str]:
-        """Nest the levels' blocks around ``emit``; past ``NEST`` blocks
-        the rest goes into a helper function that ``helpers`` collects,
-        with every name bound so far as a parameter."""
+        """Nest the levels' blocks around ``emit``, which builds one
+        instance and counts it in ``n``.  Past ``NEST`` blocks the rest goes
+        into a helper function that ``helpers`` collects: it takes the
+        instance context and every name bound so far as parameters, and
+        returns the number of instances it built."""
         lines = []
         for depth, (head, body, binds) in enumerate(levels[:NEST]):
             lines += ["    " * depth + line for line in head]
@@ -515,10 +523,13 @@ class _Query:
             return lines
         i = len(helpers)
         helpers.append("")  # this helper's place, ahead of those it calls
-        params = ", ".join(["since, table, by_op, nodes, uses, add", *sorted(bound)])
-        lines.append("    " * depth + f"join{i}({params})")
+        context = "since, table, by_op, nodes, uses, parent, find, make, union, pools"
+        params = ", ".join([context, *sorted(bound)])
+        lines.append("    " * depth + f"n += join{i}({params})")
         inner = _Query._nest(levels[NEST:], bound, emit, helpers)
-        helpers[i] = "\n".join([f"def join{i}({params}):"] + ["    " + line for line in inner])
+        helpers[i] = "\n".join(
+            [f"def join{i}({params}):", "    n = 0", *("    " + line for line in inner), "    return n"]
+        )
         return lines
 
 
@@ -553,10 +564,12 @@ class SaturationState:
         self.instances = 0  # axiom instances instantiated
         self.clock = 0  # advanced by each key entered and by each rebuild
         self._losers: list[int] = []  # classes merged away, not yet repaired
+        self._queued: list[tuple] = []  # keys entered since the last rebuild, not yet indexed
         # the indexes are dicts used as ordered sets, for O(1) removal;
         # class_nodes maps each key of a class to its position in the table,
         # and _by_op each key of an op to its stamp; a class's list appears
-        # when a key enters it, since every read uses get, which inserts none
+        # when a key is indexed in it, since every read uses get, which
+        # inserts none
         self.class_nodes: defaultdict[int, dict[tuple, int]] = defaultdict(dict)
         self._uses: defaultdict[int, dict[tuple, None]] = defaultdict(dict)
         self._by_op: dict[int, dict[tuple, int]] = {op.id: {} for op in self.sig.ops}
@@ -634,56 +647,80 @@ class SaturationState:
     # congruence closure ----------------------------------------------------
 
     def _enter(self, key: tuple, cls: int):
-        """Put a canonical key of root ``cls`` at the end of the table and of
-        every index, after a tick of the clock, which is its table position
-        and its stamp.  A repeated argument, as in ``(op, a, a)``, writes
-        the same use-list entry again, and a dict keeps it once and in
-        place, so it needs no case of its own."""
+        """Put a canonical key of root ``cls`` at the end of the table, after
+        a tick of the clock, which is its table position and its stamp, and
+        queue it for the indexes.  So the indexes stay as they were while a
+        kernel joins over them and its instances make keys: ``rebuild``
+        indexes the queue (``_index``) before it reads anything, and at
+        once for the keys it enters itself."""
         self.key2class[key] = cls
-        self.clock = clock = self.clock + 1
-        self.class_nodes[cls][key] = clock
-        self._by_op[key[0]][key] = clock
-        uses = self._uses
-        for c in key[1:]:
-            uses[c][key] = None
+        self.clock += 1
+        self._queued.append(key)
+
+    def _index(self):
+        """Index the queued keys in entry order, at the end of their class's
+        keys, their op's keys and the use list of each argument class.  The
+        clock has ticked once per queued key and for nothing else since the
+        first, so a key's clock, its table position and its stamp, is the
+        queue's base clock plus its place in the queue; its class is its
+        value in the table, which no write changes before a rebuild.  A
+        repeated argument, as in ``(op, a, a)``, writes the same use-list
+        entry again, and a dict keeps it once and in place, so it needs no
+        case of its own."""
+        queued = self._queued
+        table, class_nodes, by_op, uses = self.key2class, self.class_nodes, self._by_op, self._uses
+        clock = self.clock - len(queued)
+        for key in queued:
+            clock += 1
+            class_nodes[table[key]][key] = clock
+            by_op[key[0]][key] = clock
+            for c in key[1:]:
+                uses[c][key] = None
+        queued.clear()
 
     def rebuild(self):
-        """Restore congruence closure, after one tick of the clock.
+        """Index the keys entered since the last rebuild, tick the clock
+        once, and restore congruence closure.
 
-        Every key is indexed as it enters the table: in the keys of its
-        class (``class_nodes``, with each key's position in the table), the
-        keys each class is an argument of (the use lists) and the keys of
-        its op, all in table order.  A rebuild repairs only what merges
-        broke (Downey, Sethi and Tarjan, JACM 1980; egg's ``rebuild``).  For
-        each loser, a class merged into another, the keys in its use list
-        leave the table and every index, and re-enter in canonical form.  A
-        key whose canonical form is there already is dropped when that form
-        is in its own class, as it mostly is; in another class, it merges
-        the two classes instead, which queues another loser.  The loser's
-        use list is taken whole, with no copy: ``_enter`` writes only roots,
-        so no key joins it while it is read, and each key leaves only the
-        use lists of its other argument classes.  Then
-        the loser's own keys move to its root: they keep their places in
-        the table and join the end of the root's key list.  A root is noted
-        as out of table order when its last key comes after the loser's
-        first, or when the loser was noted itself; once the worklist is
-        empty, each noted class that is still a root is sorted by position,
-        once per rebuild rather than once per merge, so every index is in
-        table order again before a match kernel reads it.
+        Every key is indexed in the keys of its class (``class_nodes``, with
+        each key's position in the table), the keys each class is an
+        argument of (the use lists) and the keys of its op, all in table
+        order.  A key enters the table at once but its index entries wait
+        in a queue, which a rebuild writes, in entry order, before it reads
+        anything; the keys it enters itself are indexed at once.  So a match
+        kernel reads the indexes as they stood when it began, whatever its
+        instances make.  A rebuild repairs only what merges broke (Downey,
+        Sethi and Tarjan, JACM 1980; egg's ``rebuild``).  For each loser, a
+        class merged into another, the keys in its use list leave the table
+        and every index, and re-enter in canonical form.  A key whose
+        canonical form is there already is dropped when that form is in its
+        own class, as it mostly is; in another class, it merges the two
+        classes instead, which queues another loser.  The loser's use list
+        is taken whole, with no copy: the keys a rebuild enters are of roots
+        only, so no key joins it while it is read, and each key leaves only
+        the use lists of its other argument classes.  Then the loser's own
+        keys move to its root: they keep their places in the table and join
+        the end of the root's key list.  A root is noted as out of table
+        order when its last key comes after the loser's first, or when the
+        loser was noted itself; once the worklist is empty, each noted class
+        that is still a root is sorted by position, once per rebuild rather
+        than once per merge, so every index is in table order again before
+        a match kernel reads it.
 
         A key's table position is the clock when it entered, which only a
         new canonical form changes, and its stamp the clock when it entered
-        or last moved to another root.  The clock ticks as a rebuild
-        starts, so a key moved in it is stamped after every earlier reading,
-        even one taken right after the last rebuild with no key entered
-        since; a match all of whose keys are stamped at or before a reading
-        already existed then.  A root key stamped after a reading at a
-        position no later than it has only moved class, and a kernel skips
-        the matches that are new by that key alone, whose instances are
-        no-ops (see ``_Query``).
+        or last moved to another root.  The clock ticks once a rebuild has
+        indexed the queue, before any repair, so a key moved in it is
+        stamped after every earlier reading, even one taken right after the
+        last rebuild with no key entered since; a match all of whose keys
+        are stamped at or before a reading already existed then.  A root key
+        stamped after a reading at a position no later than it has only
+        moved class, and a kernel skips the matches that are new by that
+        key alone, whose instances are no-ops (see ``_Query``).
         """
         find, parent, table, by_op = self.find, self.parent, self.key2class, self._by_op
         class_nodes, all_uses, losers = self.class_nodes, self._uses, self._losers
+        self._index()
         self.clock += 1
         unordered = set()  # classes whose keys are out of table order
         while losers:
@@ -708,6 +745,7 @@ class SaturationState:
                 other = table.get(canon)
                 if other is None:
                     self._enter(canon, cls if parent[cls] == cls else find(cls))
+                    self._index()
                     continue
                 # most repaired keys meet a key of their own class, and
                 # are dropped
@@ -770,9 +808,12 @@ class SaturationState:
         it read as its last pass began, right after that pass's rebuild: a
         match of old keys alone was instantiated then, and its nodes and
         merge persist.  A root key entered no later than that reading only
-        moved class since.  An outer node built straight into its matched
-        class counts as a merge.  The pass ends with a rebuild, which
-        ``grow`` relies on.
+        moved class since.  A kernel builds each instance as it finds the
+        match, over the indexes as the rebuild before it left them; the
+        keys its instances make are indexed by the next rebuild, so the
+        next query joins them.  An outer node built straight into its
+        matched class counts as a merge.  The pass ends with a rebuild,
+        which ``grow`` relies on.
         """
         merges = 0
         created0 = self.nodes_created

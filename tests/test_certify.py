@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 from dataclasses import replace
 
 import pytest
@@ -142,6 +143,17 @@ def test_fujiwara_sweeps_a_grid_over_two_sorts(graphs_variety):
     assert [p.sizes for p in report.profiles] == [(e, v + 2 * e) for e, v in grid]
     assert len(report.iso_matrix) == 36
     assert all(not c.isomorphic for c in report.iso_matrix)
+
+
+def test_a_sweep_up_to_the_largest_rank_ends_at_its_first_trip(boolean_groups):
+    # the parser accepts ranks up to sys.maxsize - 1; the sweep makes its
+    # profiles one at a time, so such a rank costs only the builds that run
+    # before the budget trips
+    report = certify_fujiwara(boolean_groups, [], sys.maxsize - 1, Budget(max_classes=60))
+    assert report.status == UNKNOWN
+    assert "on [(3,)] did not saturate" in report.detail
+    assert [p.counts for p in report.profiles] == [(0,), (1,), (2,), (3,)]
+    assert [p.status for p in report.profiles] == ["ok", "ok", "ok", "budget"]
 
 
 def test_fujiwara_rank_monotone(boolean_groups):

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -571,6 +572,21 @@ def test_a_rank_too_large_to_sweep_is_an_input_error(tmp_path, capsys, route):
     assert main(["certify", corpus_path(variety), str(cert)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and section in err and "at most" in err and "Traceback" not in err
+
+
+def test_the_largest_rank_sweeps_until_the_budget_trips(tmp_path, capsys):
+    # the largest rank the parser accepts: the sweep makes its profiles one
+    # at a time and ends at the first that does not saturate
+    cert = tmp_path / "largest.cert"
+    cert.write_text(f"(certificate fujiwara (rank {sys.maxsize - 1}))")
+    out = tmp_path / "report.json"
+    args = ["certify", corpus_path("boolean-groups.var"), str(cert), "--budget-classes", "60", "--json", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    report = json.loads(out.read_text())
+    assert report["status"] == "unknown"
+    assert [p["counts"] for p in report["profiles"]] == [[0], [1], [2], [3]]
 
 
 DEEP_TERM = "(f " * 1200 + "x" + ")" * 1200

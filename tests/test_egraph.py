@@ -493,6 +493,44 @@ def removers(source: str, attrs=INDEXES) -> list[str]:
     ``popitem``, ``clear`` or ``del``.  Aliases resolve by name across the
     module: a name bound, by assignment or as a loop target, to such an
     attribute or to anything read from one stands for it everywhere."""
+    return touching(source, attrs, removes)
+
+
+def writers(source: str, attrs) -> list[str]:
+    """The definitions, as in ``removers``, that change an attribute in
+    ``attrs`` or a dict it holds: that remove from it, store into it by
+    subscript, or call a method that adds to it.  Binding the attribute
+    itself, as ``__init__`` does, makes it and is not a write to it."""
+
+    def writes(node, held) -> bool:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return any(isinstance(t, ast.Subscript) and held(t.value) for t in targets)
+        return removes(node, held) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("update", "setdefault", "append", "extend", "insert", "add")
+            and held(node.func.value)
+        )
+
+    return touching(source, attrs, writes)
+
+
+def removes(node, held) -> bool:
+    if isinstance(node, ast.Delete):
+        return any(held(t) for t in node.targets)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("pop", "popitem", "clear")
+        and held(node.func.value)
+    )
+
+
+def touching(source: str, attrs, touches) -> list[str]:
+    """The definitions holding a node that ``touches(node, held)`` accepts,
+    where ``held(expr)`` tells whether ``expr`` is an attribute in
+    ``attrs``, anything read from one, or an alias of either."""
     tree = ast.parse(source)
     aliases: set[str] = set()
 
@@ -540,14 +578,7 @@ def removers(source: str, attrs=INDEXES) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 stack.append((child, f"{where}.{child.name}".lstrip(".")))
                 continue
-            if isinstance(child, ast.Delete) and any(held(t) for t in child.targets):
-                found.add(where)
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in ("pop", "popitem", "clear")
-                and held(child.func.value)
-            ):
+            if touches(child, held):
                 found.add(where)
             stack.append((child, where))
     return sorted(found)
@@ -582,6 +613,114 @@ def test_scan_finds_every_removal():
         "        nodes.popitem()\n"
     )
     assert removers(source) == ["S.aliased", "S.direct", "S.nested", "S.through_a_read.inner", "loop"]
+
+
+# the indexes a match kernel joins over
+JOINED = {"class_nodes", "_by_op", "_uses"}
+
+
+def test_only_rebuild_and_the_queue_write_the_indexes():
+    # _enter only queues a key for the indexes; they change only where the
+    # queue is indexed and in rebuild, so no index changes while a kernel's
+    # join reads it and its instances make keys
+    written = writers(Path(egraph.__file__).read_text(), JOINED)
+    assert written == ["SaturationState._index", "SaturationState.rebuild"]
+
+
+def test_scan_finds_every_write():
+    source = (
+        "class S:\n"
+        "    def __init__(self):\n"
+        "        self.class_nodes = {}\n"
+        "    def stored(self, k):\n"
+        "        self._by_op[k[0]][k] = 1\n"
+        "    def counted(self, k):\n"
+        "        self._by_op[k[0]][k] += 1\n"
+        "    def aliased(self, k):\n"
+        "        table, uses = self.key2class, self._uses\n"
+        "        for c in k[1:]:\n"
+        "            uses[c].setdefault(k)\n"
+        "    def through_a_read(self, c):\n"
+        "        keys = self.class_nodes.get(c)\n"
+        "        def inner(more): keys.update(more)\n"
+        "    def removed(self, k):\n"
+        "        del self._uses[k[1]][k]\n"
+        "    def harmless(self, k):\n"
+        "        self._queued.append(k)\n"
+        "        self.key2class[k] = 0\n"
+        "        return self.class_nodes.get(k[1], {}).get(k)\n"
+        "def loop(state, k):\n"
+        "    for stamps in state._by_op.values():\n"
+        "        stamps[k] = 0\n"
+    )
+    written = ["S.aliased", "S.counted", "S.removed", "S.stored", "S.through_a_read.inner", "loop"]
+    assert writers(source, JOINED) == written
+
+
+def test_a_key_made_outside_a_rebuild_is_indexed_by_the_next():
+    # _make puts a key in the table and ticks the clock at once, but the
+    # indexes stay as they were until the next rebuild indexes the queue
+    v = make_variety(["elem"], [("f", ["elem"], "elem"), ("g", ["elem", "elem"], "elem")], "queued", [])
+    f, g = (op.id for op in v.sig.ops)
+    state = SaturationState(v, profile_of(v, (2,)))
+    a, b = state.gen_class.values()
+    x = state._node(f, (a,), 0)
+    state.rebuild()
+
+    def indexes():
+        return [
+            {c: list(keys.items()) for c, keys in index.items()}
+            for index in (state.class_nodes, state._by_op, state._uses)
+        ]
+
+    before, clock = indexes(), state.clock
+    y = state._make((g, a, x), 0)
+    z = state._make((f, y), 0)
+    assert state.key2class[(g, a, x)] == y and state.key2class[(f, y)] == z
+    assert state.clock == clock + 2
+    assert indexes() == before
+    # y's class is merged away before its key, and the key over it, are
+    # indexed: the rebuild indexes both first, then repairs (f y)
+    assert state._union(b, y)
+    state.rebuild()
+    assert state.find(y) == b
+    assert list(state.key2class) == [(f, a), (g, a, x), (f, b)]
+    assert_indexes_match_a_fresh_scan(state)
+
+
+def test_a_kernel_joins_no_key_that_its_own_instances_made():
+    # in (f x (g x)) = (g (g x)), the instance of the match on (f x (g x))
+    # makes (g (g x)) in the class of (f x (g x)), which completes a match
+    # on the next f key, (f (g x) (f x (g x))); the kernel joins over the
+    # indexes as they stood when it began, so that match waits for the
+    # next pass, as it would if every match were found before any instance
+    v = make_variety(
+        ["elem"],
+        [("f", ["elem", "elem"], "elem"), ("g", ["elem"], "elem")],
+        "nested",
+        [([("x", "elem")], "(f x (g x))", "(g (g x))")],
+    )
+    f, g = (op.id for op in v.sig.ops)
+    state = SaturationState(v, profile_of(v, (1,)))
+    [x] = state.gen_class.values()
+    gx = state._node(g, (x,), 0)
+    fx = state._node(f, (x, gx), 0)
+    outer = state._node(f, (gx, fx), 0)
+    state.rebuild()
+    [q] = state._queries
+    q.kernel(state, -1, [])
+    assert state.instances == 1
+    assert state.key2class[(g, gx)] == fx and (g, fx) not in state.key2class
+    state.rebuild()
+    q.kernel(state, -1, [])
+    assert state.key2class[(g, fx)] == outer
+
+
+def test_no_kernel_holds_a_match_list():
+    # each match builds its instance where the join finds it
+    varieties = [load_entry_variety(name) for name in ENTRIES] + [cycle_40_variety()]
+    for q in (q for v in varieties for q in v._queries):
+        assert "found =" not in q.source and ".append" not in q.source
 
 
 def test_one_union_closes_a_two_level_congruence_cascade():
