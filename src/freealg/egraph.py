@@ -24,8 +24,9 @@ only ever created by ``_make``, entries are written to the indexes, and
 leave them and the table, only in ``rebuild``, and representatives are
 extracted once, when the saturated state is frozen.  Extraction compares
 the canonical keys of candidate terms without making them, as egg's
-extractor compares costs (Willsey et al., POPL 2021), and then makes one
-term per class.
+extractor compares costs (Willsey et al., POPL 2021), and makes no term:
+each class's least key describes its representative in full, and the
+frozen outcome keeps the keys, not the terms.
 
 MATCH is relational and semi-naive (Zhang et al., "Relational E-Matching",
 POPL 2022).  The hash-cons table is the relation: each canonical key
@@ -76,9 +77,11 @@ class cap is checked in ``_make`` and, for the generators, at round 0.
 Each saturation runs once per structure per process: ``_saturate``, the
 one driver behind ``build_free_algebra``, ``nondegeneracy_check`` and
 ``is_consequence``, memoizes its outcome under a key of all that a run
-reads and of no sort or op name (see ``_saturate``).  So the bundled
-witnesses that differ only by their names are saturated once, and each
-later caller gets a fresh result over its own names.
+reads and of no sort or op name (see ``_saturate``).  The kept outcome is
+what ``freeze`` returns, name-free too, and ``_result`` makes every
+caller's result from it, the first caller's as well as a later one's.  So
+the bundled witnesses that differ only by their names are saturated once,
+and each caller gets a fresh result over its own names.
 
 The cyclic garbage collector is paused while ``_run`` drives the rounds of
 any saturation, and turned back on afterwards only if it was on.  A
@@ -549,7 +552,6 @@ class SaturationState:
     """A saturation run: union-find, hash-consed nodes, indexes, budget, stats."""
 
     def __init__(self, variety: VarietyDef, profile: GeneratorProfile, budget: Budget = Budget()):
-        self.variety = variety
         self.sig = variety.sig
         self.profile = profile
         self.budget = budget
@@ -882,8 +884,8 @@ def _run(state: SaturationState, watch: tuple[Term, Term] | None = None):
             gc.enable()
 
 
-def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], dict[int, Term]]:
-    """The least member term of each class and its key, by root.
+def extract_representatives(state: SaturationState) -> dict[int, tuple]:
+    """The key of the least member term of each class, by root.
 
     A term's canonical key orders terms by length first, then puts
     variables before applications, then compares sort and name, or op and
@@ -892,22 +894,19 @@ def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], d
     compares keys alone, as egg's extractor compares costs: a table key
     ``(op, c1, ...)`` whose children all have a best key offers
     ``(1 + max child length, 1, op, (best[c1], ...))``, or ``(0, 1, op, ())``
-    for a constant.  Each class keeps its least key and the generator or
-    table key that gave it, until a pass changes nothing.  Only then is
-    one term made per class, in order of length: a child's key is shorter
-    than its parent's, so its term is made first.  The rebuild leaves
-    every table key canonical and every value a root.
+    for a constant.  Each class keeps its least key until a pass changes
+    nothing.  No term is made: a key describes its term in full, and
+    ``_term`` makes it.  The rebuild leaves every table key canonical and
+    every value a root.
     """
     state.rebuild()
     best: dict[int, tuple] = {}
-    won: dict[int, object] = {}  # the generator or table key that gave each best key
     for v, cls in state.gen_class.items():
         root = state.find(cls)
         key = (0, 0, v.sort, v.name)
         cur = best.get(root)
         if cur is None or key < cur:
             best[root] = key
-            won[root] = v
     get, length = best.get, itemgetter(0)
     changed = True
     while changed:
@@ -923,46 +922,33 @@ def extract_representatives(state: SaturationState) -> tuple[dict[int, tuple], d
             cur = get(cls)
             if cur is None or key < cur:
                 best[cls] = key
-                won[cls] = node
                 changed = True
-    arena = arena_of(state.sig)
-    ops = state.sig.ops
-    reps: dict[int, Term] = {}
-    for root, key in sorted(best.items(), key=lambda item: item[1][0]):
-        node = won[root]
-        if key[1] == 0:
-            reps[root] = arena.var(node)
-        else:
-            reps[root] = arena.apply(ops[node[0]], tuple(reps[c] for c in node[1:]))
-    return best, reps
+    return best
 
 
-def freeze(state: SaturationState) -> FreeAlgebraResult:
-    sig = state.sig
-    keys, reps_by_class = extract_representatives(state)
+def freeze(state: SaturationState) -> tuple:
+    """The kept form of a saturated state's outcome, which holds no sort or
+    op name, no term and no algebra: ``(sizes, tables, images, reps,
+    rounds)``, with each sort's carrier size, each op's table by op id,
+    each generator's element in profile order, each sort's representative
+    keys (see ``extract_representatives``) in element order, and the
+    rounds' stats.  Each sort's elements are its roots in key order.  The
+    rebuild inside extraction left every key canonical and every value a
+    root, so each key is one table entry; ``_result`` checks that the
+    entries cover every table, which a saturated state's do."""
+    keys = extract_representatives(state)
     index: dict[int, int] = {}
-    reps: list[tuple[Term, ...]] = []
-    for s in sig.sorts:
+    reps = []
+    for s in state.sig.sorts:
         roots = sorted(state.classes_of_sort(s.id), key=keys.__getitem__)
         for i, r in enumerate(roots):
             index[r] = i
-        reps.append(tuple(reps_by_class[r] for r in roots))
-    # the rebuild inside extraction left every key canonical and every
-    # value a root, so each key is one entry; FiniteAlgebra checks that
-    # the entries cover every table, which a saturated state's do
-    tables: dict[int, dict[tuple, int]] = {op.id: {} for op in sig.ops}
+        reps.append(tuple(map(keys.__getitem__, roots)))
+    tables: dict[int, dict[tuple, int]] = {op.id: {} for op in state.sig.ops}
     for key, cls in state.key2class.items():
         tables[key[0]][tuple(map(index.__getitem__, key[1:]))] = index[cls]
-    algebra = FiniteAlgebra(sig, tuple(map(len, reps)), tables)
-    gen_images = {v: index[state.find(c)] for v, c in state.gen_class.items()}
-    return FreeAlgebraResult(
-        variety=state.variety,
-        profile=state.profile,
-        algebra=algebra,
-        gen_images=gen_images,
-        reps=tuple(reps),
-        stats=state.stats,
-    )
+    images = tuple(index[state.find(c)] for c in state.gen_class.values())
+    return tuple(map(len, reps)), tables, images, tuple(reps), tuple(state.stats.rounds)
 
 
 # each saturation's outcome, kept once per structure per process (see _saturate)
@@ -980,71 +966,67 @@ def _saturate(variety: VarietyDef, profile: GeneratorProfile, budget: Budget, wa
     the watched pair's shapes by profile position, and the budget.  Sort
     and op names are not in it, as the engine reads none, so a witness
     that differs from an earlier one by its names alone is served from the
-    first.  A miss runs, freezes a saturated state and returns the result
-    as made.  When every watched term is a generator, a saturated outcome
+    first.  The kept outcome is a round, a trip, or what ``freeze`` makes
+    of a saturated state, and ``_result`` is the one way out: a hit and a
+    miss alike return its result over the caller's variety and profile.
+    A miss makes that result before it keeps anything, so a frozen state
+    whose tables ``FiniteAlgebra`` rejects, like a run that raises, keeps
+    nothing.  When every watched term is a generator, a saturated outcome
     is kept under the unwatched key too: watching a generator makes no
     node, and a pair that never merges stops no round early, so that run
     is the unwatched build, with the same tables, images, representatives
-    and stats.  A hit returns a fresh result over the caller's variety and
-    profile, with tables that ``FiniteAlgebra`` checks again,
-    representatives rebuilt by op id in the caller's arena, and its own
-    stats.  A run that raises keeps nothing.  This is the one place that
-    makes a ``SaturationState``, runs it and freezes it.
+    and stats.  This is the one place that makes a ``SaturationState``,
+    runs it and freezes it.
     """
     variables = profile.variables()
     position = {v: i for i, v in enumerate(variables)}
     watched = None if watch is None else tuple(_shape(t, position) for t in watch)
     key = (variety._structure, variables, watched, budget)
     kept = _saturated.get(key)
+    if kept is not None:
+        return _result(kept, variety, profile)
+    state = SaturationState(variety, profile, budget)
+    kept = _run(state, watch)
     if kept is None:
-        state = SaturationState(variety, profile, budget)
-        outcome = _run(state, watch)
-        if outcome is None:
-            outcome = freeze(state)
-            _saturated[key] = (
-                outcome.algebra.sizes,
-                _copy_tables(outcome.algebra.tables),
-                tuple(outcome.gen_images.values()),
-                tuple(tuple(_shape(t, position) for t in col) for col in outcome.reps),
-                tuple(outcome.stats.rounds),
-            )
-            if watched is not None and all(isinstance(w, int) for w in watched):
-                _saturated[(variety._structure, variables, None, budget)] = _saturated[key]
-        elif isinstance(outcome, BudgetExceeded):
-            _saturated[key] = _copy_trip(outcome)
-        else:
-            _saturated[key] = outcome  # the watched pair's round
-        return outcome
-    if isinstance(kept, BudgetExceeded):
-        return _copy_trip(kept)
+        kept = freeze(state)
+    result = _result(kept, variety, profile)
+    _saturated[key] = kept
+    if isinstance(kept, tuple) and watched is not None and all(isinstance(w, int) for w in watched):
+        _saturated[(variety._structure, variables, None, budget)] = kept
+    return result
+
+
+def _result(kept, variety: VarietyDef, profile: GeneratorProfile):
+    """The caller's result of a kept outcome: a round as it is, a trip as a
+    copy with its own stats, and a frozen state as a ``FreeAlgebraResult``
+    over the caller's variety and profile, with new tables that
+    ``FiniteAlgebra`` checks, each generator's element by profile
+    position, representatives made from their keys in the caller's arena
+    (see ``_term``), and its own stats.  This is the one place that makes
+    a ``FreeAlgebraResult``."""
     if isinstance(kept, int):
         return kept
+    if isinstance(kept, BudgetExceeded):
+        return replace(kept, stats=BuildStats(list(kept.stats.rounds)))
     sizes, tables, images, reps, rounds = kept
     sig = variety.sig
     arena = arena_of(sig)
     return FreeAlgebraResult(
         variety=variety,
         profile=profile,
-        algebra=FiniteAlgebra(sig, sizes, _copy_tables(tables)),
-        gen_images=dict(zip(variables, images)),
-        reps=tuple(tuple(_unshape(s, arena, sig.ops, variables) for s in col) for col in reps),
+        algebra=FiniteAlgebra(sig, sizes, {op: dict(table) for op, table in tables.items()}),
+        gen_images=dict(zip(profile.variables(), images)),
+        reps=tuple(tuple(_term(key, arena, sig.ops) for key in col) for col in reps),
         stats=BuildStats(list(rounds)),
     )
 
 
-def _copy_tables(tables: dict[int, dict[tuple, int]]) -> dict[int, dict[tuple, int]]:
-    return {op: dict(table) for op, table in tables.items()}
-
-
-def _copy_trip(trip: BudgetExceeded) -> BudgetExceeded:
-    return replace(trip, stats=BuildStats(list(trip.stats.rounds)))
-
-
-def _unshape(shape, arena, ops, variables) -> Term:
-    """The term of a ``_shape``, with each position's variable."""
-    if isinstance(shape, int):
-        return arena.var(variables[shape])
-    return arena.apply(ops[shape[0]], tuple([_unshape(c, arena, ops, variables) for c in shape[2]]))
+def _term(key: tuple, arena, ops) -> Term:
+    """The term of a representative key: ``(0, 0, sort, name)`` is a
+    generator, ``(length, 1, op, child keys)`` an application."""
+    if key[1] == 0:
+        return arena.var(SortedVar(key[3], key[2]))
+    return arena.apply(ops[key[2]], tuple([_term(c, arena, ops) for c in key[3]]))
 
 
 def build_free_algebra(variety: VarietyDef, profile: GeneratorProfile, budget: Budget | None = None):

@@ -140,13 +140,22 @@ class GeneratorProfile:
 
     @classmethod
     def from_counts(cls, sig: Signature, counts: dict[str, int]) -> "GeneratorProfile":
+        """Generator k of a sort is named ``x<k>`` in a one-sorted
+        signature and ``<sort><k>`` otherwise.  Those names are one to a
+        generator unless some sort's name is another's plus digits, as with
+        ``a`` and ``a1``, whose generators 11 and 1 would both be ``a11``;
+        such a signature names them ``<sort>.<k>``, which splits back at
+        its last dot."""
         by_sort: dict[int, tuple[SortedVar, ...]] = {}
         one_sorted = len(sig.sorts) == 1
+        names = [s.name for s in sig.sorts]
+        suffixes = (a[len(b):] for a in names for b in names if a != b and a.startswith(b))
+        dot = "." if any(t.isascii() and t.isdigit() for t in suffixes) else ""
         for name, n in counts.items():
             s = sig.sort_named(name)
             if n < 0:
                 raise TermError(f"negative generator count for sort '{name}'")
-            prefix = "x" if one_sorted else name
+            prefix = "x" if one_sorted else name + dot
             by_sort[s.id] = tuple(SortedVar(f"{prefix}{k + 1}", s.id) for k in range(n))
         return cls(sig, by_sort)
 

@@ -3,7 +3,7 @@
 ``term_key`` is the order that representatives minimise: length first,
 then variables before applications, then sort and name, or op and the
 children's keys.  ``egraph.extract_representatives`` compares such keys
-without making terms, and makes one term per class once it is done.
+and makes no term: the result makes each class's term from its key.
 ``reference_representatives`` is the fixpoint it replaced: every pass makes
 the term of every table key whose children have one, and each class keeps
 the least by ``term_key``.  The two must agree on every class, since

@@ -171,6 +171,31 @@ def test_certify_degenerate_witness(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+# sort a1's name is sort a's plus digits, so a's generator 11 and a1's
+# generator 1 need names that tell them apart
+DIGIT_SUFFIXED_SORTS = "(signature (sort a) (sort a1))\n(variety two)\n"
+
+
+def test_free_with_a_digit_suffixed_sort_names_every_generator_apart(tmp_path, capsys):
+    var, out = tmp_path / "two.var", tmp_path / "r.json"
+    var.write_text(DIGIT_SUFFIXED_SORTS)
+    assert main(["free", str(var), "a=11,a1=1", "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "|a| = 11" in text and "|a1| = 1" in text
+    data = validate_report(out)
+    assert data["sizes"] == {"a": 11, "a1": 1}
+    images = data["generator_images"]
+    assert len(images) == 12 and {"a.11", "a1.1"} <= set(images)
+
+
+def test_certify_with_a_digit_suffixed_sort_sweeps_past_rank_ten(tmp_path, capsys):
+    var, cert = tmp_path / "two.var", tmp_path / "two.cert"
+    var.write_text(DIGIT_SUFFIXED_SORTS)
+    cert.write_text("(certificate fujiwara (rank 11))\n")
+    assert main(["certify", str(var), str(cert)]) == 0
+    assert "two: certified (rank 11)" in capsys.readouterr().out
+
+
 def test_certify_per_sort(tmp_path, capsys):
     # general semigroup actions: left-zero witness for the semigroup sort,
     # trivial action witness for the set sort

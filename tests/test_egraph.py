@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import gc
 import hashlib
 import itertools
+import operator
 import random
 import re
 from pathlib import Path
@@ -29,13 +31,16 @@ from freealg.egraph import (
     NONDEGENERATE,
     UNKNOWN,
     SaturationState,
+    VarietyDef,
     build_free_algebra,
     is_consequence,
     nondegeneracy_check,
 )
-from freealg.finalg import AlgebraError, compile_source, eval_term, satisfies_identity
-from freealg.terms import Identity, TermArena, arena_of, parse_term, term_to_text
+from freealg.finalg import AlgebraError, FiniteAlgebra, compile_source, eval_term, satisfies_identity
+from freealg.signature import Op, Signature
+from freealg.terms import GeneratorProfile, Identity, Term, TermArena, arena_of, parse_term, term_to_text
 from term_order import reference_representatives, term_key
+from test_saturation_memo import lie_sort1_part, null_mul_witness
 
 
 def zero_squares_variety():
@@ -154,6 +159,47 @@ def test_a_watched_node_keeps_its_run_under_its_own_key(left_zero, captured_stat
     assert len(captured_states) == 2
 
 
+def test_a_renamed_structure_freezes_to_the_same_kept_outcome(monkeypatch):
+    # the kept outcome holds no sort or op name, so the null-mul witness and
+    # the lie-reps sort-1 part, which differ by their names alone, freeze
+    # to equal outcomes, and each is kept as it was frozen
+    frozen = []
+    freeze = egraph.freeze
+    monkeypatch.setattr(egraph, "freeze", lambda state: frozen.append(freeze(state)) or frozen[-1])
+    kept = []
+    for v in (null_mul_witness(), lie_sort1_part()):
+        egraph._saturated.clear()
+        build_free_algebra(v, profile_of(v, (2,)))
+        kept += egraph._saturated.values()
+    assert len(frozen) == 2 and all(map(operator.is_, kept, frozen))
+    assert frozen[0] == frozen[1]
+
+
+# what names a sort or an op, or holds what does
+NAMED = (Term, Op, Signature, VarietyDef, GeneratorProfile, FiniteAlgebra)
+
+
+def test_the_memo_keeps_nothing_that_holds_a_name():
+    run_corpus()
+    kinds = set()
+    for kept in egraph._saturated.values():
+        kinds.add(type(kept))
+        seen, stack = set(), [kept]
+        while stack:
+            x = stack.pop()
+            if id(x) in seen:
+                continue
+            seen.add(id(x))
+            assert not isinstance(x, NAMED)
+            if isinstance(x, dict):
+                stack += [*x.keys(), *x.values()]
+            elif isinstance(x, (tuple, list)):
+                stack += x
+            elif dataclasses.is_dataclass(x):
+                stack += [getattr(x, f.name) for f in dataclasses.fields(x)]
+    assert kinds == {tuple, BudgetExceeded, int}  # frozen states, trips and rounds
+
+
 def test_nondegeneracy_unknown_on_budget():
     semigroups = make_variety(
         ["elem"],
@@ -210,8 +256,9 @@ EXTRACTION_CASES = [
     ids=[f"{getattr(n, '__name__', n)}-{','.join(map(str, c))}" for n, c in EXTRACTION_CASES],
 )
 def test_extraction_agrees_with_the_term_building_fixpoint(monkeypatch, name, counts):
-    # extraction compares keys and makes one term per class; the fixpoint
-    # that makes a term per candidate must find the same representatives
+    # extraction compares keys and makes no term; the fixpoint that makes a
+    # term per candidate must find the same representatives, and the result
+    # must make them from their keys, in element order
     applied = []
     apply = TermArena.apply
 
@@ -224,20 +271,21 @@ def test_extraction_agrees_with_the_term_building_fixpoint(monkeypatch, name, co
 
     def extract_and_check(state):
         made = len(applied)
-        keys, reps = extract(state)
-        made = len(applied) - made
-        assert reps == reference_representatives(state)
-        assert keys == {root: term_key(t) for root, t in reps.items()}
-        # one term per class whose representative is not a generator
-        assert made == sum(not t.is_var() for t in reps.values())
-        checked.append(state)
-        return keys, reps
+        keys = extract(state)
+        assert len(applied) == made  # no term is made
+        reference = reference_representatives(state)
+        assert keys == {root: term_key(t) for root, t in reference.items()}
+        checked.append((state, reference))
+        return keys
 
     monkeypatch.setattr(TermArena, "apply", apply_and_count)
     monkeypatch.setattr(egraph, "extract_representatives", extract_and_check)
     v = name() if callable(name) else load_entry_variety(name)
     res = build_free_algebra(v, profile_of(v, counts))
-    [state] = checked
+    [(state, reference)] = checked
+    assert res.reps == tuple(
+        tuple(sorted((reference[r] for r in state.classes_of_sort(s.id)), key=term_key)) for s in v.sig.sorts
+    )
     assert set(res.gen_images) == set(state.gen_class)
     if name is collapse_variety:
         assert res.algebra.sizes == (1,) and res.reps[0][0].is_var()
@@ -263,17 +311,19 @@ def test_extraction_runs_its_fixpoint_until_a_pass_changes_nothing():
     q = state._node(f, (p,), 0)
     state._union(p, state._node(c, (), 0))
     state.rebuild()
-    keys, reps = egraph.extract_representatives(state)
+    keys = egraph.extract_representatives(state)
     assert keys[q] == term_key(parse_term("(f (c))", v.sig, prof))
-    assert keys == {root: term_key(t) for root, t in reps.items()}
+    assert keys == {root: term_key(t) for root, t in reference_representatives(state).items()}
 
 
 def test_freezing_an_unsaturated_state_fails_the_table_check(boolean_groups):
-    # freeze copies the table as it stands; the algebra's own check finds
-    # the entries missing from a state that has not been saturated
-    state = SaturationState(boolean_groups, profile_of(boolean_groups, (1,)))
+    # freeze copies the table as it stands; the algebra's own check, made
+    # when the result is, finds the entries missing from a state that has
+    # not been saturated
+    profile = profile_of(boolean_groups, (1,))
+    state = SaturationState(boolean_groups, profile)
     with pytest.raises(AlgebraError, match=r"^table for 'mul' has 0 entries, expected 1$"):
-        egraph.freeze(state)
+        egraph._result(egraph.freeze(state), boolean_groups, profile)
 
 
 def _case_id(case):

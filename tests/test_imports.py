@@ -199,6 +199,12 @@ def test_saturations_are_run_in_one_place():
     assert callers({"SaturationState", "_run", "freeze"}, sources) == ["egraph._saturate"]
 
 
+def test_free_algebra_results_are_made_in_one_place():
+    # a miss and a hit alike make their result from the kept outcome
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert callers({"FreeAlgebraResult"}, sources) == ["egraph._result"]
+
+
 def test_the_action_split_is_decomposed_in_one_place():
     # the parser and the route share one classification and one pair of
     # part signatures; only the route glues the parts back together

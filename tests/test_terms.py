@@ -307,6 +307,25 @@ def test_identity_validation(semigroup_sig, xy):
         Identity(small, lhs, lhs)
 
 
+def test_a_sort_named_another_plus_a_dot_and_digits_keeps_the_plain_names():
+    sig = Signature.make(["a", "a.1"], [])
+    prof = GeneratorProfile.from_counts(sig, {"a": 11, "a.1": 1})
+    assert [v.name for v in prof.variables()][-2:] == ["a11", "a.11"]
+
+
+def test_a_sort_named_another_plus_digits_dots_every_generator_name():
+    # "a" generator 11 and "a1" generator 1 would both be a11
+    sig = Signature.make(["a", "a1", "a.1"], [])
+    prof = GeneratorProfile.from_counts(sig, {"a": 11, "a1": 1, "a.1": 1})
+    names = [v.name for v in prof.variables()]
+    assert names[:2] == ["a.1", "a.2"] and names[-2:] == ["a1.1", "a.1.1"]
+    assert len(set(names)) == 13
+    # each name splits back into its sort and its number at its last dot
+    for v in prof.variables():
+        sort, k = v.name.rsplit(".", 1)
+        assert sig.sort_named(sort).id == v.sort and prof.by_sort[v.sort][int(k) - 1] is v
+
+
 def test_profile_uniqueness_checks(semigroup_sig):
     with pytest.raises(TermError):
         GeneratorProfile.of_vars(
