@@ -30,6 +30,7 @@ from .files import (
     load_algebra_json,
     load_certificate,
     load_variety,
+    parse_decimal,
     parse_profile_spec,
 )
 from .finalg import satisfies_all
@@ -52,7 +53,7 @@ def _budget(args) -> Budget:
         if env not in os.environ:
             return fallback
         try:
-            return int(os.environ[env])
+            return parse_decimal(os.environ[env])
         except ValueError:
             raise InputError(f"{env} must be an integer, not {os.environ[env]!r}") from None
 
@@ -212,6 +213,15 @@ def cmd_corpus(args) -> int:
     return 0 if report.ok else 3
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value, read by ``parse_decimal``; a bad one is
+    reported as argparse reports a bad ``int``."""
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freealg",
@@ -223,15 +233,15 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", default=None, help="write a JSON report to this path")
 
     def add_budget_flags(p):
-        p.add_argument("--budget-classes", type=int, default=None)
-        p.add_argument("--budget-rounds", type=int, default=None)
+        p.add_argument("--budget-classes", type=_int_flag, default=None)
+        p.add_argument("--budget-rounds", type=_int_flag, default=None)
         add_json_flag(p)
 
     p_free = sub.add_parser("free", help="build the free algebra on a profile")
     p_free.add_argument("variety")
     p_free.add_argument("profile", help="per-sort generator counts, e.g. elem=3 or a=2,b=1")
     p_free.add_argument(
-        "--max-reps", type=int, default=20, help="representatives to print and report per sort"
+        "--max-reps", type=_int_flag, default=20, help="representatives to print and report per sort"
     )
     add_budget_flags(p_free)
     p_free.set_defaults(func=cmd_free)
@@ -239,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="check an invariant-basis-number certificate")
     p_cert.add_argument("variety")
     p_cert.add_argument("certificate")
-    p_cert.add_argument("--rank", type=int, default=None, help="lower the certificate ranks")
+    p_cert.add_argument("--rank", type=_int_flag, default=None, help="lower the certificate ranks")
     add_budget_flags(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 

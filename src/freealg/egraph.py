@@ -6,9 +6,13 @@ round first applies every operation to every tuple of existing classes
 merges the paired instances until quiet (MATCH).  An instance builds its
 other side by hash-cons lookups; when the outer node of that side is
 missing, it goes straight into the matched class, a merge without a class
-that would be merged away at once.  Before each axiom is matched,
-``rebuild`` restores congruence closure from a worklist (CLOSE): only the
-classes merged since the last rebuild are repaired, by putting the keys in
+that would be merged away at once.  The union-find is flat, as in
+quick-find: ``parent`` maps every class id straight to its root, the least
+id of its class, so the kernels and ``rebuild`` read a root with one list
+index and call no ``find``; a merge points the loser, and every class it
+had absorbed, at the winner.  Before each axiom is matched, ``rebuild``
+restores congruence closure from a worklist (CLOSE): only the classes
+merged since the last rebuild are repaired, by putting the keys in
 their use lists back in canonical form and merging the classes of keys
 that then coincide.  Most repaired keys meet their canonical form in their
 own class, and are dropped, not merged.  A loser's keys join its root's
@@ -224,12 +228,6 @@ class _Tripped(Exception):
     turns every trip into its ``BudgetExceeded``."""
 
 
-def _root(x: str) -> str:
-    """Source for the root of class ``x``: ``find`` without a call when
-    ``x`` is a root already, as most classes are."""
-    return f"({x} if parent[{x}] == {x} else find({x}))"
-
-
 def _names(slots) -> str:
     return ", ".join(f"v{s}" for s in slots)
 
@@ -284,7 +282,8 @@ class _Query:
       ``pools`` for the missing variables, is one instance, built at the
       innermost level of its seed's join, inside the moved-root check: the
       kernel looks the other side's nodes up in the hash-cons table, which
-      holds every key made so far, has ``_make`` enter a missing one, and
+      holds every key made so far, by keys of roots that it reads straight
+      from the flat ``parent``, has ``_make`` enter a missing one, and
       unions the result with the matched class; a missing outer node goes
       straight into the matched class.  A node past the class cap trips
       in ``_make``, mid-instance, and ends the join with it.
@@ -346,7 +345,6 @@ class _Query:
         body = [
             "table = state.key2class",
             "parent = state.parent",
-            "find = state.find",
             "make = state._make",
             "union = state._union",
             "n = 0",
@@ -381,19 +379,21 @@ class _Query:
 
     @staticmethod
     def _build_lines(steps, top: int, root: int, built) -> list[str]:
-        """Build the other side and union it with the matched class."""
+        """Build the other side and union it with the matched class.  A
+        class's root is one read of ``parent``, which holds every class's
+        root (see ``SaturationState._union``)."""
         if not steps:
             return [f"union(v{root}, v{top})"]
         lines = []
         for op, args, sort, out in steps:
-            key = [str(op)] + [f"v{a}" if a in built else _root(f"v{a}") for a in args]
+            key = [str(op)] + [f"v{a}" if a in built else f"parent[v{a}]" for a in args]
             lines += [f"k = {tuple_source(key)}", "c = table.get(k)"]
             if out != top:
-                lines.append(f"v{out} = make(k, {sort}) if c is None else {_root('c')}")
+                lines.append(f"v{out} = make(k, {sort}) if c is None else parent[c]")
         return lines + [
             "if c is None:",
             f"    make(k, {steps[-1][2]}, v{root})",
-            f"elif {_root('c')} != {_root(f'v{root}')}:",
+            f"elif parent[c] != parent[v{root}]:",
             f"    union(v{root}, c)",
         ]
 
@@ -526,7 +526,7 @@ class _Query:
             return lines
         i = len(helpers)
         helpers.append("")  # this helper's place, ahead of those it calls
-        context = "since, table, by_op, nodes, uses, parent, find, make, union, pools"
+        context = "since, table, by_op, nodes, uses, parent, make, union, pools"
         params = ", ".join([context, *sorted(bound)])
         lines.append("    " * depth + f"n += join{i}({params})")
         inner = _Query._nest(levels[NEST:], bound, emit, helpers)
@@ -556,7 +556,8 @@ class SaturationState:
         self.profile = profile
         self.budget = budget
         self.stats = BuildStats()
-        self.parent: list[int] = []
+        self.parent: list[int] = []  # each class's root
+        self._absorbed: dict[int, list[int]] = {}  # the classes merged into each root
         self.class_sort: list[int] = []
         self.key2class: dict[tuple, int] = {}
         self.gen_class: dict[SortedVar, int] = {}
@@ -586,19 +587,23 @@ class SaturationState:
     # union-find ----------------------------------------------------------
 
     def find(self, c: int) -> int:
-        p = self.parent
-        while p[c] != c:
-            p[c] = p[p[c]]
-            c = p[c]
-        return c
+        return self.parent[c]
 
     def _union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
+        """Merge the classes of ``a`` and ``b``; the least root wins.  The
+        union-find is flat: ``parent`` holds every class's root, so the
+        loser and each class it had absorbed are pointed at the winner,
+        which then holds them all in ``_absorbed``."""
+        parent, absorbed = self.parent, self._absorbed
+        ra, rb = parent[a], parent[b]
         if ra == rb:
             return False
         if rb < ra:
             ra, rb = rb, ra
-        self.parent[rb] = ra
+        moved = [rb, *absorbed.pop(rb, ())]
+        for c in moved:
+            parent[c] = ra
+        absorbed.setdefault(ra, []).extend(moved)
         del self._sort_classes[self.class_sort[rb]][rb]
         self._losers.append(rb)
         self.n_live -= 1
@@ -618,21 +623,21 @@ class SaturationState:
 
     def _node(self, op_id: int, children, result_sort: int) -> int:
         """The class of the node ``op_id(children)``, made if it is missing."""
-        key = (op_id, *map(self.find, children))
+        key = (op_id, *[self.parent[c] for c in children])
         cls = self.key2class.get(key)
         if cls is not None:
-            return self.find(cls)
+            return self.parent[cls]
         return self._make(key, result_sort)
 
     def _make(self, key: tuple, sort: int, into: int | None = None) -> int:
         """Enter the missing canonical key into a new class of ``sort``, or
-        straight into class ``into`` when given, which counts as a merge;
-        returns its class.  Every node is made here, and checked against
-        the class cap."""
+        straight into the root of class ``into`` when given, which counts
+        as a merge; returns its class.  Every node is made here, and
+        checked against the class cap."""
         if into is None:
             cls = self._new_class(sort)
         else:
-            cls = self.find(into)
+            cls = self.parent[into]
             self.merges_done += 1
         self._enter(key, cls)
         self.nodes_created += 1
@@ -694,7 +699,8 @@ class SaturationState:
         instances make.  A rebuild repairs only what merges broke (Downey,
         Sethi and Tarjan, JACM 1980; egg's ``rebuild``).  For each loser, a
         class merged into another, the keys in its use list leave the table
-        and every index, and re-enter in canonical form.  A key whose
+        and every index, and re-enter in canonical form, each argument's
+        root one read of the flat ``parent``.  A key whose
         canonical form is there already is dropped when that form is in its
         own class, as it mostly is; in another class, it merges the two
         classes instead, which queues another loser.  The loser's use list
@@ -720,7 +726,7 @@ class SaturationState:
         moved class, and a kernel skips the matches that are new by that
         key alone, whose instances are no-ops (see ``_Query``).
         """
-        find, parent, table, by_op = self.find, self.parent, self.key2class, self._by_op
+        parent, table, by_op = self.parent, self.key2class, self._by_op
         class_nodes, all_uses, losers = self.class_nodes, self._uses, self._losers
         self._index()
         self.clock += 1
@@ -732,32 +738,30 @@ class SaturationState:
                 del class_nodes[cls][key]
                 del by_op[key[0]][key]
                 # out of the other argument classes' use lists, and into
-                # canonical form with the kernels' inline root test
+                # canonical form, one read of parent per argument
                 if len(key) == 2:  # its one argument is the loser
-                    canon = (key[0], find(loser))
+                    canon = (key[0], parent[loser])
                 elif len(key) == 3:
                     a, b = key[1], key[2]
                     if a != b:
                         del all_uses[b if a == loser else a][key]
-                    canon = (key[0], a if parent[a] == a else find(a), b if parent[b] == b else find(b))
+                    canon = (key[0], parent[a], parent[b])
                 else:
                     for c in set(key[1:]) - {loser}:
                         del all_uses[c][key]
-                    canon = (key[0], *[c if parent[c] == c else find(c) for c in key[1:]])
+                    canon = (key[0], *[parent[c] for c in key[1:]])
                 other = table.get(canon)
                 if other is None:
-                    self._enter(canon, cls if parent[cls] == cls else find(cls))
+                    self._enter(canon, parent[cls])
                     self._index()
                     continue
                 # most repaired keys meet a key of their own class, and
                 # are dropped
-                other = other if parent[other] == other else find(other)
-                cls = cls if parent[cls] == cls else find(cls)
-                if other != cls:
+                if parent[other] != parent[cls]:
                     self._union(other, cls)
             members = class_nodes.pop(loser, None)
             if members:
-                root = find(loser)
+                root = parent[loser]
                 stamp = self.clock
                 for key in members:
                     table[key] = root
@@ -1011,22 +1015,33 @@ def _result(kept, variety: VarietyDef, profile: GeneratorProfile):
     sizes, tables, images, reps, rounds = kept
     sig = variety.sig
     arena = arena_of(sig)
+    made: dict[int, Term] = {}
     return FreeAlgebraResult(
         variety=variety,
         profile=profile,
         algebra=FiniteAlgebra(sig, sizes, {op: dict(table) for op, table in tables.items()}),
         gen_images=dict(zip(profile.variables(), images)),
-        reps=tuple(tuple(_term(key, arena, sig.ops) for key in col) for col in reps),
+        reps=tuple(tuple(_term(key, arena, sig.ops, made) for key in col) for col in reps),
         stats=BuildStats(list(rounds)),
     )
 
 
-def _term(key: tuple, arena, ops) -> Term:
+def _term(key: tuple, arena, ops, made: dict[int, Term]) -> Term:
     """The term of a representative key: ``(0, 0, sort, name)`` is a
-    generator, ``(length, 1, op, child keys)`` an application."""
-    if key[1] == 0:
-        return arena.var(SortedVar(key[3], key[2]))
-    return arena.apply(ops[key[2]], tuple([_term(c, arena, ops) for c in key[3]]))
+    generator, ``(length, 1, op, child keys)`` an application.  Each key's
+    term is made once per result and kept in ``made`` by the key's ``id``:
+    extraction builds a key from its children's best keys themselves, so a
+    subterm shared by several representatives is one shared tuple, which
+    the kept outcome holds alive.  A tuple caches no hash, so keying
+    ``made`` by the nested key itself would walk it at every lookup."""
+    t = made.get(id(key))
+    if t is None:
+        if key[1] == 0:
+            t = arena.var(SortedVar(key[3], key[2]))
+        else:
+            t = arena.apply(ops[key[2]], tuple([_term(c, arena, ops, made) for c in key[3]]))
+        made[id(key)] = t
+    return t
 
 
 def build_free_algebra(variety: VarietyDef, profile: GeneratorProfile, budget: Budget | None = None):

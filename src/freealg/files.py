@@ -22,6 +22,7 @@ as zero-argument applications.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def _parse_witness(forms, sig: Signature, where: str) -> tuple[int, tuple[Identi
     if len(ranks) != 1 or len(ranks[0]) != 2:
         raise CertificateError(f"{where} needs exactly one (rank N)")
     try:
-        rank = int(sexpr.atom_text(ranks[0][1], "rank"))
+        rank = parse_decimal(sexpr.atom_text(ranks[0][1], "rank"))
     except ValueError:
         raise CertificateError(f"{where}: rank must be an integer") from None
     # a sweep ranges over 0..rank, and a range longer than sys.maxsize fails
@@ -225,6 +226,21 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_decimal(text: str) -> int:
+    """A user-given integer: ASCII decimal digits with an optional sign, and
+    optional whitespace around them.  ``int`` alone also takes underscores
+    between digits and the decimal digits of every script, so it reads
+    ``1_0`` as 10 and an Arabic-Indic three as 3; this raises
+    ``ValueError`` for those, as ``int`` does for other text."""
+    digits = text.strip()
+    if _DECIMAL.fullmatch(digits) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(digits)
+
+
 def parse_profile_spec(spec: str, sig: Signature) -> dict[str, int]:
     """Profile syntax: 'elem=3' or 'sort1=2,sort2=1'; omitted sorts get 0.
 
@@ -243,7 +259,7 @@ def parse_profile_spec(spec: str, sig: Signature) -> dict[str, int]:
         if name in counts:
             raise SignatureError(f"sort '{name}' is given twice in the profile")
         try:
-            counts[name] = int(num)
+            counts[name] = parse_decimal(num)
         except ValueError:
             raise SignatureError(f"bad generator count in '{chunk}'") from None
         if counts[name] < 0:

@@ -673,6 +673,55 @@ def test_non_integer_budget_env_names_the_variable(monkeypatch, capsys, env):
     assert capsys.readouterr().err == f"error: {env} must be an integer, not 'x'\n"
 
 
+# int() would read these as 10: underscores between digits, and decimal
+# digits of a script other than ASCII
+NOT_ASCII_DECIMAL = ["1_0", "١٠"]
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_DECIMAL, ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("env", ["VF_BUDGET_CLASSES", "VF_BUDGET_ROUNDS"])
+def test_a_budget_env_of_other_digits_names_the_variable(monkeypatch, capsys, env, value):
+    monkeypatch.setenv(env, value)
+    assert main(["corpus", "sets"]) == 1
+    assert capsys.readouterr().err == f"error: {env} must be an integer, not {value!r}\n"
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_DECIMAL, ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("free", "--budget-classes"), ("free", "--budget-rounds"), ("free", "--max-reps"), ("certify", "--rank")],
+)
+def test_an_integer_flag_of_other_digits_is_refused(capsys, command, flag, value):
+    second = corpus_path("boolean-groups.cert") if command == "certify" else "elem=2"
+    with pytest.raises(SystemExit) as refused:
+        main([command, corpus_path("boolean-groups.var"), second, flag, value])
+    assert refused.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("value", NOT_ASCII_DECIMAL, ids=["underscore", "arabic-indic"])
+def test_a_generator_count_of_other_digits_is_an_input_error(capsys, value):
+    # the class cap is below 10, so a count read as 10 would trip at round 0
+    args = ["free", corpus_path("boolean-groups.var"), f"elem={value}", "--budget-classes", "5"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: bad generator count in 'elem={value}'\n"
+
+
+@pytest.mark.parametrize("rank", ["0_3", "٣"], ids=["underscore", "arabic-indic"])
+def test_a_rank_of_other_digits_is_an_input_error(tmp_path, capsys, rank):
+    cert = tmp_path / "rank.cert"
+    cert.write_text(f"(certificate fujiwara (rank {rank}))\n")
+    assert main(["certify", corpus_path("boolean-groups.var"), str(cert)]) == 1
+    assert capsys.readouterr().err == "error: fujiwara certificate: rank must be an integer\n"
+
+
+def test_whitespace_around_a_user_given_integer_is_legal(monkeypatch, capsys):
+    monkeypatch.setenv("VF_BUDGET_ROUNDS", " 12 ")
+    args = ["free", corpus_path("automata.var"), "in= 1 ,state=1 ,out=1", "--budget-classes", " 100000 "]
+    assert main(args) == 2
+    assert "rounds: 12" in capsys.readouterr().out
+
+
 def test_zero_budget_env_is_rejected(monkeypatch, capsys):
     monkeypatch.setenv("VF_BUDGET_CLASSES", "0")
     code = main(["free", corpus_path("automata.var"), "in=1,state=1,out=1"])

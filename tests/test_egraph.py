@@ -293,6 +293,38 @@ def test_extraction_agrees_with_the_term_building_fixpoint(monkeypatch, name, co
         assert [term_to_text(t) for t in res.reps[0]] == ["(e)"]
 
 
+@pytest.mark.parametrize(
+    "name,counts",
+    EXTRACTION_CASES,
+    ids=[f"{getattr(n, '__name__', n)}-{','.join(map(str, c))}" for n, c in EXTRACTION_CASES],
+)
+def test_a_result_makes_each_distinct_term_once(monkeypatch, name, counts):
+    # extraction builds each key from its children's best keys themselves,
+    # so a result makes the term of each distinct key once, however many
+    # representatives share it, on a miss and on a memo hit alike
+    applied = []
+    apply = TermArena.apply
+
+    def apply_and_count(arena, op, children):
+        applied.append(op)
+        return apply(arena, op, children)
+
+    monkeypatch.setattr(TermArena, "apply", apply_and_count)
+    v = name() if callable(name) else load_entry_variety(name)
+    for _ in range(2):  # a miss, then a hit
+        applied.clear()
+        res = build_free_algebra(v, profile_of(v, counts))
+        # the arena makes each term once, so distinct terms are distinct objects
+        distinct = set()
+        stack = [t for col in res.reps for t in col]
+        while stack:
+            t = stack.pop()
+            if not t.is_var() and id(t) not in distinct:
+                distinct.add(id(t))
+                stack.extend(t.children)
+        assert len(applied) == len(distinct)
+
+
 def test_extraction_runs_its_fixpoint_until_a_pass_changes_nothing():
     # the constant c joins the class of h(x) in a later table position than
     # f's key over that class, so the pass that lowers the class's best key
@@ -771,6 +803,74 @@ def test_no_kernel_holds_a_match_list():
     varieties = [load_entry_variety(name) for name in ENTRIES] + [cycle_40_variety()]
     for q in (q for v in varieties for q in v._queries):
         assert "found =" not in q.source and ".append" not in q.source
+
+
+def test_no_kernel_calls_find():
+    # parent holds every class's root, so a kernel, and each helper its
+    # join continues in, reads a root with one index
+    varieties = [load_entry_variety(name) for name in ENTRIES] + [cycle_40_variety()]
+    for q in (q for v in varieties for q in v._queries):
+        assert "find" not in q.source
+
+
+# every finite corpus row on at most 3 generators, and every INFINITE row
+# under its cap
+FLAT_CASES = [
+    (name, counts, entry.infinite_budget if sizes == INFINITE else Budget())
+    for name, entry in ENTRIES.items()
+    for counts, sizes in entry.expected
+    if sizes == INFINITE or sum(counts) <= 3
+]
+
+
+def assert_flat(state):
+    # every id points straight at a root, and no id is below its root, so
+    # each root is the least id of its class
+    parent = state.parent
+    assert [parent[p] for p in parent] == parent
+    assert all(map(operator.le, parent, range(len(parent))))
+
+
+@pytest.mark.parametrize("name,counts,budget", FLAT_CASES, ids=map(_case_id, FLAT_CASES))
+def test_every_class_points_straight_at_the_least_id_of_its_class(monkeypatch, name, counts, budget):
+    union, rebuild = SaturationState._union, SaturationState.rebuild
+
+    def union_and_check(state, a, b):
+        merged = union(state, a, b)
+        assert_flat(state)
+        return merged
+
+    def rebuild_and_check(state):
+        rebuild(state)
+        assert_flat(state)
+        # each root that won a merge holds exactly the other ids of its class
+        absorbed: dict[int, list[int]] = {}
+        for c, root in enumerate(state.parent):
+            if c != root:
+                absorbed.setdefault(root, []).append(c)
+        assert {root: sorted(ids) for root, ids in state._absorbed.items()} == absorbed
+
+    monkeypatch.setattr(SaturationState, "_union", union_and_check)
+    monkeypatch.setattr(SaturationState, "rebuild", rebuild_and_check)
+    v = load_entry_variety(name)
+    build_free_algebra(v, profile_of(v, counts), budget)
+
+
+def test_a_class_that_loses_takes_the_classes_it_absorbed_along():
+    # c joins b, then b loses to a: c must point at a, not at b; then a
+    # loses to w, and a, b and c all point at w
+    v = make_variety(["elem"], [], "four", [])
+    state = SaturationState(v, profile_of(v, (4,)))
+    w, a, b, c = state.gen_class.values()
+    assert state._union(b, c)
+    assert state.parent == [w, a, b, b] and state._absorbed == {b: [c]}
+    assert state._union(c, a)
+    assert state.parent == [w, a, a, a] and not state._union(b, c)
+    assert state._union(c, w)
+    assert state.parent == [w, w, w, w] and list(state._absorbed) == [w]
+    assert sorted(state._absorbed[w]) == [a, b, c]
+    assert [state.find(x) for x in (w, a, b, c)] == [w] * 4
+    assert (state.n_live, state.merges_done, state._losers) == (1, 3, [c, b, a])
 
 
 def test_one_union_closes_a_two_level_congruence_cascade():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from perfbench.trace import HOOKS
+from test_egraph import writers
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "freealg").glob("*.py"))
@@ -232,6 +233,15 @@ def test_every_class_is_made_in_one_place():
     # among its sort's roots from one method
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert appenders("parent", sources) == ["egraph.SaturationState._new_class"]
+
+
+def test_parent_is_written_only_where_it_stays_flat():
+    # a new class is its own root, and a merge points the loser and every
+    # class it had absorbed at the winner; no other code writes parent, so
+    # every id keeps pointing straight at its root
+    written = {p.stem: writers(p.read_text(), {"parent"}) for p in PACKAGE}
+    owners = ["SaturationState._new_class", "SaturationState._union"]
+    assert {module: where for module, where in written.items() if where} == {"egraph": owners}
 
 
 def test_scan_finds_every_appender():
