@@ -6,7 +6,9 @@
     freealg corpus [NAME...]                      run the bundled examples
 
 Exit codes: 0 success/certified, 1 input error, 2 unknown or budget
-exhausted, 3 refuted or counterexample found.
+exhausted, 3 refuted or counterexample found, 141 standard output closed
+by its reader (the shell's code for a process ended by SIGPIPE), with
+nothing printed.
 
 Budgets come from --budget-classes/--budget-rounds, falling back to the
 VF_BUDGET_CLASSES/VF_BUDGET_ROUNDS environment variables, then defaults.
@@ -40,6 +42,7 @@ from .terms import GeneratorProfile
 SCHEMA_VERSION = "1"
 
 _INPUT_ERRORS = (InputError, OSError, UnicodeError, json.JSONDecodeError)
+EXIT_BROKEN_PIPE = 141
 
 
 def _budget(args) -> Budget:
@@ -271,7 +274,15 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # an OSError, but not the input's: the reader of standard output
+        # is gone, so the rest goes to devnull, and so does the flush at
+        # exit, as the Python signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

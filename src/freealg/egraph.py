@@ -52,8 +52,9 @@ instantiated then.  So did a match whose only new atom is its root key,
 when that key's position is no later than the same reading: only its
 class's root changed, by a merge that the instance's union already
 implies, so the instance would be a no-op, and the root atom's seed skips
-it.  Queries whose other side has a variable the matched side lacks, and
-bare-variable patterns, join in full on every pass.
+it.  Queries whose other side has a variable the matched side lacks, or
+that declare a variable that neither side reads, and bare-variable
+patterns, join in full on every pass.
 
 Each query is compiled once, as Soufflé compiles Datalog rules (Jordan,
 Scholz and Subotić, CAV 2016), into the Python source of one match kernel
@@ -62,14 +63,22 @@ straight-line code at the join's innermost level (see ``_Query``).  As in
 Soufflé, what an instance derives goes where the loops do not read: its
 new keys wait in the index queue until the next rebuild, so a kernel
 holds no list of matches, and a budget trip stops the join at the match
-whose instance trips.  The queries are made once per axiom structure per
-process, keyed by the axiom's entry in ``VarietyDef._structure``, which
-holds both sides' op ids, result sorts and variable positions and the
-declared variables' sorts, and shared by every variety and every
-saturation state: a witness extension, a transported sort part or another
-variety whose axiom has the same structure reuses the planned and
-compiled query, and a state keeps only the clock each query last matched
-at.  Kernels compile through ``finalg.compile_source``, the compiler the
+whose instance trips.  Since no index changes while a kernel runs, the
+keys of a class that a loop below the seed would keep, by its tests on
+the key, the class and the clock it joins from alone, are the same at
+every visit in one run: the kernel filters each class's keys once, on its
+first visit, into a list that lives in a dict local to that run, as Free
+Join builds its tries on first access (Wang, Willsey and Suciu, SIGMOD
+2023).  Each list is the ordered subsequence of the keys that the scan
+would keep, so the matches and their order stay those of the scan, and a
+key entered between two runs is seen by the next.  The queries are made
+once per axiom structure per process, keyed by the axiom's entry in
+``VarietyDef._structure``, which holds both sides' op ids, result sorts
+and variable positions and the declared variables' sorts, and shared by
+every variety and every saturation state: a witness extension, a
+transported sort part or another variety whose axiom has the same
+structure reuses the planned and compiled query, and a state keeps only
+the clock each query last matched at.  Kernels compile through ``finalg.compile_source``, the compiler the
 identity checks also use, once per distinct source: a kernel's source
 holds only op ids, sort ids and slot numbers, so axioms of one shape share
 a compile only when their op and sort ids match as well.
@@ -113,6 +122,7 @@ from .terms import (
     SortedVar,
     Term,
     arena_of,
+    free_vars,
 )
 
 @dataclass(frozen=True)
@@ -266,6 +276,20 @@ class _Query:
       no index changes while a loop reads it, no key made in the same
       kernel run is joined, and the matches and their order are those of
       the indexes as the kernel began.
+    * The lists.  A loop below the seed reads a list, not the index: the
+      keys of its class that pass its tests on the key, the class and
+      ``since`` alone (the atom's op, for a use list the argument position
+      it came up through, the equalities of a repeated variable, and for
+      an atom before the seed the old-stamp test).  Its tests on the other
+      bound slots stay in the loop.  The list is filled on the kernel
+      run's first visit to the class, and kept by class in a dict of the
+      run, ``memo`` and the filter's number, which the loops of every seed
+      with the same filter share and the helpers past ``NEST`` take as
+      parameters.  As no index changes during the run and ``since`` is
+      fixed, each list is the ordered subsequence of the keys that the
+      loop's scan would keep at every visit, so the matches and their
+      order are the scan's.  Nothing keeps a list past the run, which a
+      rebuild would make stale.
     * The moved roots.  A key is stamped new when its form or its class's
       root changed, but its table position (its value in ``class_nodes``)
       is the clock when it entered, which only a new form changes.  So in
@@ -279,14 +303,18 @@ class _Query:
       stamp check on atom 0, so every match kept comes from the same seed
       and in the same order as without the skip.
     * The instances.  Each match, with each combination of classes from
-      ``pools`` for the missing variables, is one instance, built at the
+      ``pools`` for the missing variables that the other side reads, is
+      one instance, built at the
       innermost level of its seed's join, inside the moved-root check: the
       kernel looks the other side's nodes up in the hash-cons table, which
       holds every key made so far, by keys of roots that it reads straight
       from the flat ``parent``, has ``_make`` enter a missing one, and
       unions the result with the matched class; a missing outer node goes
       straight into the matched class.  A node past the class cap trips
-      in ``_make``, mid-instance, and ends the join with it.
+      in ``_make``, mid-instance, and ends the join with it.  A variable
+      that neither side reads changes no instance, so it gets no loop:
+      the kernel only returns at once when its pool is empty, as the
+      identity then holds vacuously.
 
     Only op ids, sort ids and slot numbers enter the source, so no name
     from a definition file reaches it, and axioms of one shape share a
@@ -308,18 +336,26 @@ class _Query:
         width = next(slots)
         ranged = [] if atoms else [root]  # slots that range over a pool
         self.pools = [] if atoms else [pat.sort]
+        read = free_vars(other)
+        unread = []  # the sorts of the variables that neither side reads
         for v in declared:
-            if v not in slot_of:
+            if v in slot_of:
+                continue
+            if v in read:
                 slot_of[v] = width
                 ranged.append(width)
                 self.pools.append(v.sort)
                 width += 1
+            else:
+                unread.append(v.sort)
+        self.pools += unread
         steps: list = []
         top = plan(other, slot_of, width, steps)
         # a bare-variable pattern has no atom to take a delta from, and a
-        # missing variable ranges over classes that no stamp tracks
-        self.full = bool(ranged)
-        self.source = self._source(atoms, root, ranged, steps, top)
+        # missing variable ranges over classes that no stamp tracks, as a
+        # variable that no side reads tests a pool that may fill later
+        self.full = bool(ranged or unread)
+        self.source = self._source(atoms, root, ranged, len(unread), steps, top)
         self.kernel = compile_source(self.source, "kernel")
 
     @staticmethod
@@ -336,9 +372,11 @@ class _Query:
         atoms[i] = (t.op.id, out, args)
         return out
 
-    def _source(self, atoms, root: int, ranged, steps, top: int) -> str:
+    def _source(self, atoms, root: int, ranged, unread: int, steps, top: int) -> str:
         """The kernel's source: each seed's join, with the instance of each
-        match built at its innermost level."""
+        match built at its innermost level.  The last ``unread`` pools are
+        those of the variables that neither side reads, which the kernel
+        only tests for a class."""
         built = {out for *_, out in steps}
         lines = ["def kernel(state, since, pools):"]
         helpers: list[str] = []
@@ -349,17 +387,23 @@ class _Query:
             "union = state._union",
             "n = 0",
         ]
+        for i in range(len(ranged), len(ranged) + unread):
+            body += [f"if not pools[{i}]:", "    return"]
         instance = ["n += 1", *self._build_lines(steps, top, root, built)]
         if len(ranged) == 1:
             instance = [f"for v{ranged[0]} in pools[0]:", *("    " + line for line in instance)]
         elif ranged:
-            instance = [f"for {_names(ranged)} in product(*pools):", *("    " + line for line in instance)]
+            looped = f"pools[:{len(ranged)}]" if unread else "pools"
+            instance = [f"for {_names(ranged)} in product(*{looped}):", *("    " + line for line in instance)]
         if atoms:
             body += [
                 "by_op = state._by_op",
                 "nodes = state.class_nodes",
                 "uses = state._uses",
             ]
+            # each filter's lists of keys, by class, shared by every seed
+            filters: dict[str, int] = {}
+            joins = []
             for seed in range(1 if self.full else len(atoms)):
                 moves = seed == 0 and not self.full  # seed 0 skips moved roots
                 emit = instance
@@ -367,7 +411,11 @@ class _Query:
                     # a match on a moved root key is new only by its other atoms
                     fresh = (f"by_op[{op}][k{j}] > since" for j, (op, _, _) in enumerate(atoms) if j)
                     emit = [f"if not moved or {' or '.join(fresh)}:", *("    " + line for line in instance)]
-                join = self._nest(self._join_order(atoms, seed, moves), set(), emit, helpers)
+                joins.append((self._join_order(atoms, seed, moves, filters), emit))
+            memos = [f"memo{i}" for i in range(len(filters))]
+            body += [f"{memo} = {{}}" for memo in memos]
+            for seed, (levels, emit) in enumerate(joins):
+                join = self._nest(levels, set(), emit, helpers, memos)
                 if seed == 1:
                     body.append("if since >= 0:")
                 body += join if seed == 0 else ["    " + line for line in join]
@@ -398,7 +446,7 @@ class _Query:
         ]
 
     @staticmethod
-    def _join_order(atoms, seed: int, moves: bool) -> list[tuple[list[str], list[str], set]]:
+    def _join_order(atoms, seed: int, moves: bool, filters: dict[str, int]) -> list[tuple[list[str], list[str], set]]:
         """One level per atom: the lines that open its block, the lines of
         its body and the names it binds.  The loops go breadth first from
         the seed atom, down through ``class_nodes`` from a bound out slot
@@ -412,7 +460,10 @@ class _Query:
         old, so no match is found twice.  With ``moves``, the seed is the
         root atom and notes in ``moved`` whether its key was in the table
         at the last pass: a lone atom skips such a key, and every level
-        passes its key on to the stamp check of the match."""
+        passes its key on to the stamp check of the match.  Each loop
+        below the seed opens by reading, or filling, its class's list in
+        the run's dict for its filter; ``filters`` numbers the filters,
+        each written for class ``{v}``, across the seeds of one kernel."""
         parent_of = {
             j: p
             for p, (_, _, args) in enumerate(atoms)
@@ -447,26 +498,33 @@ class _Query:
             bound.add(out)
             levels.append((head + [f"if {test}:"], [], names(j, {out})))
 
-        def loop(j: int, header: str):
+        def loop(j: int, index: str, via: int):
             op, out, args = atoms[j]
             k = f"k{j}"
-            # the seed's loop runs over its op's keys alone
-            checks = ["gen <= since"] if j == seed else [f"{k}[0] != {op}"]
+            # the seed's loop runs over its op's keys alone; another loop's
+            # tests on its key, its class and since alone pick its list
+            checks = ["gen <= since"] if j == seed else []
+            keep = [f"k[0] == {op}"]
             binds, first = [], {}
             for pos, slot in enumerate(args, 1):
                 if slot in first:
-                    checks.append(f"{k}[{pos}] != {k}[{first[slot]}]")
+                    if j == seed:
+                        checks.append(f"{k}[{pos}] != {k}[{first[slot]}]")
+                    else:
+                        keep.append(f"k[{pos}] == k[{first[slot]}]")
+                elif slot == via:  # the argument a use-list loop came up through
+                    keep.append(f"k[{pos}] == {{v}}")
                 elif slot in bound:
                     checks.append(f"{k}[{pos}] != v{slot}")
                 else:
                     binds.append(f"v{slot} = {k}[{pos}]")
                     first[slot] = pos
             if j < seed:
-                checks.append(f"by_op[{op}][{k}] > since")
+                keep.append(f"by_op[{op}][k] <= since")
             if out not in bound:  # the seed, or reached up from a child
                 binds.append(f"v{out} = table[{k}]")
             bound.update(first, (out,))
-            body = [f"if {' or '.join(checks)}:", "    continue"]
+            body = [f"if {' or '.join(checks)}:", "    continue"] if checks else []
             binding = names(j, set(first) | {out})
             if j == seed and moves:
                 # class_nodes keeps the clock at which the key entered: at
@@ -477,31 +535,47 @@ class _Query:
                     binding.add("moved")
                 else:
                     binds += [f"if {moved}:", "    continue"]
-            target = f"{k}, gen" if j == seed else k
-            levels.append(([f"for {target} in {header}:"], body + binds, binding))
+            if j == seed:
+                head = [f"for {k}, gen in by_op[{op}].items():"]
+            else:
+                # the list of the keys that pass, filled on the first visit
+                # to the class; loops with one filter share its lists
+                test = " and ".join(keep)
+                memo = f"memo{filters.setdefault(f'{index}: {test}', len(filters))}"
+                head = [
+                    f"keys = {memo}.get(v{via})",
+                    "if keys is None:",
+                    f"    keys = {memo}[v{via}] = []",
+                    f"    for k in {index}.get(v{via}, ()):",
+                    f"        if {test.format(v=f'v{via}')}:",
+                    "            keys.append(k)",
+                    f"for {k} in keys:",
+                ]
+            levels.append((head, body + binds, binding))
 
-        # breadth first from the seed; the list is its own queue
-        order = [(seed, f"by_op[{atoms[seed][0]}].items()")]
+        # breadth first from the seed, each atom with the index it loops
+        # over and the slot it reads its class from; the list is its own queue
+        order = [(seed, "by_op", None)]
         done = {seed}
-        for a, _ in order:
+        for a, _, _ in order:
             for j in range(len(atoms)):
                 if j not in done and parent_of.get(j) == a:
                     # the parent bound this atom's out slot to a root,
                     # and every key of class_nodes[root] maps to root
-                    order.append((j, f"nodes.get(v{atoms[j][1]}, ())"))
+                    order.append((j, "nodes", atoms[j][1]))
                     done.add(j)
             p = parent_of.get(a)
             if p is not None and p not in done:
-                order.append((p, f"uses.get(v{atoms[a][1]}, ())"))
+                order.append((p, "uses", atoms[a][1]))
                 done.add(p)
         placed: set[int] = set()
-        for j, header in order:
+        for j, index, via in order:
             if j in placed:
                 continue
-            loop(j, header)
+            loop(j, index, via)
             placed.add(j)
             while True:
-                ready = [i for i, _ in order if i not in placed and bound.issuperset(atoms[i][2])]
+                ready = [i for i, _, _ in order if i not in placed and bound.issuperset(atoms[i][2])]
                 if not ready:
                     break
                 lookup(ready[0])
@@ -509,12 +583,13 @@ class _Query:
         return levels
 
     @staticmethod
-    def _nest(levels, bound: set, emit: list[str], helpers: list) -> list[str]:
+    def _nest(levels, bound: set, emit: list[str], helpers: list, memos: list[str]) -> list[str]:
         """Nest the levels' blocks around ``emit``, which builds one
         instance and counts it in ``n``.  Past ``NEST`` blocks the rest goes
         into a helper function that ``helpers`` collects: it takes the
-        instance context and every name bound so far as parameters, and
-        returns the number of instances it built."""
+        instance context, the run's dicts of lists, ``memos``, and every
+        name bound so far as parameters, and returns the number of
+        instances it built."""
         lines = []
         for depth, (head, body, binds) in enumerate(levels[:NEST]):
             lines += ["    " * depth + line for line in head]
@@ -527,9 +602,9 @@ class _Query:
         i = len(helpers)
         helpers.append("")  # this helper's place, ahead of those it calls
         context = "since, table, by_op, nodes, uses, parent, make, union, pools"
-        params = ", ".join([context, *sorted(bound)])
+        params = ", ".join([context, *memos, *sorted(bound)])
         lines.append("    " * depth + f"n += join{i}({params})")
-        inner = _Query._nest(levels[NEST:], bound, emit, helpers)
+        inner = _Query._nest(levels[NEST:], bound, emit, helpers, memos)
         helpers[i] = "\n".join(
             [f"def join{i}({params}):", "    n = 0", *("    " + line for line in inner), "    return n"]
         )

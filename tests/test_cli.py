@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from importlib import resources
@@ -16,7 +18,7 @@ from conftest import (
     serialize_variety,
 )
 from freealg.certify import classify_action_signature, restrict_to_part
-from freealg.cli import main
+from freealg.cli import EXIT_BROKEN_PIPE, main
 from freealg.finalg import one_element_algebra
 
 
@@ -772,3 +774,29 @@ def test_roundtrip_through_cli(tmp_path, capsys):
     code = main(["free", str(f), "elem=2"])
     assert code == 0
     assert "|elem| = 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_standard_output_is_not_an_input_error(unbuffered):
+    # the reader takes 10 bytes of a report of about 290 kB, several times
+    # a pipe's capacity, and closes the pipe, so a later write must fail:
+    # the command stops printing, says nothing, and exits with the shell's
+    # code for SIGPIPE, not with 1 as for bad input
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "freealg.cli", "free", corpus_path("sets.var"), "elem=20000"]
+    proc = subprocess.Popen(
+        [*command, "--max-reps", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        assert proc.stdout.read(10) == b"sets on [e"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert err == b""

@@ -36,7 +36,14 @@ from freealg.egraph import (
     is_consequence,
     nondegeneracy_check,
 )
-from freealg.finalg import AlgebraError, FiniteAlgebra, compile_source, eval_term, satisfies_identity
+from freealg.finalg import (
+    AlgebraError,
+    FiniteAlgebra,
+    compile_source,
+    eval_term,
+    satisfies_all,
+    satisfies_identity,
+)
 from freealg.signature import Op, Signature
 from freealg.terms import GeneratorProfile, Identity, Term, TermArena, arena_of, parse_term, term_to_text
 from term_order import reference_representatives, term_key
@@ -798,11 +805,103 @@ def test_a_kernel_joins_no_key_that_its_own_instances_made():
     assert state.key2class[(g, fx)] == outer
 
 
+def test_no_filtered_list_outlives_its_kernel_run():
+    # in (f (g x) y) = x, the join reaches (g x) down from the f key's
+    # first argument through the list of the class's g keys; the list is
+    # filled on the kernel's first visit to the class and kept only for
+    # that run, so a g key entered in the class between two runs is
+    # joined by the second
+    v = make_variety(
+        ["elem"],
+        [("f", ["elem", "elem"], "elem"), ("g", ["elem"], "elem")],
+        "memo",
+        [([("x", "elem"), ("y", "elem")], "(f (g x) y)", "x")],
+    )
+    f, g = (op.id for op in v.sig.ops)
+    state = SaturationState(v, profile_of(v, (3,)))
+    a, b, x = state.gen_class.values()
+    fab = state._node(f, (a, b), 0)
+    state.rebuild()
+    [q] = state._queries
+    assert "memo0 = {}" in q.source and "keys = memo0.get(v1)" in q.source
+    query, fields = dict(vars(q)), set(vars(state))
+    q.kernel(state, -1, [])
+    assert state.instances == 0
+    state._make((g, x), 0, a)
+    state.rebuild()
+    assert state.find(x) != state.find(fab)
+    q.kernel(state, -1, [])
+    assert state.instances == 1
+    assert state.find(x) == state.find(fab)
+    # the lists live in the kernel's locals, not on the state or the query
+    assert vars(q) == query and set(vars(state)) == fields
+
+
+def test_a_variable_that_no_side_reads_is_tested_not_looped():
+    # z is declared in x = (f y (g (c))) but read by neither side: every
+    # instance is the same whichever class z takes, so the kernel only
+    # tests that z's pool is not empty, where x, which the other side
+    # reads, loops over its pool
+    ops = [("f", ["a", "a"], "a"), ("g", ["a"], "a"), ("c", [], "a")]
+    unread, read = (
+        make_variety(["a"], ops, "unread", [(declared, "x", "(f y (g (c)))")])._queries[0]
+        for declared in ([("x", "a"), ("y", "a"), ("z", "a")], [("x", "a"), ("y", "a")])
+    )
+    assert unread.full and read.full
+    assert (unread.pools, read.pools) == ([0, 0], [0])
+    assert re.search(r"\n +for v\d+ in pools\[0\]:\n", read.source) and "product" not in read.source
+    test = "    if not pools[1]:\n        return\n"
+    assert unread.source.count("pools[") == 2 and test in unread.source
+    assert unread.source.replace(test, "") == read.source
+
+
+def test_an_unread_variable_of_an_empty_sort_makes_its_axiom_vacuous():
+    # with z of sort b, f(x, y) = x holds only when b has an element: on
+    # no b generator b stays empty, the axiom says nothing and the free
+    # algebra on two a generators is infinite; on one b generator
+    # f(x, y) = x collapses every f term, and h(z) is a third a element
+    v = make_variety(
+        ["a", "b"],
+        [("f", ["a", "a"], "a"), ("h", ["b"], "a")],
+        "empty-sort",
+        [([("x", "a"), ("y", "a"), ("z", "b")], "(f x y)", "x")],
+    )
+    tripped = build_free_algebra(v, profile_of(v, (2, 0)), Budget(max_classes=500))
+    assert isinstance(tripped, BudgetExceeded)
+    res = build_free_algebra(v, profile_of(v, (2, 1)))
+    assert res.algebra.sizes == (3, 1)
+    assert satisfies_all(res.algebra, v.axioms) is True
+
+
+def test_an_unread_variable_no_longer_stalls_the_build():
+    # z is read by neither side: a loop over its pool would make each
+    # instance of x = (f y (g (c))) once per class, and the build would
+    # not end in minutes; with z only tested, that axiom and
+    # x = (g (g x)) collapse the algebra at once
+    v = make_variety(
+        ["a"],
+        [("f", ["a", "a"], "a"), ("g", ["a"], "a"), ("c", [], "a")],
+        "stall",
+        [
+            ([("x", "a")], "x", "(g (g x))"),
+            ([("x", "a"), ("y", "a"), ("z", "a")], "x", "(f y (g (c)))"),
+        ],
+    )
+    res = build_free_algebra(v, profile_of(v, (2,)))
+    assert res.algebra.sizes == (1,)
+
+
 def test_no_kernel_holds_a_match_list():
-    # each match builds its instance where the join finds it
+    # each match builds its instance where the join finds it; the one list
+    # a kernel fills is a class's index keys that pass a loop's filter,
+    # one key at a time from the index it reads
     varieties = [load_entry_variety(name) for name in ENTRIES] + [cycle_40_variety()]
     for q in (q for v in varieties for q in v._queries):
-        assert "found =" not in q.source and ".append" not in q.source
+        assert "found =" not in q.source
+        appends = re.findall(r"\n( *)(.*\.append\(.*)", q.source)
+        assert {line for _, line in appends} <= {"keys.append(k)"}
+        fills = re.findall(r"\n( *)for k in (?:nodes|uses)\.get\(v\d+, \(\)\):\n\1    if .*:\n\1        keys.append\(k\)", q.source)
+        assert len(fills) == len(appends)
 
 
 def test_no_kernel_calls_find():
@@ -1284,11 +1383,13 @@ def test_fully_bound_atoms_are_one_lookup():
     unit, inverse = queries[1].source, queries[2].source
 
     def looped_ops(source):
-        # each loop over a class or a use list first checks its key's op
-        loops = re.findall(r"for (k\d+) in (?:nodes|uses)\.get\(.*\n\s+if \1\[0\] != (\d+)", source)
-        return {int(op) for _, op in loops}
+        # each loop over a class or a use list reads the list of its keys
+        # that pass its filter, which first checks the key's op
+        loops = re.findall(r"for k in (?:nodes|uses)\.get\(.*\n\s+if k\[0\] == (\d+)", source)
+        assert len(loops) == len(re.findall(r"for k\d+ in keys:", source))
+        return {int(op) for op in loops}
 
-    assert looped_ops(unit) <= {mul} and looped_ops(inverse) <= {mul}
+    assert looped_ops(unit) == {mul} and looped_ops(inverse) <= {mul}
     assert f"= ({e},)\n" in unit
     assert f"= ({inv}, v" in inverse
     # the stamps live in the op index; no kernel keeps a map of its own
@@ -1305,7 +1406,7 @@ def test_fully_bound_atoms_are_one_lookup():
         for block in re.split(r"\n(?=\s*for k\d+, gen in )", source):
             lines = block.splitlines()
             for i, line in enumerate(lines):
-                if re.search(r"for k\d+ in (?:nodes|uses)\.get\(", line):
+                if re.search(r"for k\d+ in keys:", line):
                     bound = {v for text in lines[:i] for v in re.findall(r"\b(v\d+) = ", text)}
                     for text in lines[i + 1 :]:
                         lookup = re.fullmatch(r"\s*k\d+ = \(\d+,\s?(.*)\)", text)
